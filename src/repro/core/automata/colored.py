@@ -99,6 +99,11 @@ class ColoredAutomaton:
         self._states: Dict[str, State] = {}
         self._transitions: List[Transition] = []
         self._initial: Optional[str] = None
+        #: Bumped by every structural change (``add_state`` /
+        #: ``add_transition``): artefacts derived from this automaton — the
+        #: merged automaton's transition plans — compare it to know they
+        #: are stale.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -115,6 +120,7 @@ class ColoredAutomaton:
             raise AutomatonError(f"duplicate state '{name}' in automaton {self.name}")
         state = State(name=name, color=color, accepting=accepting)
         self._states[name] = state
+        self.version += 1
         if initial or self._initial is None:
             self._initial = name if initial or self._initial is None else self._initial
         if initial:
@@ -145,6 +151,7 @@ class ColoredAutomaton:
             )
         transition = Transition(source, action, message, target)
         self._transitions.append(transition)
+        self.version += 1
         return transition
 
     def receive(self, source: str, message: str, target: str) -> Transition:

@@ -32,6 +32,7 @@ from .semantics import SemanticEquivalence
 __all__ = [
     "LambdaAction",
     "DeltaTransition",
+    "Step",
     "MergedAutomaton",
     "check_mergeable",
     "derive_equivalence",
@@ -74,6 +75,32 @@ class DeltaTransition:
         )
 
 
+class Step:
+    """What the engine may do in one ``(automaton, state)`` of a merged automaton.
+
+    ``receives`` maps each message name the state listens for to its
+    receive-transition (the first one, for duplicates); ``deltas`` are the
+    δ-transitions leaving the state, in declaration order; ``send`` is the
+    state's first send-transition or ``None``.  A state with none of the
+    three is terminal.  ``version`` is the component automaton's
+    :attr:`~ColoredAutomaton.version` the step was resolved against.
+    """
+
+    __slots__ = ("receives", "deltas", "send", "version")
+
+    def __init__(
+        self,
+        receives: Dict[str, Transition],
+        deltas: Tuple[DeltaTransition, ...],
+        send: Optional[Transition],
+        version: int,
+    ) -> None:
+        self.receives = receives
+        self.deltas = deltas
+        self.send = send
+        self.version = version
+
+
 class MergedAutomaton:
     """A {k1..kn}-coloured automaton built from component coloured automata."""
 
@@ -93,6 +120,12 @@ class MergedAutomaton:
                 raise MergeError(f"duplicate automaton name '{automaton.name}'")
             self._automata[automaton.name] = automaton
         self._deltas: List[DeltaTransition] = []
+        #: Transition plans per ``(automaton, state)``, resolved by
+        #: :meth:`lower` (or on first use) and shared by every engine
+        #: executing this automaton.  Valid only while the model is
+        #: read-only: ``add_delta`` drops them, and a component automaton
+        #: that changed is noticed by its version.
+        self._steps: Dict[Tuple[str, str], Step] = {}
         self.translation = translation if translation is not None else TranslationLogic()
         #: Name of the automaton whose initial state is the merged q0
         #: (the client-facing protocol).
@@ -125,6 +158,7 @@ class MergedAutomaton:
             source_automaton, source_state, target_automaton, target_state, tuple(actions)
         )
         self._deltas.append(delta)
+        self._steps.clear()
         return delta
 
     def _split(self, reference: str) -> Tuple[str, str]:
@@ -189,6 +223,48 @@ class MergedAutomaton:
             for delta in self._deltas
             if delta.source_automaton == automaton_name and delta.source_state == state_name
         ]
+
+    def lower(self) -> None:
+        """Resolve every transition plan now.
+
+        Each state's :class:`Step` and the translation logic's plan per
+        target message are built on first use anyway; an engine calls this
+        when it is constructed so the work lands in deploy time, not on
+        the first datagrams.  Safe to repeat (every worker engine does).
+        """
+        for automaton_name, automaton in self._automata.items():
+            for state_name in automaton.states:
+                self.step((automaton_name, state_name))
+        self.translation.lower()
+
+    def step(self, current: Tuple[str, str]) -> Step:
+        """The transition plan of ``current = (automaton, state)``, cached.
+
+        What the automata engine probes per datagram instead of scanning
+        the transition lists: see :class:`Step`.
+        """
+        step = self._steps.get(current)
+        if step is None or step.version != self._automata[current[0]].version:
+            step = self._steps[current] = self.scan_step(current)
+        return step
+
+    def scan_step(self, current: Tuple[str, str]) -> Step:
+        """:meth:`step` resolved afresh from the transition lists.
+
+        The reference :meth:`step` must agree with; nothing is cached.
+        """
+        automaton_name, state_name = current
+        automaton = self.automaton(automaton_name)
+        receives: Dict[str, Transition] = {}
+        for transition in automaton.transitions_from(state_name, Action.RECEIVE):
+            receives.setdefault(transition.message, transition)
+        sends = automaton.transitions_from(state_name, Action.SEND)
+        return Step(
+            receives,
+            tuple(self.deltas_from(automaton_name, state_name)),
+            sends[0] if sends else None,
+            automaton.version,
+        )
 
     def messages(self) -> List[str]:
         seen: List[str] = []

@@ -89,7 +89,7 @@ from typing import (
 
 from ...network.addressing import Endpoint, Transport
 from ...network.engine import NetworkEngine, NetworkNode
-from ..automata.colored import Action, ColoredAutomaton
+from ..automata.colored import ColoredAutomaton
 from ..automata.merge import DeltaTransition, MergedAutomaton
 from ..errors import ConfigurationError, EngineError, ParseError
 from ..mdl.base import MessageComposer, MessageParser, create_composer, create_parser
@@ -262,15 +262,34 @@ class AutomataEngine(NetworkNode, EngineCore):
                 discriminator = discriminator_for(spec)
                 if discriminator is not None:
                     self._discriminators[automaton_name] = discriminator
+        #: ``(automaton, state) -> Step``: the merged automaton's cached
+        #: transition plans, or the reference scan of its transition lists.
+        #: The plans are lowered here, at deploy time (shared: the second
+        #: worker finds them built; a reference engine leaves them unused).
+        merged.lower()
+        self._step = merged.scan_step if interpreted else merged.step
+        #: The session-independent part of the translation context; the
+        #: bindings and public endpoints are fixed at construction.
+        self._bridge_endpoints: Dict[str, Tuple[str, int]] = {}
+        for automaton_name in self._bindings:
+            advertised = self.advertised_endpoint(automaton_name)
+            self._bridge_endpoints[automaton_name] = (advertised.host, advertised.port)
+        self._bridge_host = (
+            next(iter(self.public_endpoints.values())).host
+            if self.public_endpoints
+            else host
+        )
         #: Static multicast routing, precomputed once: the automata are
         #: read-only at runtime, so colours never change after this point.
         #: ``(group, port) -> automaton names`` plus the ordered group list
         #: (client-facing colour first).
         self._group_routes: Dict[Tuple[str, int], List[str]] = {}
         self._group_endpoints: List[Endpoint] = []
-        initial_automaton, _ = merged.initial_state
-        ordered = [initial_automaton] + [
-            name for name in self._bindings if name != initial_automaton
+        #: The client-facing component automaton (fixed when the merged
+        #: automaton is built): its traffic is keyed by the correlator.
+        self._client_automaton = merged.initial_state[0]
+        ordered = [self._client_automaton] + [
+            name for name in self._bindings if name != self._client_automaton
         ]
         for automaton_name in ordered:
             for state in self._bindings[automaton_name].automaton.states.values():
@@ -285,6 +304,18 @@ class AutomataEngine(NetworkNode, EngineCore):
                     )
                 if automaton_name not in names:
                     names.append(automaton_name)
+        #: Static unicast routing, likewise: ``(host, port) -> automaton``
+        #: for every local binding and public (router-advertised) endpoint.
+        self._unicast_routes: Dict[Tuple[str, int], str] = {}
+        for automaton_name, binding in self._bindings.items():
+            for endpoint in (
+                binding.local_endpoint,
+                self.public_endpoints.get(automaton_name),
+            ):
+                if endpoint is not None:
+                    self._unicast_routes.setdefault(
+                        (endpoint.host, endpoint.port), automaton_name
+                    )
         #: In-flight sessions, keyed by correlation key, in creation order.
         self._sessions: Dict[Any, SessionContext] = {}
         #: Upstream reply tokens -> sessions awaiting a response, FIFO.
@@ -494,18 +525,9 @@ class AutomataEngine(NetworkNode, EngineCore):
         ``LOCATION`` header) are byte-identical regardless of which worker
         produced them — and follow-up client legs land on the router.
         """
-        advertised_host = self.host
-        if self.public_endpoints:
-            advertised_host = next(iter(self.public_endpoints.values())).host
         context: Dict[str, Any] = {
-            "bridge_endpoints": {
-                name: (
-                    self.advertised_endpoint(name).host,
-                    self.advertised_endpoint(name).port,
-                )
-                for name in self._bindings
-            },
-            "bridge_host": advertised_host,
+            "bridge_endpoints": dict(self._bridge_endpoints),
+            "bridge_host": self._bridge_host,
         }
         if session is not None:
             context["session"] = {
@@ -689,8 +711,7 @@ class AutomataEngine(NetworkNode, EngineCore):
         self, automaton_name: str, message: AbstractMessage, source: Endpoint
     ) -> Optional[Hashable]:
         """The sticky session key for client-facing traffic, else ``None``."""
-        initial_automaton, _ = self.merged.initial_state
-        if automaton_name != initial_automaton:
+        if automaton_name != self._client_automaton:
             return None
         return self.correlator.client_key(source, message)
 
@@ -744,17 +765,11 @@ class AutomataEngine(NetworkNode, EngineCore):
         (router-advertised) endpoints count as owned too, so a worker can
         classify traffic the router received on the bridge's behalf.
         """
+        key = (destination.host, destination.port)
         if destination.is_multicast:
-            return list(self._group_routes.get((destination.host, destination.port), []))
-        for name, binding in self._bindings.items():
-            for endpoint in (binding.local_endpoint, self.public_endpoints.get(name)):
-                if (
-                    endpoint is not None
-                    and endpoint.host == destination.host
-                    and endpoint.port == destination.port
-                ):
-                    return [name]
-        return []
+            return list(self._group_routes.get(key, []))
+        owner = self._unicast_routes.get(key)
+        return [owner] if owner is not None else []
 
     # ------------------------------------------------------------------
     # session demultiplexing
@@ -768,16 +783,12 @@ class AutomataEngine(NetworkNode, EngineCore):
         strict: bool = False,
     ) -> Optional[SessionContext]:
         """Find (or open) the session an incoming message belongs to."""
-        initial_automaton, initial_state = self.merged.initial_state
-        if automaton_name == initial_automaton:
+        if automaton_name == self._client_automaton:
             key = self.correlator.client_key(source, message)
             session = self._sessions.get(key)
             if session is not None:
                 return session
-            opening = self._matching_receive(
-                self._bindings[initial_automaton].automaton, initial_state, message.name
-            )
-            if opening is not None:
+            if message.name in self._step(self.merged.initial_state).receives:
                 return self._open_session(engine, key, source)
             return None
 
@@ -808,12 +819,10 @@ class AutomataEngine(NetworkNode, EngineCore):
     def _expects(
         self, session: SessionContext, automaton_name: str, message_name: str
     ) -> bool:
-        current_automaton, current_state = session.current
-        if current_automaton != automaton_name:
-            return False
-        automaton = self._bindings[automaton_name].automaton
+        current = session.current
         return (
-            self._matching_receive(automaton, current_state, message_name) is not None
+            current[0] == automaton_name
+            and message_name in self._step(current).receives
         )
 
     def _open_session(
@@ -839,12 +848,12 @@ class AutomataEngine(NetworkNode, EngineCore):
         message: AbstractMessage,
         source: Endpoint,
     ) -> None:
-        current_automaton, current_state = session.current
-        automaton = self._bindings[automaton_name].automaton
+        current = session.current
+        current_automaton, current_state = current
         if current_automaton != automaton_name:
             self.ignored_datagrams += 1
             return
-        transition = self._matching_receive(automaton, current_state, message.name)
+        transition = self._step(current).receives.get(message.name)
         if transition is None:
             self.ignored_datagrams += 1
             return
@@ -969,15 +978,6 @@ class AutomataEngine(NetworkNode, EngineCore):
                 unbind(self, endpoint)
         session.ephemeral_sources.clear()
 
-    @staticmethod
-    def _matching_receive(
-        automaton: ColoredAutomaton, state_name: str, message_name: str
-    ):
-        for transition in automaton.transitions_from(state_name, Action.RECEIVE):
-            if transition.message == message_name:
-                return transition
-        return None
-
     # ------------------------------------------------------------------
     # advancing through delta / send states
     # ------------------------------------------------------------------
@@ -1002,37 +1002,32 @@ class AutomataEngine(NetworkNode, EngineCore):
                     f"automata engine did not reach a quiescent state (at {session.current})"
                 )
             automaton_name, state_name = session.current
-            automaton = self._bindings[automaton_name].automaton
+            step = self._step(session.current)
 
-            delta = self._next_delta(session, automaton_name, state_name)
+            delta = None
+            for candidate in step.deltas:
+                if id(candidate) not in session.taken_deltas:
+                    delta = candidate
+                    break
             if delta is not None:
                 session.taken_deltas.add(id(delta))
                 self._execute_delta(session, delta)
                 session.current = (delta.target_automaton, delta.target_state)
                 continue
 
-            send_transitions = automaton.transitions_from(state_name, Action.SEND)
-            if send_transitions:
-                transition = send_transitions[0]
+            transition = step.send
+            if transition is not None:
                 self._send(engine, session, automaton_name, state_name, transition.message)
                 session.current = (automaton_name, transition.target)
                 continue
 
-            if automaton.transitions_from(state_name, Action.RECEIVE):
+            if step.receives:
                 # Wait for the next datagram of this session.
                 return
 
             # Terminal state: the interoperability session is complete.
             self._finish_session(engine, session)
             return
-
-    def _next_delta(
-        self, session: SessionContext, automaton_name: str, state_name: str
-    ) -> Optional[DeltaTransition]:
-        for delta in self.merged.deltas_from(automaton_name, state_name):
-            if id(delta) not in session.taken_deltas:
-                return delta
-        return None
 
     def _execute_delta(self, session: SessionContext, delta: DeltaTransition) -> None:
         for action in delta.actions:
@@ -1071,30 +1066,31 @@ class AutomataEngine(NetworkNode, EngineCore):
         message_name: str,
     ) -> None:
         binding = self._bindings[automaton_name]
-        automaton = binding.automaton
-        state = automaton.state(state_name)
 
-        outgoing = AbstractMessage(message_name, protocol=automaton.protocol)
+        outgoing = AbstractMessage(message_name, protocol=binding.automaton.protocol)
+        # Looked up per send, never bound at deploy: ``translation.apply``
+        # is a public seam that tracing shims wrap on the instance.
+        translation = self.merged.translation
+        translate = translation.interpret if self.interpreted else translation.apply
         recorder = self._recorder
         if recorder is None:
-            self.merged.translation.apply(
+            translate(
                 outgoing, session.instances, context=self.translation_context(session)
             )
             data = binding.composer.compose(outgoing)
         else:
             started = perf_counter()
-            self.merged.translation.apply(
+            translate(
                 outgoing, session.instances, context=self.translation_context(session)
             )
             started = recorder.record(self._active_trace, STAGE_TRANSLATE, started)
             data = binding.composer.compose(outgoing)
             recorder.record(self._active_trace, STAGE_COMPOSE, started)
 
-        destination = self._destination_for(session, automaton_name, binding, state.color)
+        destination = self._destination_for(session, automaton_name, binding, state_name)
         source = binding.local_endpoint
         token: Optional[Hashable] = None
-        initial_automaton, _ = self.merged.initial_state
-        if automaton_name != initial_automaton:
+        if automaton_name != self._client_automaton:
             token = self.correlator.reply_token(outgoing)
             if token is None:
                 # No transaction identifier to correlate the reply by: give
@@ -1123,7 +1119,7 @@ class AutomataEngine(NetworkNode, EngineCore):
         session: SessionContext,
         automaton_name: str,
         binding: ProtocolBinding,
-        color,
+        state_name: str,
     ) -> Endpoint:
         forced = session.forced_destinations.get(automaton_name) or binding.forced_destination
         if forced is not None:
@@ -1131,6 +1127,7 @@ class AutomataEngine(NetworkNode, EngineCore):
         peer = session.peers.get(automaton_name)
         if peer is not None:
             return peer
+        color = binding.automaton.state(state_name).color
         if color.is_multicast and color.group:
             return Endpoint(color.group, color.port, color.transport)
         raise EngineError(

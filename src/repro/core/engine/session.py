@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ...network.addressing import Endpoint
-from ..message import AbstractMessage
+from ..message import AbstractMessage, StructuredField
 
 __all__ = [
     "SessionRecord",
@@ -176,9 +176,12 @@ class FieldCorrelator(EndpointCorrelator):
 
     def _token(self, message: AbstractMessage) -> Optional[Hashable]:
         label = self.fields.get(message.name)
-        if label is None or not message.has(label):
+        if label is None:
             return None
-        return (label, message.get(label))
+        found = message.find(label)
+        if found is None:
+            return None
+        return (label, found if isinstance(found, StructuredField) else found.value)
 
     def client_key(self, source: Endpoint, message: AbstractMessage) -> Hashable:
         token = self._token(message)

@@ -100,8 +100,8 @@ class FieldPath:
         primitive field keeps its declared type unless the field is new.
         """
         dotted = self.dotted
-        if message.has(dotted):
-            field = message.field(dotted)
+        field = message.find(dotted)
+        if field is not None:
             if isinstance(field, StructuredField):
                 raise MessageError(
                     f"cannot assign a value to structured field '{dotted}' "
@@ -121,9 +121,8 @@ class FieldPath:
                     existing = StructuredField(label)
                     parent.add_field(existing)
             else:
-                if parent.has(label):
-                    existing = parent.get(label)
-                else:
+                existing = parent.find(label)
+                if existing is None:
                     existing = StructuredField(label)
                     parent.add(existing)
             if isinstance(existing, PrimitiveField):

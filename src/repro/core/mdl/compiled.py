@@ -509,32 +509,36 @@ def _build_message(
     ordered: List[Tuple[str, Any]],
     type_names: Dict[str, str],
 ) -> AbstractMessage:
-    """Build the parsed message without ``AbstractMessage.set``'s O(n) scan.
+    """Build the parsed message, fields and label index, in one pass.
 
-    ``set`` walks the field list per call (quadratic over a whole parse);
-    a local label index gives the same create-or-overwrite semantics in
-    one pass.  Spec labels are dot-free by compile gate, but text
+    The local index gives ``AbstractMessage.set``'s create-or-overwrite
+    semantics without a call per field, and the message is then built
+    around it (:meth:`AbstractMessage.adopt`), so nothing downstream
+    rebuilds it.  Spec labels are dot-free by compile gate, but text
     directive labels come off the wire — the first dotted label switches
     to ``set`` for the remainder, preserving its structured-path handling.
     """
-    message = AbstractMessage(name, mandatory=mandatory, protocol=protocol)
-    fields = message.fields
+    fields: List[PrimitiveField] = []
     index: Dict[str, PrimitiveField] = {}
+    append = fields.append
     get_type = type_names.get
-    slow = False
+    message: Optional[AbstractMessage] = None
     for label, value in ordered:
-        if slow or "." in label:
-            slow = True
-            message.set(label, value, type_name=get_type(label, "String"))
-            continue
-        existing = index.get(label)
-        if existing is None:
-            existing = PrimitiveField(label, get_type(label, "String"), None, value)
-            index[label] = existing
-            fields.append(existing)
-        else:
-            existing.value = value
-            existing.type_name = get_type(label, "String")
+        if message is None:
+            existing = index.get(label)
+            if existing is not None:
+                existing.value = value
+                existing.type_name = get_type(label, "String")
+                continue
+            if "." not in label:
+                existing = PrimitiveField(label, get_type(label, "String"), None, value)
+                index[label] = existing
+                append(existing)
+                continue
+            message = AbstractMessage.adopt(name, fields, index, mandatory, protocol)
+        message.set(label, value, type_name=get_type(label, "String"))
+    if message is None:
+        message = AbstractMessage.adopt(name, fields, index, mandatory, protocol)
     return message
 
 
@@ -579,25 +583,6 @@ class CompiledBinaryParser(MessageParser):
 # binary compose compilation
 # ----------------------------------------------------------------------
 _NO_RULE = object()
-
-#: ``dict.get`` default distinguishing "field absent" from a ``None`` value.
-_ABSENT = object()
-
-
-def _present_values(message: AbstractMessage) -> Dict[str, Any]:
-    """First-match label -> value map of a message's top-level fields.
-
-    One walk replaces a ``has()``/``get()`` pair per spec field — each
-    miss there raises and catches a ``FieldNotFoundError``.  Structured
-    fields map to the field object, like ``AbstractMessage.get``.
-    """
-    present: Dict[str, Any] = {}
-    for field in message.fields:
-        if field.label not in present:
-            present[field.label] = (
-                field if isinstance(field, StructuredField) else field.value
-            )
-    return present
 
 
 def _make_int_writer(nbytes: int) -> Callable[[Any, bytearray], None]:
@@ -810,17 +795,18 @@ class CompiledBinaryComposer(MessageComposer):
 
         values: Dict[str, Any] = {}
         lengths: Dict[str, int] = {}
-        present_get = _present_values(message).get
+        present_get = message.field_index().get
         total_bits = 0
         for field in fields:
             label = field.label
-            value = present_get(label, _ABSENT)
-            if value is _ABSENT:
-                value = (
-                    field.rule_value
-                    if field.rule_value is not _NO_RULE
-                    else field.default
-                )
+            present = present_get(label)
+            if present is not None:
+                # As ``AbstractMessage.get``: a structured field is its own value.
+                value = present if isinstance(present, StructuredField) else present.value
+            elif field.rule_value is not _NO_RULE:
+                value = field.rule_value
+            else:
+                value = field.default
             values[label] = value
             bits = field.fixed_bits
             if bits is None:
@@ -1122,11 +1108,13 @@ class CompiledTextComposer(MessageComposer):
 
         parts: List[str] = []
         consumed_labels: set = set()
-        present_get = _present_values(message).get
+        present_get = message.field_index().get
         for label, delimiter in plan.header_parts:
-            value = present_get(label, _ABSENT)
-            if value is _ABSENT:
+            present = present_get(label)
+            if present is None:
                 value = rule_value if label == rule_field else ""
+            else:
+                value = present if isinstance(present, StructuredField) else present.value
             parts.append(renderers_get(label, default_renderer)(value))
             parts.append(delimiter)
             consumed_labels.add(label)
@@ -1136,9 +1124,12 @@ class CompiledTextComposer(MessageComposer):
             body_label = plan.header_body_label
         if body_label is not None:
             consumed_labels.add(body_label)
-            body_value = renderers_get(body_label, default_renderer)(
-                present_get(body_label, "")
-            )
+            present = present_get(body_label)
+            if present is None:
+                value = ""
+            else:
+                value = present if isinstance(present, StructuredField) else present.value
+            body_value = renderers_get(body_label, default_renderer)(value)
 
         if plan.directive is not None:
             outer, separator = plan.directive
@@ -1157,9 +1148,10 @@ class CompiledTextComposer(MessageComposer):
             for label in declared + extra:
                 if label in emitted or label in consumed_labels:
                     continue
-                value = present_get(label, _ABSENT)
-                if value is _ABSENT:
+                present = present_get(label)
+                if present is None:
                     continue
+                value = present if isinstance(present, StructuredField) else present.value
                 parts.append(
                     f"{label}{separator} "
                     f"{renderers_get(label, default_renderer)(value)}{outer}"

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class PrimitiveField:
     """A single labelled value carried by an abstract message.
 
@@ -101,15 +101,22 @@ class StructuredField:
         self.fields.append(child)
         return self
 
-    def get(self, label: str) -> "Field":
-        """Return the direct child field named ``label``."""
+    def find(self, label: str) -> Optional["Field"]:
+        """The first direct child named ``label``, or ``None``."""
         for child in self.fields:
             if child.label == label:
                 return child
-        raise FieldNotFoundError(label, self.label)
+        return None
+
+    def get(self, label: str) -> "Field":
+        """Return the direct child field named ``label``."""
+        child = self.find(label)
+        if child is None:
+            raise FieldNotFoundError(label, self.label)
+        return child
 
     def has(self, label: str) -> bool:
-        return any(child.label == label for child in self.fields)
+        return self.find(label) is not None
 
     def labels(self) -> List[str]:
         return [child.label for child in self.fields]
@@ -140,6 +147,14 @@ class AbstractMessage:
     The class behaves like a mapping from field labels to values for the
     common case of primitive top-level fields, while still exposing the full
     field objects for structured access.
+
+    Top-level lookups go through a *first-match label index* kept beside
+    the ordered field list, so ``has``/``get``/``set`` are one dict probe
+    instead of a scan.  The index follows :meth:`add_field`, :meth:`set`
+    and plain appends to :attr:`fields` (picked up lazily by length), and
+    with duplicate labels it resolves to the earliest field, exactly as the
+    scan did.  Other in-place edits of :attr:`fields` — replacing,
+    reordering or relabelling a field — are outside the contract.
     """
 
     def __init__(
@@ -154,13 +169,44 @@ class AbstractMessage:
         self.protocol = protocol
         self._fields: List[Field] = list(fields) if fields else []
         self._mandatory: List[str] = list(mandatory) if mandatory else []
+        #: First-match label -> field over ``_fields[:_indexed]``.
+        self._index: Dict[str, Field] = {}
+        self._indexed = 0
+
+    @classmethod
+    def adopt(
+        cls,
+        name: str,
+        fields: List[Field],
+        index: Dict[str, Field],
+        mandatory: Optional[Sequence[str]] = None,
+        protocol: str = "",
+    ) -> "AbstractMessage":
+        """A message built *around* ``fields`` and their label index, no copies.
+
+        For builders that computed both in one pass (the compiled
+        parsers): ``index`` must map every label in ``fields`` to its
+        first field, and the caller gives up both objects.
+        """
+        message = cls.__new__(cls)
+        message.name = name
+        message.protocol = protocol
+        message._fields = fields
+        message._mandatory = list(mandatory) if mandatory else []
+        message._index = index
+        message._indexed = len(fields)
+        return message
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     def add_field(self, f: Field) -> "AbstractMessage":
         """Append a field object and return ``self``."""
-        self._fields.append(f)
+        fields = self._fields
+        if self._indexed == len(fields):
+            self._index.setdefault(f.label, f)
+            self._indexed += 1
+        fields.append(f)
         return self
 
     def set(
@@ -180,14 +226,14 @@ class AbstractMessage:
             parent = self._find(parent_label)
             if parent is None:
                 parent = StructuredField(parent_label)
-                self._fields.append(parent)
+                self.add_field(parent)
             if not isinstance(parent, StructuredField):
                 raise MessageError(
                     f"field '{parent_label}' of message '{self.name}' is primitive; "
                     f"cannot set sub-field '{child_label}'"
                 )
-            if parent.has(child_label):
-                child = parent.get(child_label)
+            child = parent.find(child_label)
+            if child is not None:
                 if isinstance(child, StructuredField):
                     raise MessageError(
                         f"field '{label}' of message '{self.name}' is structured; "
@@ -203,7 +249,7 @@ class AbstractMessage:
 
         existing = self._find(label)
         if existing is None:
-            self._fields.append(PrimitiveField(label, type_name, length_bits, value))
+            self.add_field(PrimitiveField(label, type_name, length_bits, value))
         elif isinstance(existing, PrimitiveField):
             existing.value = value
             existing.type_name = type_name
@@ -241,42 +287,58 @@ class AbstractMessage:
     def labels(self) -> List[str]:
         return [f.label for f in self._fields]
 
+    def field_index(self) -> Dict[str, Field]:
+        """First-match label -> field mapping of the top-level fields.
+
+        The message's own live index, brought up to date with
+        :attr:`fields`: callers probe it, they never write to it.
+        """
+        fields = self._fields
+        indexed = self._indexed
+        if indexed != len(fields):
+            if indexed > len(fields):
+                # Fields were removed behind the index's back: start over.
+                self._index.clear()
+                indexed = 0
+            setdefault = self._index.setdefault
+            for f in fields[indexed:]:
+                setdefault(f.label, f)
+            self._indexed = len(fields)
+        return self._index
+
     def _find(self, label: str) -> Optional[Field]:
-        for f in self._fields:
-            if f.label == label:
-                return f
-        return None
+        # The in-sync probe is inlined: this runs per field per datagram.
+        if self._indexed != len(self._fields):
+            return self.field_index().get(label)
+        return self._index.get(label)
+
+    def find(self, path: str) -> Optional[Field]:
+        """The field addressed by ``path`` (dotted labels), or ``None``."""
+        if "." not in path:
+            return self._find(path)
+        parts = path.split(".")
+        current = self._find(parts[0])
+        for part in parts[1:]:
+            if not isinstance(current, StructuredField):
+                return None
+            current = current.find(part)
+        return current
 
     def field(self, path: str) -> Field:
         """Return the field object addressed by ``path`` (dotted labels)."""
-        parts = path.split(".")
-        current: Field
-        found = self._find(parts[0])
+        found = self.find(path)
         if found is None:
             raise FieldNotFoundError(path, self.name)
-        current = found
-        for part in parts[1:]:
-            if not isinstance(current, StructuredField):
-                raise FieldNotFoundError(path, self.name)
-            try:
-                current = current.get(part)
-            except FieldNotFoundError:
-                raise FieldNotFoundError(path, self.name) from None
-        return current
+        return found
 
     def has(self, path: str) -> bool:
         """Return ``True`` when ``path`` resolves to a field of this message."""
-        try:
-            self.field(path)
-            return True
-        except FieldNotFoundError:
-            return False
+        return self.find(path) is not None
 
     def get(self, path: str, default: Any = None) -> Any:
         """Return the *value* of a primitive field, or ``default`` if absent."""
-        try:
-            f = self.field(path)
-        except FieldNotFoundError:
+        f = self.find(path)
+        if f is None:
             return default
         if isinstance(f, StructuredField):
             return f

@@ -34,7 +34,7 @@ The built-in functions cover what the paper's discovery case studies need:
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 from ..errors import TranslationError
@@ -51,9 +51,17 @@ class TranslationFunctionRegistry:
 
     def __init__(self) -> None:
         self._functions: Dict[str, TranslationFunction] = {}
+        #: Bumped by every :meth:`register`; translation plans that resolved
+        #: a function once compare it to know they are stale.
+        self.version = 0
 
     def register(self, name: str, function: TranslationFunction) -> None:
         self._functions[name] = function
+        self.version += 1
+
+    def lookup(self, name: str) -> Optional[TranslationFunction]:
+        """The function registered under ``name``, or ``None``."""
+        return self._functions.get(name)
 
     def has(self, name: str) -> bool:
         return name in self._functions
@@ -76,14 +84,31 @@ class TranslationFunctionRegistry:
         ``arguments`` from the assignment, the engine ``context``, and the
         source/target message instances); simple functions may ignore them.
         """
-        try:
-            function = self._functions[name]
-        except KeyError:
-            raise TranslationError(f"unknown translation function '{name}'") from None
+        return self.call(
+            name, self._functions.get(name), value, tuple(arguments), context, source, target
+        )
+
+    def call(
+        self,
+        name: str,
+        function: Optional[TranslationFunction],
+        value: Any,
+        arguments: Tuple[str, ...],
+        context: Optional[Dict[str, Any]],
+        source: Optional[AbstractMessage],
+        target: Optional[AbstractMessage],
+    ) -> Any:
+        """:meth:`apply` with ``function`` already looked up (``None``: unknown).
+
+        Translation plans resolve each assignment's function once with
+        :meth:`lookup` and come here per datagram.
+        """
+        if function is None:
+            raise TranslationError(f"unknown translation function '{name}'")
         try:
             return function(
                 value,
-                arguments=tuple(arguments),
+                arguments=arguments,
                 context=dict(context or {}),
                 source=source,
                 target=target,

@@ -26,14 +26,44 @@ A :class:`TranslationLogic` bundles the three parts of Fig. 5:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import TranslationError
+from ..errors import MessageError, TranslationError
 from ..fieldpath import FieldPath
-from ..message import AbstractMessage
+from ..message import AbstractMessage, PrimitiveField, StructuredField
 from .functions import TranslationFunctionRegistry, default_translation_registry
 
 __all__ = ["MessageFieldRef", "Assignment", "TranslationLogic"]
+
+
+def _flat_label(expression: str) -> Optional[str]:
+    """``expression`` as one top-level field label, else ``None``.
+
+    ``None`` for the paths a plan cannot reduce to a single index probe —
+    dotted paths into structured fields, the paper's XPath style, and
+    anything :class:`FieldPath` would refuse — which stay with the
+    reference interpreter.
+    """
+    label = expression.strip()
+    if not label or label.startswith("/") or "." in label:
+        return None
+    return label
+
+
+#: One lowered assignment of a translation plan: ``(assignment, source
+#: message, source label, target label, function name, function, literal
+#: arguments)``.  Both labels are ``None`` when either side is not a flat
+#: label: that assignment runs through the reference interpreter.
+_PlanStep = Tuple[
+    "Assignment",
+    str,
+    Optional[str],
+    Optional[str],
+    Optional[str],
+    Optional[Callable[..., Any]],
+    Tuple[str, ...],
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +81,11 @@ class MessageFieldRef:
     state: str = ""
 
     def path(self) -> FieldPath:
+        """The parsed field path (parsed once per reference, then shared)."""
+        return self._path
+
+    @cached_property
+    def _path(self) -> FieldPath:
         return FieldPath(self.field)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -88,6 +123,15 @@ class TranslationLogic:
         self._equivalences: List[Tuple[str, str]] = list(equivalences or [])
         self._assignments: List[Assignment] = list(assignments or [])
         self.functions = functions if functions is not None else default_translation_registry()
+        #: Translation plans per target message, lowered by :meth:`lower` (or
+        #: on first use) and shared by everything holding this logic (every
+        #: worker engine).
+        #: Valid only while the logic is read-only: ``assign`` and
+        #: ``add_assignment`` drop them, and so does a ``register`` on the
+        #: function registry they resolved their functions from.
+        self._plans: Dict[str, List[_PlanStep]] = {}
+        self._plans_registry: Optional[TranslationFunctionRegistry] = None
+        self._plans_version = -1
 
     # ------------------------------------------------------------------
     # construction
@@ -118,10 +162,12 @@ class TranslationLogic:
                 tuple(function_arguments),
             )
         )
+        self._plans.clear()
         return self
 
     def add_assignment(self, assignment: Assignment) -> "TranslationLogic":
         self._assignments.append(assignment)
+        self._plans.clear()
         return self
 
     @staticmethod
@@ -179,38 +225,151 @@ class TranslationLogic:
         missing source instance or field raises
         :class:`~repro.core.errors.TranslationError`; otherwise the
         assignment is skipped.
+
+        Executes the target's *translation plan*: the assignments lowered
+        once (see :meth:`_lower`) into flat label-to-label slot copies with
+        their functions already looked up.  :meth:`interpret` is the
+        reference this must stay message- and error-identical to.
         """
-        for assignment in self.assignments_for(target.name):
-            source_instance = instances.get(assignment.source.message)
+        target_name = target.name
+        functions = self.functions
+        for step in self._plan_for(target_name):
+            assignment, source_message, source_label, target_label, name, function, arguments = step
+            if source_label is None:
+                self._execute(assignment, target, instances, context, strict)
+                continue
+            source_instance = instances.get(source_message)
             if source_instance is None:
-                if assignment.source.message == target.name:
+                if source_message == target_name:
                     source_instance = target
                 elif strict:
                     raise TranslationError(
-                        f"no instance of source message '{assignment.source.message}' "
+                        f"no instance of source message '{source_message}' "
                         f"available for assignment {assignment}"
                     )
                 else:
                     continue
-            source_path = assignment.source.path()
-            if not source_path.exists(source_instance):
+            found = source_instance.find(source_label)
+            if found is None:
                 if strict:
                     raise TranslationError(
                         f"source field missing for assignment {assignment}"
                     )
                 continue
-            value = source_path.resolve(source_instance)
-            if assignment.function:
-                value = self.functions.apply(
-                    assignment.function,
-                    value,
-                    arguments=assignment.function_arguments,
-                    context=context or {},
-                    source=source_instance,
-                    target=target,
+            value = found if isinstance(found, StructuredField) else found.value
+            if name is not None:
+                value = functions.call(
+                    name, function, value, arguments, context, source_instance, target
                 )
-            assignment.target.path().assign(target, value)
+            existing = target.find(target_label)
+            if existing is None:
+                target.add_field(PrimitiveField(target_label, "String", None, value))
+            elif isinstance(existing, StructuredField):
+                raise MessageError(
+                    f"cannot assign a value to structured field '{target_label}' "
+                    f"of message '{target_name}'"
+                )
+            else:
+                existing.value = value
         return target
+
+    def lower(self) -> None:
+        """Lower the plan of every target message now.
+
+        Plans are built on first use anyway; an engine calls this when it
+        is constructed so the work lands in deploy time, not on the first
+        datagram of each kind.
+        """
+        for assignment in self._assignments:
+            self._plan_for(assignment.target.message)
+
+    def _plan_for(self, target_message: str) -> List[_PlanStep]:
+        functions = self.functions
+        if self._plans_registry is not functions or self._plans_version != functions.version:
+            self._plans = {}
+            self._plans_registry = functions
+            self._plans_version = functions.version
+        plan = self._plans.get(target_message)
+        if plan is None:
+            plan = self._plans[target_message] = self._lower(target_message)
+        return plan
+
+    def _lower(self, target_message: str) -> List[_PlanStep]:
+        """Lower the assignments targeting ``target_message`` into a plan."""
+        plan: List[_PlanStep] = []
+        for assignment in self.assignments_for(target_message):
+            source_label = _flat_label(assignment.source.field)
+            target_label = _flat_label(assignment.target.field)
+            if source_label is None or target_label is None:
+                source_label = target_label = None
+            name = assignment.function or None
+            plan.append(
+                (
+                    assignment,
+                    assignment.source.message,
+                    source_label,
+                    target_label,
+                    name,
+                    self.functions.lookup(name) if name is not None else None,
+                    tuple(assignment.function_arguments),
+                )
+            )
+        return plan
+
+    def interpret(
+        self,
+        target: AbstractMessage,
+        instances: Dict[str, AbstractMessage],
+        context: Optional[Dict[str, Any]] = None,
+        strict: bool = False,
+    ) -> AbstractMessage:
+        """:meth:`apply` by the reference interpreter, one assignment at a time.
+
+        Nothing is lowered or cached: every call filters the assignment
+        list and resolves each side through :class:`FieldPath`.  The
+        engine's escape hatch and the differential tests run this.
+        """
+        for assignment in self.assignments_for(target.name):
+            self._execute(assignment, target, instances, context, strict)
+        return target
+
+    def _execute(
+        self,
+        assignment: Assignment,
+        target: AbstractMessage,
+        instances: Dict[str, AbstractMessage],
+        context: Optional[Dict[str, Any]],
+        strict: bool,
+    ) -> None:
+        source_instance = instances.get(assignment.source.message)
+        if source_instance is None:
+            if assignment.source.message == target.name:
+                source_instance = target
+            elif strict:
+                raise TranslationError(
+                    f"no instance of source message '{assignment.source.message}' "
+                    f"available for assignment {assignment}"
+                )
+            else:
+                return
+        source_path = assignment.source.path()
+        if not source_path.exists(source_instance):
+            if strict:
+                raise TranslationError(
+                    f"source field missing for assignment {assignment}"
+                )
+            return
+        value = source_path.resolve(source_instance)
+        if assignment.function:
+            value = self.functions.apply(
+                assignment.function,
+                value,
+                arguments=assignment.function_arguments,
+                context=context or {},
+                source=source_instance,
+                target=target,
+            )
+        assignment.target.path().assign(target, value)
 
     def __repr__(self) -> str:
         return (

@@ -216,8 +216,12 @@ def write_micro_results(result) -> str:
         "micro",
         messages_checked=result.messages_checked,
         garbage_checked=result.garbage_checked,
+        translations_checked=result.translations_checked,
+        steps_checked=result.steps_checked,
         parse_speedup=round(result.parse_speedup, 2),
         compose_speedup=round(result.compose_speedup, 2),
+        translate_speedup=round(result.translate_speedup, 2),
+        transition_speedup=round(result.transition_speedup, 2),
         rows=[row.as_row() for row in result.rows],
     )
 

@@ -15,6 +15,15 @@ This module checks both claims in one place:
   that disagree on bytes is meaningless, so any mismatch raises before a
   single timing loop runs.
 
+The deploy-time transition plans one layer up get the same treatment per
+bridge case: a ``translate`` row (one lookup's worth of
+``TranslationLogic.apply`` on the plan against the assignment-at-a-time
+``TranslationLogic.interpret``, fed the messages and contexts a real
+simulated lookup produced) and a ``transition`` row (resolving every state
+of the merged automaton through the cached ``MergedAutomaton.step``
+against the scanning ``scan_step``), gated on message-, error- and
+step-identity of the two.
+
 ``python -m repro.evaluation --table micro`` prints the table and writes
 ``BENCH_micro.json`` next to the other benchmark artifacts.
 """
@@ -26,11 +35,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import ParseError
+from ..bridges import BRIDGE_BUILDERS
+from ..core.automata.merge import MergedAutomaton
+from ..core.errors import ParseError, StarlinkError
 from ..core.mdl.base import create_composer, create_parser
 from ..core.mdl.compiled import PROBE_REJECT, discriminator_for
 from ..core.mdl.spec import MDLSpec
 from ..core.message import AbstractMessage
+from ..core.translation.logic import TranslationLogic
 from ..protocols.http.mdl import HTTP_OK, http_mdl
 from ..protocols.mdns.mdl import DNS_RESPONSE, mdns_mdl
 from ..protocols.slp.mdl import SLP_SRVREQ, slp_mdl
@@ -111,8 +123,8 @@ _CASES: Tuple[Tuple[str, Callable[[], MDLSpec], Callable[[], AbstractMessage]], 
 class MicroRow:
     """One protocol x operation timing: interpreted vs compiled."""
 
-    protocol: str
-    operation: str  # "parse" or "compose"
+    protocol: str  # a protocol for the codec rows, "case N" for the plan rows
+    operation: str  # "parse", "compose", "translate" or "transition"
     repetitions: int
     interpreted_us: float  # microseconds per operation
     compiled_us: float
@@ -139,6 +151,11 @@ class MicroResult:
     rows: List[MicroRow] = field(default_factory=list)
     messages_checked: int = 0
     garbage_checked: int = 0
+    #: Translations (one target message each, plus its missing-source
+    #: variants) whose plan and reference outcomes were compared.
+    translations_checked: int = 0
+    #: Automaton states whose cached and scanned steps were compared.
+    steps_checked: int = 0
     mismatches: List[str] = field(default_factory=list)
 
     @property
@@ -157,6 +174,14 @@ class MicroResult:
     @property
     def compose_speedup(self) -> float:
         return self._aggregate("compose")
+
+    @property
+    def translate_speedup(self) -> float:
+        return self._aggregate("translate")
+
+    @property
+    def transition_speedup(self) -> float:
+        return self._aggregate("transition")
 
 
 def _codec_pair(builder: Callable[[], MDLSpec]):
@@ -241,7 +266,106 @@ def run_differential(garbage: Sequence[bytes] = GARBAGE_CORPUS) -> MicroResult:
                 )
                 continue
             result.garbage_checked += 1
+    for case in sorted(BRIDGE_BUILDERS):
+        merged, translations = _plan_case(case)
+        _check_plans(f"case {case}", merged, translations, result)
     return result
+
+
+#: One recorded ``TranslationLogic.apply`` call: target message name, the
+#: session's message instances at that point, the engine's context.
+_Translation = Tuple[str, Dict[str, AbstractMessage], Optional[dict]]
+
+
+def _plan_case(case: int) -> Tuple[MergedAutomaton, List[_Translation]]:
+    """Bridge ``case``'s merged automaton and one real lookup's translations.
+
+    Runs a single simulated lookup through the bridge with a recording
+    shim on the logic's ``apply`` (the engine reaches it by attribute
+    lookup per send), so the plan rows translate what an engine actually
+    hands over: parsed messages, earlier translated ones, a live context.
+    """
+    from .workloads import concurrent_scenario
+
+    scenario = concurrent_scenario(case, clients=1)
+    merged = scenario.bridge.merged
+    logic = merged.translation
+    recorded: List[_Translation] = []
+    apply = logic.apply
+
+    def recording_apply(target, instances, context=None, strict=False):
+        snapshot = {name: message.copy() for name, message in instances.items()}
+        recorded.append((target.name, snapshot, context))
+        return apply(target, instances, context=context, strict=strict)
+
+    logic.apply = recording_apply
+    try:
+        outcome = scenario.run()
+    finally:
+        del logic.apply
+    if not outcome.all_found or not recorded:
+        raise RuntimeError(f"case {case}: the sample lookup did not complete")
+    return merged, recorded
+
+
+def _translate(run, name: str, instances, context, strict: bool):
+    """``(error, translated fields)`` of one translation on fresh copies."""
+    target = AbstractMessage(name)
+    copies = {key: message.copy() for key, message in instances.items()}
+    error = None
+    try:
+        run(target, copies, context=context, strict=strict)
+    except StarlinkError as exc:
+        error = (type(exc).__name__, str(exc))
+    fields = [(f.label, f.type_name, f.length_bits, f.value) for f in target.fields]
+    return error, fields
+
+
+def _check_plans(
+    label: str,
+    merged: MergedAutomaton,
+    translations: Sequence[_Translation],
+    result: MicroResult,
+) -> None:
+    """Plan-vs-reference agreement for one bridge: messages, errors, steps."""
+    logic: TranslationLogic = merged.translation
+    for name, instances, context in translations:
+        # As recorded, then with each source message withheld, lenient
+        # (skipped assignments) and strict (the error class and text).
+        variants = [instances] + [
+            {key: message for key, message in instances.items() if key != missing}
+            for missing in instances
+        ]
+        for variant in variants:
+            for strict in (False, True):
+                planned = _translate(logic.apply, name, variant, context, strict)
+                reference = _translate(logic.interpret, name, variant, context, strict)
+                if planned != reference:
+                    result.mismatches.append(
+                        f"{label}: translation of {name} differs "
+                        f"(plan {planned!r} vs reference {reference!r})"
+                    )
+                    continue
+                result.translations_checked += 1
+    for key in _state_keys(merged):
+        planned, scanned = merged.step(key), merged.scan_step(key)
+        if (
+            planned.receives != scanned.receives
+            or planned.send != scanned.send
+            or len(planned.deltas) != len(scanned.deltas)
+            or any(a is not b for a, b in zip(planned.deltas, scanned.deltas))
+        ):
+            result.mismatches.append(f"{label}: step of state {key} differs")
+            continue
+        result.steps_checked += 1
+
+
+def _state_keys(merged: MergedAutomaton) -> List[Tuple[str, str]]:
+    return [
+        (automaton_name, state_name)
+        for automaton_name, automaton in merged.automata.items()
+        for state_name in automaton.states
+    ]
 
 
 def _time_per_op(operation: Callable[[], object], repetitions: int) -> float:
@@ -381,30 +505,52 @@ def run_micro(
             "compiled/interpreted differential gate failed:\n  "
             + "\n  ".join(result.mismatches)
         )
+
+    def add_row(protocol: str, operation: str, reference, compiled) -> None:
+        result.rows.append(
+            MicroRow(
+                protocol=protocol,
+                operation=operation,
+                repetitions=repetitions,
+                interpreted_us=_time_per_op(reference, repetitions),
+                compiled_us=_time_per_op(compiled, repetitions),
+            )
+        )
+
     for protocol, builder, sample in _CASES:
         _, c_parser, c_composer, i_parser, i_composer = _codec_pair(builder)
         message = sample()
         wire = i_composer.compose(message)
-        result.rows.append(
-            MicroRow(
-                protocol=protocol,
-                operation="parse",
-                repetitions=repetitions,
-                interpreted_us=_time_per_op(lambda: i_parser.parse(wire), repetitions),
-                compiled_us=_time_per_op(lambda: c_parser.parse(wire), repetitions),
-            )
+        add_row(protocol, "parse", lambda: i_parser.parse(wire), lambda: c_parser.parse(wire))
+        add_row(
+            protocol,
+            "compose",
+            lambda: i_composer.compose(message),
+            lambda: c_composer.compose(message),
         )
-        result.rows.append(
-            MicroRow(
-                protocol=protocol,
-                operation="compose",
-                repetitions=repetitions,
-                interpreted_us=_time_per_op(
-                    lambda: i_composer.compose(message), repetitions
-                ),
-                compiled_us=_time_per_op(
-                    lambda: c_composer.compose(message), repetitions
-                ),
-            )
+    for case in sorted(BRIDGE_BUILDERS):
+        merged, translations = _plan_case(case)
+        logic = merged.translation
+        keys = _state_keys(merged)
+
+        def translate_all(run) -> None:
+            for name, instances, context in translations:
+                run(AbstractMessage(name), instances, context=context)
+
+        def resolve_all(resolve) -> None:
+            for key in keys:
+                resolve(key)
+
+        add_row(
+            f"case {case}",
+            "translate",
+            lambda: translate_all(logic.interpret),
+            lambda: translate_all(logic.apply),
+        )
+        add_row(
+            f"case {case}",
+            "transition",
+            lambda: resolve_all(merged.scan_step),
+            lambda: resolve_all(merged.step),
         )
     return result

@@ -407,18 +407,18 @@ def format_micro(result: MicroResult) -> str:
     bytes and identical errors — then the aggregate speedups.
     """
     header = (
-        f"{'Protocol':<10} {'Op':<8} {'Reps':>6} "
+        f"{'Protocol':<10} {'Op':<10} {'Reps':>6} "
         f"{'Interp (us/op)':>15} {'Compiled (us/op)':>17} {'Speedup':>8}"
     )
     lines = [
-        "Compiled hot path - MDL codec micro benchmarks vs the interpreters",
+        "Compiled hot path - MDL codecs and transition plans vs the interpreters",
         "-" * len(header),
         header,
         "-" * len(header),
     ]
     for row in result.rows:
         lines.append(
-            f"{row.protocol:<10} {row.operation:<8} {row.repetitions:>6} "
+            f"{row.protocol:<10} {row.operation:<10} {row.repetitions:>6} "
             f"{row.interpreted_us:>15.2f} {row.compiled_us:>17.2f} "
             f"{row.speedup:>7.1f}x"
         )
@@ -427,14 +427,18 @@ def format_micro(result: MicroResult) -> str:
         lines.append(
             f"Differential gate: {result.messages_checked} round-trips "
             f"byte-identical, {result.garbage_checked} garbage datagrams "
-            "rejected identically."
+            f"rejected identically, {result.translations_checked} translations "
+            f"message- and error-identical, {result.steps_checked} automaton "
+            "steps identical."
         )
     else:
         for mismatch in result.mismatches:
             lines.append(f"MISMATCH: {mismatch}")
     lines.append(
         f"Aggregate speedup: parse {result.parse_speedup:.1f}x, "
-        f"compose {result.compose_speedup:.1f}x"
+        f"compose {result.compose_speedup:.1f}x, "
+        f"translate {result.translate_speedup:.1f}x, "
+        f"transition {result.transition_speedup:.1f}x"
     )
     return "\n".join(lines)
 

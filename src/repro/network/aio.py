@@ -428,7 +428,12 @@ class AsyncSocketNetwork(NetworkEngine):
         block on its own loop.
         """
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if endpoint.port != 0:
+            # Only for declared ports (quick rebind after a restart).  With
+            # the option set, a port-0 bind may be handed a port another
+            # ``SO_REUSEADDR`` socket of this process already holds — a
+            # session would shadow a service or another session's socket.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             sock.bind((endpoint.host, endpoint.port))
         except OSError:

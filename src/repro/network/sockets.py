@@ -388,7 +388,12 @@ class SocketNetwork(NetworkEngine):
         """Bind a UDP socket, start its receiver, return the actual port
         (which differs from the requested one only for port 0)."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if endpoint.port != 0:
+            # Only for declared ports (quick rebind after a restart).  With
+            # the option set, a port-0 bind may be handed a port another
+            # ``SO_REUSEADDR`` socket of this process already holds — a
+            # session would shadow a service or another session's socket.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((endpoint.host, endpoint.port))
         actual_port = sock.getsockname()[1]
         self._udp_sockets[(endpoint.host, actual_port)] = sock

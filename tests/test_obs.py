@@ -172,6 +172,14 @@ class TestSpanRecorder:
         assert ended >= started
         assert recorder.hists[STAGE_PARSE].count == 1
 
+    def test_record_clamps_an_absurd_duration_to_the_last_bucket(self):
+        from time import perf_counter
+
+        recorder = Tracer(sample=0.0).recorder("unit")
+        recorder.record(0, STAGE_PARSE, perf_counter() - 1e12)  # ~31,000 years
+        hist = recorder.hists[STAGE_PARSE]
+        assert hist.buckets[-1] == 1 and hist.count == 1
+
     def test_ring_wraps_and_counts_drops(self):
         tracer = Tracer(sample=1.0, ring_size=4)
         recorder = tracer.recorder("unit")

@@ -512,3 +512,49 @@ def test_bind_endpoint_rejects_tcp_and_foreign_rebind(make_network):
         network.unbind_endpoint(b, bound)
         network.send(b"still-mine", Endpoint("127.0.0.1", 0, Transport.UDP), bound)
         assert _wait(lambda: b"still-mine" in a.received)
+
+
+def test_ephemeral_binds_never_share_a_port(make_network):
+    """Per-session port-0 binds get ports nothing else in the process holds.
+
+    With ``SO_REUSEADDR`` on a port-0 bind, Linux may hand out a port
+    another ``SO_REUSEADDR`` socket of the process already has: a session
+    then shadows a service on a fixed port, or two sessions share a port
+    and the first to finish closes the other's socket (the benchmark's
+    lost lookups).  A few hundred binds make such a collision near
+    certain inside ``ip_local_port_range``.
+    """
+    with make_network() as network:
+        # A declared port the kernel picked from the ephemeral range:
+        # attach binds it with ``SO_REUSEADDR``, like any service port.
+        fixed = Endpoint("127.0.0.1", _free_port(), Transport.UDP)
+        node = Sink("sessions", [fixed])
+        network.attach(node)
+        bound = [
+            network.bind_endpoint(node, Endpoint("127.0.0.1", 0, Transport.UDP))
+            for _ in range(400)
+        ]
+        ports = [endpoint.port for endpoint in bound]
+        assert len(set(ports)) == len(ports)
+        assert fixed.port not in ports
+
+        # One session ending closes its own socket and no other.
+        network.unbind_endpoint(node, bound[0])
+        src = Endpoint("127.0.0.1", 0, Transport.UDP)
+        survivors = bound[1:] + [fixed]
+        for endpoint in survivors:
+            network.send(b"port-%d" % endpoint.port, src, endpoint)
+        expected = {b"port-%d" % endpoint.port for endpoint in survivors}
+        assert _wait(lambda: expected <= set(node.received), timeout=5.0)
+    # The thread engine's receivers hold a closed socket's port until their
+    # next poll; without ``SO_REUSEADDR`` that would fail a later test's
+    # fixed-port bind that happens to land on one of these 400.
+    assert _wait(lambda: all(_released(port) for port in ports), timeout=3.0)
+
+
+def _released(port: int) -> bool:
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        return _rebindable(probe, port)
+    finally:
+        probe.close()
