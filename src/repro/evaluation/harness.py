@@ -13,6 +13,8 @@ and summarises them as :class:`Summary` rows.
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -412,11 +414,19 @@ class LiveShardingSummary(ShardingSummary):
     outputs_match_simulated: bool = True
     #: Which live substrate produced the row: ``thread`` | ``aio``.
     runtime: str = "thread"
+    #: The event loop under an ``aio`` row: ``uvloop`` | ``asyncio``
+    #: (``-`` on the thread runtime, which has none).
+    loop: str = "-"
 
     def as_row(self) -> Dict[str, object]:
         row = super().as_row()
         row["outputs_match_simulated"] = self.outputs_match_simulated
         row["runtime"] = self.runtime
+        # What the wall-clock numbers depend on besides the code, so rows
+        # archived from different CI runs are comparable (or known not to be).
+        row["loop"] = self.loop
+        row["python"] = platform.python_version()
+        row["nproc"] = os.cpu_count()
         return row
 
 
@@ -446,6 +456,9 @@ def measure_live_sharded_sessions(
         processing_delay=processing_delay,
         runtime=runtime,
     )
+    loop = "-"
+    if runtime == "aio":
+        loop = "uvloop" if live.network.uvloop_active else "asyncio"
     result = live.run(timeout=timeout)
     if not result.all_found:
         raise RuntimeError(
@@ -482,6 +495,7 @@ def measure_live_sharded_sessions(
         worker_sessions=tuple(live.runtime.worker_session_counts()),
         outputs_match_simulated=outputs_match,
         runtime=runtime,
+        loop=loop,
     )
 
 

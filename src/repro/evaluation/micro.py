@@ -456,9 +456,10 @@ def run_trace_overhead(
     over ``pairs`` runs (the minimum of a wall-clock sample converges on
     the true cost; means absorb scheduler hiccups), GC is disabled
     inside the timed window, and up to ``attempts`` rounds are taken
-    with the best round reported — the true overhead is ~2 %, so a
-    round only misses the gate when noise inflates it, and retrying is
-    sound for a *less-than* assertion.
+    with the best round reported — retrying is sound for a *less-than*
+    assertion.  (The true overhead was ~2 % when this was written and is
+    4.5–5.2 % since the transition plans: the margin is gone, see
+    docs/observability.md.)
     """
     from ..obs.tracing import Tracer
 

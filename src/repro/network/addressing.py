@@ -11,6 +11,7 @@ value types the engines work with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..core.automata.color import NetworkColor
@@ -25,6 +26,20 @@ class Transport:
     TCP = "tcp"
 
 
+@lru_cache(maxsize=1024)
+def _is_multicast_host(host: str) -> bool:
+    """IPv4 multicast addresses live in 224.0.0.0/4.
+
+    Memoised per host string (bounded: peers' source addresses never come
+    through here, only send destinations): every send asks this, and the
+    answer for ``127.0.0.1`` does not change between datagrams.
+    """
+    try:
+        return 224 <= int(host.split(".")[0]) <= 239
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class Endpoint:
     """A network endpoint: host, port and transport."""
@@ -36,11 +51,7 @@ class Endpoint:
     @property
     def is_multicast(self) -> bool:
         """IPv4 multicast addresses live in 224.0.0.0/4."""
-        first_octet = self.host.split(".")[0]
-        try:
-            return 224 <= int(first_octet) <= 239
-        except ValueError:
-            return False
+        return _is_multicast_host(self.host)
 
     def with_port(self, port: int) -> "Endpoint":
         return Endpoint(self.host, port, self.transport)

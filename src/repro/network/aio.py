@@ -6,8 +6,18 @@ contract as :class:`~repro.network.sockets.SocketNetwork` — attach/detach,
 emulated in-process multicast — but on **one event loop** instead of a
 thread per socket and a thread per timer:
 
-* **UDP** endpoints become ``asyncio.create_datagram_endpoint`` transports;
-  datagrams are dispatched to their owning node *on the loop thread*.
+* **UDP** endpoints are raw non-blocking sockets registered with
+  ``loop.add_reader``.  When one is readable the engine's own reader
+  drains up to :data:`_DRAIN_BOUND` datagrams with ``recvfrom(64 KiB)``
+  and dispatches each to its owning node *on the loop thread*.  Not
+  asyncio's stock datagram transport: that reads one datagram per loop
+  iteration with ``recvfrom(256 KiB)``, and a 256 KiB ``bytes`` crosses
+  malloc's mmap threshold — a loopback send + receive measured 17.1 µs
+  that way against 3.1 µs at 64 KiB.  The bound keeps one flooded
+  socket from starving the rest and keeps the backlog where it is counted:
+  what a wake-up does not read stays in the kernel buffer, and a worker
+  queue fed by these readers never holds more than bound × feeding
+  sockets jobs (docs/architecture.md, "The UDP reader").
 * **TCP** endpoints become ``asyncio.start_server`` servers.  Each accepted
   connection reads a request (until the peer half-closes or a short idle
   timeout expires), dispatches it, and holds the connection open as the
@@ -25,9 +35,9 @@ runs on a dedicated daemon thread, and calls arriving from other threads
 are marshalled onto it.  Calls already *on* the loop thread (a node's
 handler sending, an engine binding a per-session ephemeral port inside
 session processing) run inline — socket binds are performed synchronously
-on raw sockets so they work from any thread, with the receive transport
-installed by a scheduled task (datagrams arriving in between simply wait
-in the kernel buffer).
+on raw sockets so they work from any thread; on the loop thread the reader
+is registered in the same call, from elsewhere by one marshalled callback
+(datagrams arriving in between simply wait in the kernel buffer).
 
 ``uvloop`` is used for the event loop when importable (pass
 ``use_uvloop=False`` to opt out, ``True`` to require it); the engine is
@@ -59,6 +69,10 @@ __all__ = ["AsyncSocketNetwork", "AsyncFaultyNetwork", "uvloop_available"]
 #: gives up (generous: only a stopped loop ever gets close).
 _MARSHAL_TIMEOUT = 10.0
 
+#: Datagrams one readiness wake-up drains from one socket before yielding
+#: to the loop (see :meth:`AsyncSocketNetwork._on_udp_readable`).
+_DRAIN_BOUND = 32
+
 
 def uvloop_available() -> bool:
     """Whether the optional uvloop accelerator is importable."""
@@ -84,41 +98,41 @@ def _new_event_loop(use_uvloop: Optional[bool]) -> Tuple[asyncio.AbstractEventLo
 
 
 class _UdpBinding:
-    """One bound UDP socket: raw socket now, receive transport soon.
+    """One bound UDP socket, read by the loop's own reader callback.
 
     The raw socket is bound synchronously (so the port is known to the
-    caller immediately, from any thread); the asyncio transport that
-    delivers its datagrams is installed by a task on the loop.  Sends go
-    straight to the raw non-blocking socket — UDP ``sendto`` never blocks
-    meaningfully, and a full buffer is a legitimate datagram drop.
+    caller immediately, from any thread) and registered with
+    ``loop.add_reader``.  Sends go straight to the raw non-blocking
+    socket — UDP ``sendto`` never blocks meaningfully, and a full buffer
+    is a legitimate datagram drop.
     """
+
+    __slots__ = ("sock", "fd", "node", "destination", "closed")
 
     def __init__(
         self, sock: socket.socket, node: NetworkNode, host: str, port: int
     ) -> None:
         self.sock = sock
+        #: Kept beside the socket: ``fileno()`` is -1 once it is closed.
+        self.fd = sock.fileno()
         self.node = node
-        self.host = host
-        self.port = port
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        #: What every datagram read here was addressed to, built once.
+        self.destination = Endpoint(host, port, Transport.UDP)
         self.closed = False
 
-    def close(self) -> None:
-        """Close transport (unregisters the reader) then the socket.
+    def close(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Unregister the reader, then close the socket.
 
-        Loop-thread only; idempotent.  Closing the raw socket directly —
-        rather than waiting for the transport's deferred close — releases
-        the port synchronously, so a detach-then-rebind retry never races
-        the kernel.
+        Loop-thread only; idempotent.  Both steps are synchronous, so the
+        port is released before the caller returns and a detach-then-rebind
+        retry never races the kernel.  (An off-loop bind closed before its
+        reader was registered has nothing to remove; the descriptor is
+        still ours at this point, so the call cannot hit a stranger's.)
         """
         if self.closed:
             return
         self.closed = True
-        if self.transport is not None:
-            try:
-                self.transport.close()
-            except Exception:  # noqa: BLE001 - already closing
-                pass
+        loop.remove_reader(self.fd)
         try:
             self.sock.close()
         except OSError:
@@ -146,32 +160,6 @@ class _TcpBinding:
             self.sock.close()
         except OSError:
             pass
-
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, network: "AsyncSocketNetwork", binding: _UdpBinding) -> None:
-        self._network = network
-        self._binding = binding
-
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        binding = self._binding
-        if binding.closed or not self._network._running:
-            return
-        node = binding.node
-        network = self._network
-        source = Endpoint(addr[0], addr[1], Transport.UDP)
-        destination = Endpoint(binding.host, binding.port, Transport.UDP)
-        try:
-            network._dispatch(
-                node, lambda: node.on_datagram(network, data, source, destination)
-            )
-        except Exception as exc:  # noqa: BLE001 - keep the endpoint alive
-            network.errors.append(exc)
-
-    def error_received(self, exc: Exception) -> None:
-        # ICMP-style errors (port unreachable) surface here on some
-        # platforms; they are the substrate's problem report, not a crash.
-        self._network.errors.append(exc)
 
 
 class _AsyncTcpReplyChannel:
@@ -220,15 +208,25 @@ class AsyncSocketNetwork(NetworkEngine):
         self._tcp_binds: Dict[Tuple[str, int], _TcpBinding] = {}
         self._endpoint_owner: Dict[Tuple[str, int, str], NetworkNode] = {}
         self._groups: Dict[Tuple[str, int], Set[NetworkNode]] = {}
+        #: Per group, the ``(member, first UDP endpoint)`` pairs an emulated
+        #: multicast is sent to, sorted by node name; rebuilt (never
+        #: mutated) on attach/detach, so a send iterates a stable list.
+        self._group_targets: Dict[
+            Tuple[str, int], List[Tuple[NetworkNode, Endpoint]]
+        ] = {}
         self._owned_sockets: Dict[int, List[Tuple[str, Tuple[str, int]]]] = {}
         self._tcp_replies: Dict[Tuple[str, int], _AsyncTcpReplyChannel] = {}
         #: Live ``loop.call_later`` handles; pruned on fire (the leak fix
         #: the thread engine needed is structural here).
         self._timers: Set[asyncio.TimerHandle] = set()
-        #: In-flight loop tasks (TCP dials, transport installs, accepted
+        #: In-flight loop tasks (TCP dials, server installs, accepted
         #: connection handlers) — cancelled on close.
         self._tasks: Set["asyncio.Task"] = set()
         self.tcp_replies_dropped = 0
+        #: Reader wake-ups and the datagrams they drained: their ratio is
+        #: the mean batch per wake-up, the loop's saturation signal.
+        self.udp_wakeups = 0
+        self.udp_datagrams = 0
         #: Exceptions from node handlers and fire-and-forget sends on the
         #: loop; inspect after a run, like ``SocketNetwork.errors``.
         self.errors: List[BaseException] = []
@@ -364,6 +362,7 @@ class AsyncSocketNetwork(NetworkEngine):
             self._bind(node, endpoint)
         for group in node.multicast_groups():
             self._groups.setdefault((group.host, group.port), set()).add(node)
+        self._rebuild_group_targets()
         self._dispatch(node, lambda: node.on_attached(self))
 
     def detach(self, node: NetworkNode) -> None:
@@ -382,9 +381,29 @@ class AsyncSocketNetwork(NetworkEngine):
         }
         for members in self._groups.values():
             members.discard(node)
+        self._rebuild_group_targets()
         owned = self._owned_sockets.pop(id(node), [])
         if owned:
             self._release_owned(owned)
+
+    def _rebuild_group_targets(self) -> None:
+        """Recompute every group's send list from its membership.
+
+        Sorted by node name, like ``SimulatedNetwork._recipients``: the
+        member *set* iterates in object-address order, which would make
+        the order of a multicast's copies differ from process to process.
+        A member without a UDP endpoint receives nothing.
+        """
+        targets: Dict[Tuple[str, int], List[Tuple[NetworkNode, Endpoint]]] = {}
+        for group, members in self._groups.items():
+            pairs = []
+            for member in sorted(members, key=lambda node: getattr(node, "name", "")):
+                for endpoint in member.unicast_endpoints():
+                    if endpoint.transport == Transport.UDP:
+                        pairs.append((member, endpoint))
+                        break
+            targets[group] = pairs
+        self._group_targets = targets
 
     def _release_owned(self, owned: List[Tuple[str, Tuple[str, int]]]) -> None:
         if self.on_loop_thread() or not self._thread.is_alive():
@@ -401,11 +420,13 @@ class AsyncSocketNetwork(NetworkEngine):
     def _close_owned(self, owned: List[Tuple[str, Tuple[str, int]]]) -> None:
         for kind, key in owned:
             if kind == "udp":
-                binding = self._udp_binds.pop(key, None)
+                udp = self._udp_binds.pop(key, None)
+                if udp is not None:
+                    udp.close(self._loop)
             else:
-                binding = self._tcp_binds.pop(key, None)
-            if binding is not None:
-                binding.close()
+                tcp = self._tcp_binds.pop(key, None)
+                if tcp is not None:
+                    tcp.close()
 
     # -- binding --------------------------------------------------------
     def _bind(self, node: NetworkNode, endpoint: Endpoint) -> None:
@@ -419,13 +440,15 @@ class AsyncSocketNetwork(NetworkEngine):
             self._bind_udp(node, endpoint)
 
     def _bind_udp(self, node: NetworkNode, endpoint: Endpoint) -> int:
-        """Bind a UDP socket synchronously; install its transport async.
+        """Bind a UDP socket synchronously and start reading it.
 
         The raw bind makes the port immediately real (sends work, the
-        kernel buffers arrivals) from any thread — crucially including
-        the loop thread itself, where an engine binds per-session
-        ephemeral ports in the middle of session processing and cannot
-        block on its own loop.
+        kernel buffers arrivals) from any thread.  On the loop thread —
+        where an engine binds per-session ephemeral ports in the middle of
+        session processing — the reader is registered before this returns;
+        from any other thread the registration is one marshalled callback,
+        and datagrams arriving before it runs wait in the kernel buffer
+        (readiness is level-triggered, so the reader fires for them).
         """
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if endpoint.port != 0:
@@ -446,22 +469,65 @@ class AsyncSocketNetwork(NetworkEngine):
         self._owned_sockets.setdefault(id(node), []).append(
             ("udp", (endpoint.host, actual_port))
         )
-        self._spawn(self._install_udp_transport(binding))
+        if self.on_loop_thread():
+            self._start_reading(binding)
+        else:
+            try:
+                self._loop.call_soon_threadsafe(self._start_reading, binding)
+            except RuntimeError:
+                pass  # loop closed: the engine is shut down
         return actual_port
 
-    async def _install_udp_transport(self, binding: _UdpBinding) -> None:
+    def _start_reading(self, binding: _UdpBinding) -> None:
         if binding.closed or not self._running:
             return
+        self._loop.add_reader(binding.fd, self._on_udp_readable, binding)
+
+    def _on_udp_readable(self, binding: _UdpBinding) -> None:
+        """Drain up to :data:`_DRAIN_BOUND` datagrams and dispatch each.
+
+        Runs on the loop thread whenever the socket is readable.  The
+        bound is what keeps one flooded socket from starving the others
+        and the worker queues from growing without limit: whatever is left
+        stays in the kernel buffer, the (level-triggered) reader fires
+        again on the next loop iteration, and in between every other ready
+        socket, timer and worker task gets its turn.
+
+        ``node.on_datagram`` is looked up per datagram (instances may be
+        wrapped after attach), a raising handler is recorded and the drain
+        goes on, and a handler that closes this very binding — a session
+        releasing its ephemeral port — ends it before the next read.
+        """
+        self.udp_wakeups += 1
+        sock = binding.sock
+        node = binding.node
+        destination = binding.destination
+        owner = self._dispatch_owner
+        previous = getattr(owner, "node", None)
+        owner.node = node
+        received = 0
         try:
-            transport, _ = await self._loop.create_datagram_endpoint(
-                lambda: _UdpProtocol(self, binding), sock=binding.sock
-            )
-        except Exception as exc:  # noqa: BLE001 - surface, don't crash the loop
-            self.errors.append(exc)
-            return
-        binding.transport = transport
-        if binding.closed or not self._running:
-            transport.close()
+            while received < _DRAIN_BOUND and self._running and not binding.closed:
+                try:
+                    data, addr = sock.recvfrom(_RECV_BUFFER)
+                except (BlockingIOError, InterruptedError):
+                    break
+                except OSError as exc:
+                    # ICMP-style errors (port unreachable) surface here on
+                    # some platforms; they are the substrate's problem
+                    # report, not a crash.
+                    self.errors.append(exc)
+                    break
+                received += 1
+                try:
+                    node.on_datagram(
+                        self, data, Endpoint(addr[0], addr[1], Transport.UDP), destination
+                    )
+                except Exception as exc:  # noqa: BLE001 - keep the endpoint alive
+                    self.errors.append(exc)
+        finally:
+            owner.node = previous
+            self.udp_datagrams += received
 
     def _bind_tcp(self, node: NetworkNode, endpoint: Endpoint) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -651,17 +717,14 @@ class AsyncSocketNetwork(NetworkEngine):
 
     def _send_now(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
         if destination.is_multicast:
-            members = self._groups.get((destination.host, destination.port), set())
             sender = self._endpoint_owner.get(
                 (source.host, source.port, source.transport)
             )
-            for member in list(members):
-                if member is sender:
-                    continue
-                for endpoint in member.unicast_endpoints():
-                    if endpoint.transport == Transport.UDP:
-                        self._send_udp(data, source, endpoint)
-                        break
+            for member, endpoint in self._group_targets.get(
+                (destination.host, destination.port), ()
+            ):
+                if member is not sender:
+                    self._send_udp(data, source, endpoint)
             return
         if destination.transport == Transport.TCP:
             if self._write_tcp_reply(data, destination):
@@ -753,10 +816,10 @@ class AsyncSocketNetwork(NetworkEngine):
         for task in list(self._tasks):
             task.cancel()
         self._tasks.clear()
-        for binding in list(self._udp_binds.values()):
-            binding.close()
-        for binding in list(self._tcp_binds.values()):
-            binding.close()
+        for udp in list(self._udp_binds.values()):
+            udp.close(self._loop)
+        for tcp in list(self._tcp_binds.values()):
+            tcp.close()
         for channel in list(self._tcp_replies.values()):
             channel.retire()
             try:

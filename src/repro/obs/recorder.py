@@ -253,6 +253,8 @@ _ROUTER_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
     ("router_garbage_rejects_total", "Unparseable datagrams rejected at the router.", "garbage_rejects"),
     ("router_network_errors_total", "Socket-substrate errors observed by the deployment.", "network_errors"),
     ("router_tcp_replies_dropped_total", "TCP replies whose client connection had gone away.", "tcp_replies_dropped"),
+    ("router_udp_wakeups_total", "UDP reader wake-ups on the asyncio substrate.", "udp_wakeups"),
+    ("router_udp_datagrams_total", "Datagrams the UDP reader wake-ups drained.", "udp_datagrams"),
 )
 
 

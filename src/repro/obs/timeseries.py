@@ -239,6 +239,8 @@ class MetricsCollector:
             "garbage_rejects",
             "network_errors",
             "tcp_replies_dropped",
+            "udp_wakeups",
+            "udp_datagrams",
         )
         window: dict = {"sticky_entries": router.sticky_entries}
         for field in fields:

@@ -307,6 +307,20 @@ class AsyncShardRouter(LiveShardRouter):
     def _record_outcome(self, routed: bool) -> None:
         ShardRouter._record_outcome(self, routed)
 
+    def note_session_closed(self, key) -> None:
+        """Unpin ``key`` at once instead of at the next routed datagram.
+
+        Worker jobs run on the loop thread, which *is* the routing thread
+        here, so the flush the thread router has to defer is safe
+        immediately — an idle bridge then reports ``sticky_entries == 0``
+        rather than its last sessions' pins until the next datagram or
+        prune.  A close reported from any other thread (a control-plane
+        reset) is still only queued.
+        """
+        self._closed_keys.append(key)
+        if self._aio.on_loop_thread():
+            self._flush_closed_keys()
+
     def _has_session(self, worker, key) -> bool:
         return worker.has_session(key)
 

@@ -926,8 +926,10 @@ class LiveShardedRuntime(ShardedRuntime):
         ``network_errors`` is the length of ``SocketNetwork.errors`` (loop
         exceptions on receiver threads, send failures);
         ``tcp_replies_dropped`` counts replies whose client connection had
-        already gone away.  Both land on the router row — they are
-        properties of the shared substrate, not of any one worker.
+        already gone away; ``udp_wakeups`` / ``udp_datagrams`` are the
+        asyncio engine's reader counters (0 on the thread engine).  All
+        land on the router row — they are properties of the shared
+        substrate, not of any one worker.
         """
         snapshot = super().metrics(include_latency=include_latency)
         network = self._network
@@ -939,6 +941,8 @@ class LiveShardedRuntime(ShardedRuntime):
                 tcp_replies_dropped=int(
                     getattr(network, "tcp_replies_dropped", 0) or 0
                 ),
+                udp_wakeups=int(getattr(network, "udp_wakeups", 0) or 0),
+                udp_datagrams=int(getattr(network, "udp_datagrams", 0) or 0),
             ),
         )
 

@@ -170,6 +170,13 @@ class RouterMetrics:
     #: Live runtime only: TCP replies dropped because the client
     #: connection was already gone (``SocketNetwork.tcp_replies_dropped``).
     tcp_replies_dropped: int = 0
+    #: Asyncio substrate only: UDP reader wake-ups and the datagrams they
+    #: drained (``AsyncSocketNetwork.udp_wakeups`` / ``udp_datagrams``).
+    #: Their ratio is the mean batch per wake-up — near 1 on an idle loop,
+    #: approaching the drain bound on a saturated one.  0 on the thread
+    #: engine (a blocking receiver per socket has no wake-ups to count).
+    udp_wakeups: int = 0
+    udp_datagrams: int = 0
 
     @property
     def classify_cost_avg_us(self) -> float:
@@ -192,6 +199,8 @@ class RouterMetrics:
             "garbage_rejects": self.garbage_rejects,
             "network_errors": self.network_errors,
             "tcp_replies_dropped": self.tcp_replies_dropped,
+            "udp_wakeups": self.udp_wakeups,
+            "udp_datagrams": self.udp_datagrams,
         }
 
 

@@ -14,7 +14,9 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.network.sockets import SocketNetwork, loopback_available
+from repro.evaluation.telemetry import lint_prometheus
 from repro.evaluation.workloads import live_sharded_scenario, live_twin_scenario
+from repro.obs import render_prometheus
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -119,3 +121,46 @@ def test_aio_metrics_stay_lean_without_latency():
     finally:
         live.runtime.undeploy()
         live.network.close()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_aio_idle_bridge_holds_no_sticky_pins(workers):
+    """Completed lookups, then silence: every pin is gone.
+
+    Session closes are reported on the loop thread — the routing thread —
+    so the router unpins at once.  Deferring the flush to the next routed
+    datagram (as the thread router must) left the last sessions' keys in
+    the table of an idle bridge until the 15 s prune, and ``/metrics``
+    ``sticky_entries`` over-reported the same way.
+    """
+    live = live_sharded_scenario(
+        2, clients=12, workers=workers, processing_delay=0.0, runtime="aio"
+    )
+    try:
+        started = [
+            (client, client.start_lookup(live.network, live.target))
+            for client in live.clients
+        ]
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not all(
+            client.lookup_result(key) is not None for client, key in started
+        ):
+            time.sleep(0.002)
+        assert all(client.lookup_result(key) is not None for client, key in started)
+        snapshot = live.runtime.metrics(include_latency=False)
+        assert sum(worker.completed_sessions for worker in snapshot.workers) == 12
+        assert snapshot.router.sticky_entries == 0
+        assert not live.runtime.worker_errors
+        # The reader's batching counters ride on the same router row and
+        # on /metrics: every routed datagram came out of some wake-up.
+        router = snapshot.router
+        assert router.udp_wakeups > 0
+        assert router.udp_datagrams >= router.routed_datagrams >= 12
+        body = render_prometheus(snapshot)
+        assert lint_prometheus(body) == []
+        assert f"repro_router_udp_wakeups_total {router.udp_wakeups}" in body
+        assert f"repro_router_udp_datagrams_total {router.udp_datagrams}" in body
+    finally:
+        live.runtime.undeploy()
+        live.network.close()
+

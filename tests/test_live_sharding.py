@@ -60,6 +60,18 @@ def test_measure_live_sharded_sessions_row():
     assert sum(row.worker_sessions) == 6
 
 
+def test_live_sharding_rows_say_what_produced_them():
+    """Every archived row carries runtime, event loop, Python and cores."""
+    for runtime, loops in (("thread", ("-",)), ("aio", ("asyncio", "uvloop"))):
+        row = measure_live_sharded_sessions(
+            2, clients=4, workers=1, runtime=runtime
+        ).as_row()
+        assert row["runtime"] == runtime
+        assert row["loop"] in loops
+        assert row["python"].count(".") == 2
+        assert row["nproc"] >= 1
+
+
 def test_from_bridge_rebinds_model_level_hosts_on_loopback():
     """A bridge built with the default model host must still deploy live."""
     from repro.bridges.specs import upnp_to_slp_bridge

@@ -350,6 +350,10 @@ class TestLiveTracing:
             runtime.undeploy()
         assert snapshot.router.network_errors == 0
         assert snapshot.router.tcp_replies_dropped == 0
+        # Reader counters exist only on the asyncio engine; the thread
+        # engine's rows carry the same names at zero.
+        assert snapshot.router.udp_wakeups == 0
+        assert snapshot.router.udp_datagrams == 0
         assert all(worker.errors == 0 for worker in snapshot.workers)
         assert "errors" in snapshot.workers[0].as_row()
         assert "network_errors" in snapshot.router.as_row()

@@ -12,13 +12,14 @@ binding loopback sockets (some sandboxes do).
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from typing import List
 
 import pytest
 
 from repro.network.addressing import Endpoint, Transport
-from repro.network.aio import AsyncSocketNetwork
+from repro.network.aio import _DRAIN_BOUND, AsyncSocketNetwork, uvloop_available
 from repro.network.engine import NetworkNode
 from repro.network.sockets import SocketNetwork, loopback_available
 
@@ -558,3 +559,259 @@ def _released(port: int) -> bool:
         return _rebindable(probe, port)
     finally:
         probe.close()
+
+
+# ----------------------------------------------------------------------
+# the asyncio engine's UDP reader (raw ``add_reader``, bounded drain)
+# ----------------------------------------------------------------------
+
+HOST = "127.0.0.1"
+
+
+@pytest.fixture(
+    params=[False] + ([True] if uvloop_available() else []),
+    ids=lambda use_uvloop: "uvloop" if use_uvloop else "asyncio",
+)
+def aio_network(request):
+    network = AsyncSocketNetwork(use_uvloop=request.param)
+    yield network
+    network.close()
+
+
+def _stall(network: AsyncSocketNetwork) -> threading.Event:
+    """Block the loop thread until the returned event is set, so that what
+    the test sends meanwhile queues in the kernel's receive buffers."""
+    entered, release = threading.Event(), threading.Event()
+
+    def block() -> None:
+        entered.set()
+        release.wait(5.0)
+
+    network.loop.call_soon_threadsafe(block)
+    assert entered.wait(2.0)
+    return release
+
+
+class Logged(Sink):
+    """A sink that also appends ``(name, data)`` to a log shared by several
+    nodes — the order handlers ran in, across sockets."""
+
+    def __init__(self, name, endpoints, log):
+        super().__init__(name, endpoints)
+        self.log = log
+
+    def on_datagram(self, engine, data, source, destination):
+        super().on_datagram(engine, data, source, destination)
+        self.log.append((self.name, data))
+
+
+def _udp_sender() -> socket.socket:
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sender.bind((HOST, 0))
+    return sender
+
+
+def test_reader_delivers_a_queued_backlog_whole_and_in_order(aio_network):
+    """More than three drains' worth queued before the loop looks: every
+    datagram arrives, in order, and the counters show the batching."""
+    count = 3 * _DRAIN_BOUND + 5
+    sink = Sink("sink", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(sink)
+    release = _stall(aio_network)
+    with _udp_sender() as sender:
+        for index in range(count):
+            sender.sendto(b"%d" % index, (HOST, sink._endpoints[0].port))
+        release.set()
+        assert _wait(lambda: len(sink.received) == count)
+    assert sink.received == [b"%d" % index for index in range(count)]
+    assert aio_network.udp_datagrams == count
+    # Four drains of at most the bound each; a trailing empty wake-up or
+    # two is the loop's business.
+    assert 4 <= aio_network.udp_wakeups < count // 2
+    assert not aio_network.errors
+
+
+def test_reader_yields_to_other_sockets_after_the_bound(aio_network):
+    """A flooded socket drains at most the bound per wake-up: the one
+    datagram on a quiet socket is handled before the flood's next one."""
+    log: List[tuple] = []
+    flooded = Logged("flooded", [Endpoint(HOST, _free_port(), Transport.UDP)], log)
+    quiet = Logged("quiet", [Endpoint(HOST, _free_port(), Transport.UDP)], log)
+    aio_network.attach(flooded)
+    aio_network.attach(quiet)
+    release = _stall(aio_network)
+    with _udp_sender() as sender:
+        for index in range(_DRAIN_BOUND + 1):
+            sender.sendto(b"%d" % index, (HOST, flooded._endpoints[0].port))
+        sender.sendto(b"me too", (HOST, quiet._endpoints[0].port))
+        release.set()
+        assert _wait(lambda: len(log) == _DRAIN_BOUND + 2)
+    assert log.index(("quiet", b"me too")) < log.index(
+        ("flooded", b"%d" % _DRAIN_BOUND)
+    )
+    assert [data for name, data in log if name == "flooded"] == [
+        b"%d" % index for index in range(_DRAIN_BOUND + 1)
+    ]
+
+
+def test_reader_survives_a_raising_handler_inside_one_drain(aio_network):
+    """Both datagrams are read by the same wake-up: the first handler's
+    exception is recorded and the second datagram still delivered."""
+
+    class Faulty(Sink):
+        def on_datagram(self, engine, data, source, destination):
+            super().on_datagram(engine, data, source, destination)
+            if data == b"bad":
+                raise RuntimeError("handler blew up")
+
+    node = Faulty("faulty", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(node)
+    release = _stall(aio_network)
+    with _udp_sender() as sender:
+        sender.sendto(b"bad", (HOST, node._endpoints[0].port))
+        sender.sendto(b"good", (HOST, node._endpoints[0].port))
+        release.set()
+        assert _wait(lambda: node.received == [b"bad", b"good"])
+    assert [str(error) for error in aio_network.errors] == ["handler blew up"]
+    assert aio_network.udp_wakeups == 1
+
+
+def test_handler_unbinding_its_own_socket_ends_the_drain_cleanly(aio_network):
+    """The per-session ephemeral case: the handler releases the port the
+    datagram arrived on while more datagrams sit behind it.  Delivery on
+    that binding stops there; nothing reads the closed socket (no
+    ``EBADF`` in ``errors``) and the node's other socket is unaffected."""
+
+    class OneShot(Sink):
+        def on_datagram(self, engine, data, source, destination):
+            super().on_datagram(engine, data, source, destination)
+            if destination.port != self._endpoints[0].port:
+                engine.unbind_endpoint(self, destination)
+
+    node = OneShot("session", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(node)
+    bound = aio_network.bind_endpoint(node, Endpoint(HOST, 0, Transport.UDP))
+    release = _stall(aio_network)
+    with _udp_sender() as sender:
+        for payload in (b"reply", b"duplicate", b"straggler"):
+            sender.sendto(payload, (HOST, bound.port))
+        sender.sendto(b"fixed", (HOST, node._endpoints[0].port))
+        release.set()
+        assert _wait(lambda: b"fixed" in node.received)
+        time.sleep(0.05)
+    assert sorted(node.received) == [b"fixed", b"reply"]
+    assert not aio_network.errors
+    assert _released(bound.port)
+
+
+def test_off_loop_late_bind_receives_what_arrived_before_its_reader(aio_network):
+    """A bind from a control thread registers its reader by a marshalled
+    callback; a datagram that beats the callback waits in the kernel
+    buffer and is delivered once the reader exists."""
+    node = Sink("late", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(node)
+    release = _stall(aio_network)
+    bound = aio_network.bind_endpoint(node, Endpoint(HOST, 0, Transport.UDP))
+    with _udp_sender() as sender:
+        sender.sendto(b"early bird", (HOST, bound.port))
+        release.set()
+        assert _wait(lambda: node.received == [b"early bird"])
+    assert not aio_network.errors
+
+
+def test_largest_udp_datagram_arrives_whole(aio_network):
+    """65 507 bytes is the largest IPv4 UDP payload; the 64 KiB read
+    buffer must not truncate it."""
+    payload = bytes(range(256)) * 255 + bytes(227)
+    assert len(payload) == 65507
+    sink = Sink("sink", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(sink)
+    with _udp_sender() as sender:
+        sender.sendto(payload, (HOST, sink._endpoints[0].port))
+        assert _wait(lambda: sink.received)
+    assert sink.received == [payload]
+
+
+def test_emulated_multicast_copies_go_out_in_node_name_order(aio_network):
+    """The fan-out order is the members' names, not the addresses of the
+    node objects (which differ from process to process)."""
+    group = Endpoint("239.9.9.9", 9999, Transport.UDP)
+    log: List[tuple] = []
+    members = []
+    for name in ("delta", "alpha", "charlie", "bravo", "echo"):
+        node = Logged(name, [Endpoint(HOST, _free_port(), Transport.UDP)], log)
+        node._groups = [group]
+        aio_network.attach(node)
+        members.append(node)
+    sent: List[int] = []
+    plain_send = aio_network._send_udp
+
+    def recording_send(data, source, destination):
+        sent.append(destination.port)
+        plain_send(data, source, destination)
+
+    aio_network._send_udp = recording_send
+    by_name = sorted(members, key=lambda node: node.name)
+    aio_network.send(b"ping", Endpoint(HOST, 0, Transport.UDP), group)
+    assert sent == [node._endpoints[0].port for node in by_name]
+    # A member that leaves is dropped from the cached list.
+    aio_network.detach(by_name[0])
+    del sent[:]
+    aio_network.send(b"ping", Endpoint(HOST, 0, Transport.UDP), group)
+    assert sent == [node._endpoints[0].port for node in by_name[1:]]
+    assert _wait(lambda: len(log) == 9)
+
+
+def test_worker_queue_depth_is_bounded_by_the_drain_bound(aio_network):
+    """A 1 000-datagram burst never queues more than bound x sockets.
+
+    Each reader wake-up posts at most the drain bound per socket, and the
+    worker's drain task empties its queue completely on the loop's next
+    pass, before any reader runs again.  So the overload backlog stays in
+    the kernel receive buffer (where ``RcvbufErrors`` counts what
+    overflows) instead of moving into an unbounded in-process queue.
+    """
+    from types import SimpleNamespace
+
+    from repro.runtime.aio_live import AsyncWorkerLoop
+
+    executed: List[bytes] = []
+
+    class Feeder(Sink):
+        """Two sockets posting every datagram to one worker queue."""
+
+        max_depth = 0
+
+        def on_datagram(self, engine, data, source, destination):
+            loop.post(lambda: executed.append(data))
+            self.max_depth = max(self.max_depth, loop.queue_depth)
+
+    loop = AsyncWorkerLoop(SimpleNamespace(name="w0", _recorder=None), aio_network)
+    loop.start()
+    ports = [_free_port(), _free_port()]
+    feeder = Feeder("feeder", [Endpoint(HOST, port, Transport.UDP) for port in ports])
+    aio_network.attach(feeder)
+    # Hold the loop so both sockets start with a backlog of several drains,
+    # then keep the burst coming while it works that off.
+    release = _stall(aio_network)
+    with _udp_sender() as sender:
+        for index in range(1000):
+            if index == 200:
+                release.set()
+            sender.sendto(b"%d" % index, (HOST, ports[index % 2]))
+
+    def quiescent() -> bool:
+        before = (aio_network.udp_datagrams, len(executed))
+        time.sleep(0.05)
+        after = (aio_network.udp_datagrams, len(executed))
+        return before == after and after[0] == after[1] and not loop.queue_depth
+
+    assert _wait(quiescent, timeout=5.0)
+    # Everything the kernel kept was read, queued and executed ...
+    assert aio_network.udp_datagrams >= 200
+    assert len(executed) == aio_network.udp_datagrams == loop.jobs_executed
+    # ... in batches (both sockets in one pass), never beyond the bound.
+    assert _DRAIN_BOUND < feeder.max_depth <= 2 * _DRAIN_BOUND
+    assert not aio_network.errors and not loop.errors
+    loop.stop()
+    assert loop.join(2.0)
