@@ -1,33 +1,29 @@
-"""Live sharded runtime: real wall-clock throughput over loopback sockets.
+"""Live sharded runtime: the scheduling demo over loopback sockets.
 
 `bench_sharded_runtime.py` proves the sharding design scales on the
 simulation's virtual clock.  This benchmark deploys the *same objects* —
-router, workers, read-only model — as a live runtime on real loopback
-sockets, on both substrates:
+router, workers, read-only model — as a live runtime
+(:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` on an
+:class:`~repro.network.aio.AsyncSocketNetwork`, every worker a task on
+one event loop) and sweeps 1 / 2 / 4 / 8 shards under ``CLIENTS``
+(default 1000) concurrent OS-socket clients.
 
-* the thread runtime (:class:`~repro.runtime.live.LiveShardedRuntime` on
-  a :class:`~repro.network.sockets.SocketNetwork`): one thread-per-worker
-  event loop per shard, swept at 1 / 2 / 4 shards under ``CLIENTS``
-  OS-socket clients;
-* the asyncio runtime
-  (:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` on an
-  :class:`~repro.network.aio.AsyncSocketNetwork`): every worker a
-  single-loop task, swept at 1 / 2 / 4 / 8 shards under ``AIO_CLIENTS``
-  (default 1000) concurrent clients — the C10K-direction sweep a
-  thread-per-socket engine cannot sustain.
+**What the throughput column is:** every translated send is charged a
+*modelled* ``processing_delay`` of 5 ms, serialised per worker, so the
+workers parallelise a ``call_later`` timer, not compute — the table and
+``BENCH_live_sharding.json`` say so in their header.  The bridge's real
+work at ``processing_delay=0`` is measured by ``bench/`` (see
+``BENCHMARK.json``), from outside the process.
 
-Both sweeps assert:
+The sweep asserts:
 
 * every client is served at every shard count, nothing unrouted;
 * the raw bytes each client receives are **identical to the simulated
   twin** of the same topology (same loopback host/ports, same pinned
   transaction identifiers) — going live changes when things happen, never
   what is said;
-* thread: real wall-clock throughput at 4 shards is at least the
-  acceptance criterion's 1.5x of the single-shard row;
-* aio: throughput keeps scaling past 4 shards (the 8-shard row beats the
-  4-shard row's single-shard speedup) and the 8-shard row's absolute
-  throughput strictly exceeds the thread runtime's 4-shard row.
+* the modelled timer keeps parallelising past 4 shards (the 8-shard row's
+  speedup over the single-shard row beats the 4-shard row's).
 
 Results land in ``BENCH_live_sharding.json`` (CI uploads them alongside
 the simulated sweeps).  Skipped automatically where loopback sockets
@@ -40,32 +36,22 @@ import os
 
 import pytest
 
-from repro.evaluation.harness import run_live_sharding
+from repro.evaluation.harness import LIVE_SHARDING_NOTE, run_live_sharding
 from repro.evaluation.tables import format_live_sharding
 from repro.network.sockets import loopback_available
 
-#: Concurrent OS-socket clients of the thread sweep (one receiver thread
-#: per client socket bounds how far this can be pushed).
-CLIENTS = int(os.environ.get("REPRO_BENCH_LIVE_CLIENTS", "24"))
+#: Concurrent OS-socket clients — a single event loop carries all of them.
+CLIENTS = int(os.environ.get("REPRO_BENCH_LIVE_CLIENTS", "1000"))
 
-#: Concurrent clients of the asyncio sweep — a single event loop carries
-#: all of them, so the default is the 1k-concurrency acceptance load.
-AIO_CLIENTS = int(os.environ.get("REPRO_BENCH_AIO_CLIENTS", "1000"))
-
-#: Shard counts of the thread sweep.
-WORKER_COUNTS = (1, 2, 4)
-
-#: Shard counts of the asyncio sweep — past 4, where the thread runtime's
-#: lock handoff flattens, the single-loop runtime must keep scaling.
-AIO_WORKER_COUNTS = (1, 2, 4, 8)
+WORKER_COUNTS = (1, 2, 4, 8)
 
 #: The swept case: SLP clients, Bonjour service — UDP end to end, so the
-#: measurement is the runtime's own parallelism, not TCP handshake cost.
+#: rows show the runtime's own scheduling, not TCP handshake cost.
 CASE = 2
 
-#: Wall-clock budget per aio row: the single-shard row serialises
-#: ``AIO_CLIENTS`` translations at 5 ms each (~5 s at the default load).
-AIO_TIMEOUT = float(os.environ.get("REPRO_BENCH_AIO_TIMEOUT", "60"))
+#: Wall-clock budget per row: the single-shard row serialises two
+#: modelled 5 ms sends per client (~10 s at the default load).
+ROW_TIMEOUT = 60.0
 
 
 pytestmark = pytest.mark.skipif(
@@ -75,57 +61,32 @@ pytestmark = pytest.mark.skipif(
 
 def test_live_sharding_scaling(capsys, benchmark, bench_results):
     def sweep():
-        thread_rows = run_live_sharding(
-            case=CASE, clients=CLIENTS, worker_counts=WORKER_COUNTS
+        return run_live_sharding(
+            case=CASE, clients=CLIENTS, worker_counts=WORKER_COUNTS, timeout=ROW_TIMEOUT
         )
-        aio_rows = run_live_sharding(
-            case=CASE,
-            clients=AIO_CLIENTS,
-            worker_counts=AIO_WORKER_COUNTS,
-            runtime="aio",
-            timeout=AIO_TIMEOUT,
-        )
-        return thread_rows, aio_rows
 
-    thread_rows, aio_rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = thread_rows + aio_rows
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     with capsys.disabled():
         print()
         print(format_live_sharding(rows))
     bench_results(
         "live_sharding",
         [row.as_row() for row in rows],
+        note=LIVE_SHARDING_NOTE,
         case=CASE,
         clients=CLIENTS,
-        aio_clients=AIO_CLIENTS,
         worker_counts=list(WORKER_COUNTS),
-        aio_worker_counts=list(AIO_WORKER_COUNTS),
     )
 
-    by_workers = {row.workers: row for row in thread_rows}
-    aio_by_workers = {row.workers: row for row in aio_rows}
-
-    # Completeness at every shard count on both substrates: all clients
-    # served, nothing dropped, and the translated bytes equal the
-    # simulated twin's.
-    for row in thread_rows:
+    # Completeness at every shard count: all clients served, nothing
+    # dropped, and the translated bytes equal the simulated twin's.
+    for row in rows:
         assert row.completed == CLIENTS
         assert row.unrouted == 0
         assert sum(row.worker_sessions) == CLIENTS
         assert row.outputs_match_simulated
-    for row in aio_rows:
-        assert row.completed == AIO_CLIENTS
-        assert row.unrouted == 0
-        assert sum(row.worker_sessions) == AIO_CLIENTS
-        assert row.outputs_match_simulated
 
-    # The thread acceptance criterion: >= 1.5x real wall-clock throughput
-    # at 4 shards.  Wall-clock rows carry scheduler jitter, so no
-    # monotonicity assertion beyond the headline ratio.
-    assert by_workers[4].throughput >= 1.5 * by_workers[1].throughput
-
-    # The asyncio acceptance criteria: the runtime sustains the 1k load,
-    # keeps scaling past 4 shards, and its 8-shard row beats the thread
-    # runtime's best (4-shard) row in absolute sessions/s.
-    assert aio_by_workers[8].speedup > aio_by_workers[4].speedup
-    assert aio_by_workers[8].throughput > by_workers[4].throughput
+    # Wall-clock rows carry scheduler jitter, so no monotonicity assertion
+    # beyond the headline: the timer keeps parallelising past 4 shards.
+    by_workers = {row.workers: row for row in rows}
+    assert by_workers[8].speedup > by_workers[4].speedup

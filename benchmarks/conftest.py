@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
 
 import pytest
@@ -20,6 +19,8 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+from repro.evaluation.harness import environment_stamp  # noqa: E402
 
 #: Repetitions used for the simulated tables.  The paper uses 100; the
 #: simulation is fast enough to match it.
@@ -37,11 +38,7 @@ def write_bench_results(name: str, rows, **extra) -> str:
     ``rows`` is a list of JSON-serialisable dicts (one per table row);
     ``extra`` records run parameters (client counts, seeds, ...).
     """
-    payload = {
-        "benchmark": name,
-        "python": platform.python_version(),
-        "rows": list(rows),
-    }
+    payload = {"benchmark": name, **environment_stamp(), "rows": list(rows)}
     payload.update(extra)
     path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:

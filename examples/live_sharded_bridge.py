@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Live sharded bridge: real sockets, worker threads, a TCP leg and all.
+"""Live sharded bridge: real sockets, worker tasks, a TCP leg and all.
 
 The other examples run on the deterministic simulation.  This one deploys
-the *same* bridge models on :class:`SocketNetwork` — real UDP and TCP
-sockets on the loopback interface — as a :class:`LiveShardedRuntime`:
+the *same* bridge models on :class:`AsyncSocketNetwork` — real UDP and TCP
+sockets on the loopback interface, all on one asyncio event loop — as an
+:class:`AsyncLiveShardedRuntime`:
 
 * a shard router owns the bridge's public endpoints and (emulated)
   multicast groups;
-* two worker Automata Engines run behind it, each on its own event-loop
-  thread, sharing one read-only merged automaton;
+* two worker Automata Engines run behind it, each a queue-draining task
+  on the network's loop, sharing one read-only merged automaton;
 * two legacy UPnP control points discover a legacy SLP service through it
   (the paper's case 3), including the control points' HTTP GET — a real
   TCP exchange that the bridge answers after its processing delay on the
@@ -26,11 +27,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.bridges import upnp_to_slp_bridge
+from repro.network.aio import AsyncSocketNetwork
+from repro.network.sockets import loopback_available
 from repro.network.latency import LatencyModel
-from repro.network.sockets import SocketNetwork, loopback_available
 from repro.protocols.slp import SLPServiceAgent
 from repro.protocols.upnp import UPnPControlPoint
-from repro.runtime import LiveShardedRuntime
+from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 FAST = LatencyModel(0.001, 0.001)
 NONE = LatencyModel(0.0, 0.0)
@@ -49,9 +51,9 @@ def main() -> None:
     bridge = upnp_to_slp_bridge(
         host="127.0.0.1", base_port=47000, processing_delay=0.005
     )
-    runtime = LiveShardedRuntime.from_bridge(bridge, workers=2)
+    runtime = AsyncLiveShardedRuntime.from_bridge(bridge, workers=2)
 
-    with SocketNetwork() as network:
+    with AsyncSocketNetwork() as network:
         runtime.deploy(network)
 
         # A legacy SLP service agent, and two legacy UPnP control points.

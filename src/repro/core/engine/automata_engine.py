@@ -372,9 +372,7 @@ class AutomataEngine(NetworkNode, EngineCore):
         #: Called with the session key whenever a session leaves the table
         #: (normal completion, eviction or reset).  The shard router wires
         #: this to unpin its sticky entry promptly — drain latency then
-        #: tracks session lifetime, not the prune interval.  May be invoked
-        #: from a worker thread on the live runtime; listeners must be
-        #: thread-safe.
+        #: tracks session lifetime, not the prune interval.
         self.session_close_listener: Optional[Callable[[Hashable], None]] = None
         #: Optional :mod:`repro.obs` tracer shared with the deployment;
         #: the engine owns one span recorder named after itself.

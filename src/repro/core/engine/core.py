@@ -28,11 +28,11 @@ read-only merged automaton and multiplexes sessions over it:
 workers execute the same code.
 
 Threading contract: :meth:`classify` and :meth:`routing_key` are pure with
-respect to session state and safe to call from any thread (the live shard
-router classifies on socket receiver threads); :meth:`dispatch` and
-:meth:`has_session` touch the session table and must be serialised per
-engine — the simulation's event queue does this implicitly, the live
-runtime does it with one event-loop thread (plus lock) per worker.
+respect to session state and safe to call from any thread;
+:meth:`dispatch` and :meth:`has_session` touch the session table and must
+be serialised per engine — the simulation's event queue does this
+implicitly, the live runtime runs every worker's jobs on the socket
+engine's one event-loop thread.
 """
 
 from __future__ import annotations

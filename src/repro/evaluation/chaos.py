@@ -12,7 +12,7 @@ harness checks the whole loss-free contract at once:
 * every client lookup is answered (zero dropped sessions);
 * no session was evicted by the idle sweeper (zero abandoned sessions);
 * nothing was unrouted (garbage never parses, so it never counts);
-* no worker-loop thread raised (live runtime);
+* no worker loop raised (live runtime);
 * the raw bytes every client received are **identical to a fixed-shard
   twin** of the same workload — chaos may change timings, never outputs.
 
@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bridges.specs import BRIDGE_BUILDERS, CASE_NAMES
 from ..core.errors import ConfigurationError
 from ..network.addressing import Endpoint, Transport
+from ..network.aio import AsyncFaultyNetwork, AsyncSocketNetwork
 from ..network.simulated import SimulatedNetwork
 from ..obs import (
     EventJournal,
@@ -52,12 +53,11 @@ from ..runtime import (
     HealthController,
     HealthPolicy,
     LiveHealthController,
-    LiveShardedRuntime,
     ScaleEvent,
     ShardedRuntime,
-    wedge_live_worker,
     wedge_simulated_worker,
 )
+from ..runtime.aio_live import AsyncLiveShardedRuntime
 from .workloads import (
     _elastic_calibration,
     _fast_calibration,
@@ -551,16 +551,14 @@ def run_chaos_live(
     """
     import time as _time
 
-    from ..network.sockets import SocketNetwork
-
     rng = random.Random(seed)
     total = rounds * clients_per_round
     overrides: Dict[str, object] = {}
     if trace_sample is not None:
         overrides["trace_sample"] = trace_sample
     clients, service, target = _case_parts(case, total, live=True)
-    network = SocketNetwork()
-    runtime = LiveShardedRuntime.from_bridge(
+    network = AsyncSocketNetwork()
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         _live_bridge(case, 0.0), workers=start_workers, **overrides
     )
     result = ChaosResult(
@@ -819,7 +817,7 @@ class HealResult:
     abandoned_sessions: int = 0
     unrouted: int = 0
     worker_errors: int = 0
-    #: Exceptions the live control thread swallowed (always 0 simulated).
+    #: Exceptions the live control threads swallowed (always 0 simulated).
     controller_errors: int = 0
     final_workers: int = 0
     outputs_match_twin: bool = False
@@ -859,10 +857,8 @@ class HealResult:
             "PYTHONPATH=src python -m repro.evaluation --table heal "
             f"--seed {self.seed}"
         )
-        if self.runtime_kind.startswith("live"):
+        if self.runtime_kind == "live":
             command += " --chaos-live"
-        if self.runtime_kind == "live-aio":
-            command += " --live-runtime aio"
         return command
 
     def failure_reason(self) -> Optional[str]:
@@ -1165,51 +1161,28 @@ def run_heal_live(
     twin_workers: int = 2,
     wave_timeout: float = 20.0,
     detection_budget: float = 2.0,
-    runtime: str = "thread",
 ) -> HealResult:
     """One seeded self-healing run on the **live** runtime.
 
-    The network itself is the fault injector: a
-    :class:`~repro.network.sockets.FaultyNetwork` whose seeded loss
+    The network itself is the fault injector: an
+    :class:`~repro.network.aio.AsyncFaultyNetwork` whose seeded loss
     windows drop / duplicate / reorder real UDP datagrams.  Round 0
-    wedges a worker loop mid-wave (a stalling job posted to its queue)
-    and polls until the :class:`LiveHealthController`'s thread replaces
-    it; the last round opens a loss window over a garbage burst — only
-    after its wave settled, so loss can only eat garbage and the
-    zero-drop contract stays meaningful.  Detection times are wall-clock
-    (``SocketNetwork.now()``, the same monotonic clock the worker loops
-    stamp their heartbeats with).
-
-    ``runtime`` picks the live substrate: ``"thread"`` runs the
-    thread-per-worker runtime on :class:`FaultyNetwork`; ``"aio"`` runs
-    the event-loop runtime on
-    :class:`~repro.network.aio.AsyncFaultyNetwork` — same seeded fault
-    plan, same heal choreography, the wedge being an awaited
-    ``asyncio.sleep`` so only the victim's queue stalls.
+    wedges a worker loop mid-wave (an awaited ``asyncio.sleep`` posted to
+    its queue, so only the victim stalls) and polls until the
+    :class:`LiveHealthController`'s thread replaces it; the last round
+    opens a loss window over a garbage burst — only after its wave
+    settled, so loss can only eat garbage and the zero-drop contract
+    stays meaningful.  Detection times are wall-clock
+    (``AsyncSocketNetwork.now()``, the same monotonic clock the worker
+    loops stamp their heartbeats with).
     """
     import time as _time
-
-    from ..network.sockets import FaultyNetwork
 
     rng = random.Random(seed)
     total = rounds * clients_per_round
     clients, service, target = _case_parts(case, total, live=True)
-    if runtime == "thread":
-        network = FaultyNetwork(seed=seed)
-        runtime_class = LiveShardedRuntime
-        kind = "live"
-    elif runtime == "aio":
-        from ..network.aio import AsyncFaultyNetwork
-        from ..runtime.aio_live import AsyncLiveShardedRuntime
-
-        network = AsyncFaultyNetwork(seed=seed)
-        runtime_class = AsyncLiveShardedRuntime
-        kind = "live-aio"
-    else:
-        raise ConfigurationError(
-            f"unknown live runtime {runtime!r}; use 'thread' or 'aio'"
-        )
-    runtime = runtime_class.from_bridge(
+    network = AsyncFaultyNetwork(seed=seed)
+    runtime = AsyncLiveShardedRuntime.from_bridge(
         _live_bridge(case, 0.0), workers=start_workers
     )
     # Live telemetry: a daemon collector thread and a wall-clock journal.
@@ -1230,9 +1203,9 @@ def run_heal_live(
         flight_recorder=flight,
     )
     result = HealResult(
-        name=f"heal-{kind}-case-{case}-seed-{seed}",
+        name=f"heal-live-case-{case}-seed-{seed}",
         seed=seed,
-        runtime_kind=kind,
+        runtime_kind="live",
         rounds=rounds,
         clients=total,
         completed=0,
@@ -1273,7 +1246,7 @@ def run_heal_live(
                 victim = rng.choice(list(runtime.worker_ids))
                 duration = 0.8
                 wedge_at = _time.monotonic()
-                wedge_live_worker(runtime, victim, duration)
+                runtime.wedge_worker(victim, duration)
                 result.wedges += 1
                 journal.append(
                     "fault",
@@ -1374,7 +1347,6 @@ def run_heal(
     seeds: Sequence[int] = DEFAULT_HEAL_SEEDS,
     include_live: bool = False,
     raise_on_failure: bool = True,
-    live_runtime: str = "thread",
     **options,
 ) -> List[HealResult]:
     """The self-healing sweep: one simulated run per seed (plus one live).
@@ -1382,15 +1354,8 @@ def run_heal(
     Mirrors :func:`run_chaos`: with ``raise_on_failure`` a red run raises
     ``RuntimeError`` naming its seed and repro command; a run that
     *crashes* is folded into a failed row carrying its seed; only
-    pre-flight configuration mistakes raise directly.  ``live_runtime``
-    picks the substrate of the live run — ``"thread"``, ``"aio"``, or
-    ``"both"`` for one live row per substrate.
+    pre-flight configuration mistakes raise directly.
     """
-    if live_runtime not in ("thread", "aio", "both"):
-        raise ConfigurationError(
-            f"unknown live runtime {live_runtime!r}; use 'thread', 'aio' "
-            "or 'both'"
-        )
     if not seeds:
         raise ConfigurationError(
             "a heal sweep needs at least one seed — an empty sweep would "
@@ -1410,7 +1375,7 @@ def run_heal(
         try:
             return runner(case=case, seed=seed, **runner_options)
         except Exception as exc:  # noqa: BLE001 - every seed must report
-            prefix = f"heal-{kind}" if kind.startswith("live") else "heal"
+            prefix = "heal-live" if kind == "live" else "heal"
             return HealResult(
                 name=f"{prefix}-case-{case}-seed-{seed}",
                 seed=seed,
@@ -1426,16 +1391,7 @@ def run_heal(
         for seed in seeds
     ]
     if include_live:
-        flavours = (
-            ("thread", "aio") if live_runtime == "both" else (live_runtime,)
-        )
-        for flavour in flavours:
-            kind = "live" if flavour == "thread" else "live-aio"
-            results.append(
-                _guarded(
-                    run_heal_live, kind, seeds[0], runtime=flavour, **options
-                )
-            )
+        results.append(_guarded(run_heal_live, "live", seeds[0], **options))
     failures = [result for result in results if not result.ok]
     if failures and raise_on_failure:
         first = failures[0]

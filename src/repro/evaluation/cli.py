@@ -10,9 +10,10 @@ published numbers.  This is the same code path the benchmarks use; the
 CLI exists so the headline result can be reproduced without pytest.
 
 ``--table live-sharding`` runs the sweep over **real loopback sockets**
-(thread-per-worker engines, wall-clock timings) and writes the rows to
-``BENCH_live_sharding.json`` (directory overridable with
-``REPRO_BENCH_RESULTS_DIR``).  It is excluded from ``all``: it needs
+(worker tasks on one event loop, wall-clock timings, a *modelled*
+5 ms ``processing_delay`` — a scheduling demo, labelled as such) and
+writes the rows to ``BENCH_live_sharding.json`` (directory overridable
+with ``REPRO_BENCH_RESULTS_DIR``).  It is excluded from ``all``: it needs
 permission to bind loopback sockets and measures the machine, not the
 model.
 
@@ -27,7 +28,7 @@ real-socket run.
 
 ``--table heal`` runs the self-healing sweep: seeded schedules that wedge
 a worker mid-wave (and, live, open real UDP loss windows through a
-:class:`~repro.network.sockets.FaultyNetwork`) while a
+:class:`~repro.network.aio.AsyncFaultyNetwork`) while a
 :class:`~repro.runtime.health.FailureDetector` alone must notice,
 quarantine, drain and replace the victim — loss-free and byte-identical
 to the fixed-shard twin.  Writes ``BENCH_heal.json``; ``--seed N``
@@ -66,7 +67,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from typing import List, Optional, Sequence
 
@@ -82,6 +82,8 @@ from .harness import (
     DEFAULT_LIVE_WORKER_COUNTS,
     DEFAULT_REPETITIONS,
     DEFAULT_SHARDING_CLIENTS,
+    LIVE_SHARDING_NOTE,
+    environment_stamp,
     run_concurrency,
     run_elastic,
     run_fig12a,
@@ -138,7 +140,7 @@ def _write_bench_json(name: str, **payload) -> str:
     interchangeably with the pytest-benchmark artifacts.
     """
     results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR", os.getcwd())
-    payload = {"benchmark": name, "python": platform.python_version(), **payload}
+    payload = {"benchmark": name, **environment_stamp(), **payload}
     path = os.path.join(results_dir, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -150,6 +152,7 @@ def write_live_sharding_results(rows, clients: int, case: int) -> str:
     """Write the live-sharding rows to ``BENCH_live_sharding.json``."""
     return _write_bench_json(
         "live_sharding",
+        note=LIVE_SHARDING_NOTE,
         case=case,
         clients=clients,
         worker_counts=[row.workers for row in rows],
@@ -249,7 +252,7 @@ def write_trace_sample(case: int, seed: int) -> str:
     results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR", os.getcwd())
     payload = {
         "benchmark": "trace_sample",
-        "python": platform.python_version(),
+        **environment_stamp(),
         "case": case,
         "seed": seed,
         "ok": result.ok,
@@ -312,14 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-live",
         action="store_true",
         help="include a live (real-socket) run in the chaos or heal sweep",
-    )
-    parser.add_argument(
-        "--live-runtime",
-        choices=["thread", "aio", "both"],
-        default="thread",
-        help="live substrate for the live-sharding, heal and telemetry "
-        "tables: the thread-per-worker runtime, the asyncio event-loop "
-        "runtime, or (live-sharding and heal only) both side by side",
     )
     parser.add_argument(
         "--concurrency-case",
@@ -428,7 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seeds=seeds,
                 include_live=args.chaos_live,
                 raise_on_failure=False,
-                live_runtime=args.live_runtime,
             )
         except ValueError as exc:
             print("\n".join(lines).rstrip())
@@ -463,22 +457,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines.append(f"(rows written to {path})")
         lines.append("")
     if args.table == "live-sharding":
-        flavours = (
-            ("thread", "aio")
-            if args.live_runtime == "both"
-            else (args.live_runtime,)
-        )
-        live_rows = []
         try:
-            for flavour in flavours:
-                live_rows.extend(
-                    run_live_sharding(
-                        case=args.concurrency_case,
-                        clients=args.live_clients,
-                        worker_counts=DEFAULT_LIVE_WORKER_COUNTS,
-                        runtime=flavour,
-                    )
-                )
+            live_rows = run_live_sharding(
+                case=args.concurrency_case,
+                clients=args.live_clients,
+                worker_counts=DEFAULT_LIVE_WORKER_COUNTS,
+            )
         except (ValueError, OSError, RuntimeError) as exc:
             print("\n".join(lines).rstrip())
             print(f"error: {exc}", file=sys.stderr)
@@ -519,15 +503,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines.append(f"(sample trace export written to {trace_path})")
         lines.append("")
     if args.table == "telemetry":
-        # Telemetry gates one live substrate per invocation; "both" falls
-        # back to the thread default (run twice to compare substrates).
-        telemetry_runtime = (
-            args.live_runtime if args.live_runtime != "both" else "thread"
-        )
         try:
-            telemetry_result = run_telemetry(
-                case=args.concurrency_case, live_runtime=telemetry_runtime
-            )
+            telemetry_result = run_telemetry(case=args.concurrency_case)
         except (ValueError, RuntimeError, OSError) as exc:
             print("\n".join(lines).rstrip())
             print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..bridges.specs import CASE_NAMES
+from ..network.aio import uvloop_available
 from ..network.latency import CalibratedLatencies
 from ..obs.tracing import Tracer
 from .workloads import (
@@ -42,6 +43,7 @@ __all__ = [
     "LiveShardingSummary",
     "LatencySummary",
     "summarise",
+    "environment_stamp",
     "measure_legacy_protocol",
     "measure_connector_case",
     "measure_concurrent_sessions",
@@ -59,6 +61,7 @@ __all__ = [
     "DEFAULT_SHARDING_CLIENTS",
     "DEFAULT_LIVE_WORKER_COUNTS",
     "DEFAULT_LIVE_CLIENTS",
+    "LIVE_SHARDING_NOTE",
     "DEFAULT_LATENCY_CLIENTS",
 ]
 
@@ -393,11 +396,18 @@ def run_sharding(
 # ----------------------------------------------------------------------
 # live sharded runtime: the same sweep over real loopback sockets
 # ----------------------------------------------------------------------
-#: Shard counts of the live sweep (each shard is a real worker thread).
+#: Shard counts of the live sweep (each shard is a worker task on the loop).
 DEFAULT_LIVE_WORKER_COUNTS = (1, 2, 4)
 
 #: Concurrent OS-socket clients held constant across the live sweep.
 DEFAULT_LIVE_CLIENTS = 24
+
+#: What the live sweep's default rows are (table title, JSON header): the
+#: workers parallelise a ``call_later`` timer, not compute.
+LIVE_SHARDING_NOTE = (
+    f"modelled processing_delay={LIVE_PROCESSING_DELAY * 1000:g} ms "
+    "(scheduling demo, not a performance result)"
+)
 
 
 @dataclass(frozen=True)
@@ -405,29 +415,37 @@ class LiveShardingSummary(ShardingSummary):
     """One row of the live sweep: wall-clock timings over real sockets.
 
     ``makespan_s``/``throughput`` are *wall-clock* here — the time real
-    datagrams took on the loopback interface, translation compute included
-    — and every row records whether the raw bytes each client received
-    matched the deterministic simulated twin of the same topology.
+    datagrams took on the loopback interface, the modelled
+    ``processing_delay`` timer included — and every row records whether
+    the raw bytes each client received matched the deterministic simulated
+    twin of the same topology.
     """
 
     #: True when every client's raw responses equal the simulated twin's.
     outputs_match_simulated: bool = True
-    #: Which live substrate produced the row: ``thread`` | ``aio``.
-    runtime: str = "thread"
-    #: The event loop under an ``aio`` row: ``uvloop`` | ``asyncio``
-    #: (``-`` on the thread runtime, which has none).
-    loop: str = "-"
+    #: The event loop under the row: ``uvloop`` | ``asyncio``.
+    loop: str = "asyncio"
 
     def as_row(self) -> Dict[str, object]:
         row = super().as_row()
         row["outputs_match_simulated"] = self.outputs_match_simulated
-        row["runtime"] = self.runtime
-        # What the wall-clock numbers depend on besides the code, so rows
-        # archived from different CI runs are comparable (or known not to be).
-        row["loop"] = self.loop
-        row["python"] = platform.python_version()
-        row["nproc"] = os.cpu_count()
+        row.update(environment_stamp(), loop=self.loop)
         return row
+
+
+def environment_stamp() -> Dict[str, object]:
+    """What a wall-clock number depends on besides the code.
+
+    Stamped on every ``BENCH_*.json`` (and on each live-sharding row) so
+    numbers archived from different CI runs are comparable, or known not
+    to be.  ``loop`` is the event loop a live deployment gets on this
+    interpreter: uvloop when installed, else the stdlib loop.
+    """
+    return {
+        "loop": "uvloop" if uvloop_available() else "asyncio",
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+    }
 
 
 def measure_live_sharded_sessions(
@@ -437,33 +455,27 @@ def measure_live_sharded_sessions(
     processing_delay: float = LIVE_PROCESSING_DELAY,
     baseline_throughput: Optional[float] = None,
     seed: int = 7,
-    runtime: str = "thread",
     timeout: float = 15.0,
 ) -> LiveShardingSummary:
     """One live row: ``clients`` OS-socket lookups across ``workers`` shards.
 
-    Runs the live scenario on real loopback sockets — on the
-    thread-per-worker runtime or, with ``runtime="aio"``, the
-    single-event-loop runtime — then its simulated twin (identical
-    topology on the virtual clock), and compares the raw translated bytes
-    every client received: the live deployment must not change a single
-    output byte on either substrate.
+    Runs the live scenario on real loopback sockets, then its simulated
+    twin (identical topology on the virtual clock), and compares the raw
+    translated bytes every client received: the live deployment must not
+    change a single output byte.
     """
     live = live_sharded_scenario(
         case,
         clients=clients,
         workers=workers,
         processing_delay=processing_delay,
-        runtime=runtime,
     )
-    loop = "-"
-    if runtime == "aio":
-        loop = "uvloop" if live.network.uvloop_active else "asyncio"
+    loop = "uvloop" if live.network.uvloop_active else "asyncio"
     result = live.run(timeout=timeout)
     if not result.all_found:
         raise RuntimeError(
             f"{clients - result.completed} of {clients} live lookups failed "
-            f"for case {case} at {workers} workers ({runtime})"
+            f"for case {case} at {workers} workers"
         )
     live_bytes = live.raw_responses_by_client
 
@@ -494,7 +506,6 @@ def measure_live_sharded_sessions(
         unrouted=result.unrouted_datagrams,
         worker_sessions=tuple(live.runtime.worker_session_counts()),
         outputs_match_simulated=outputs_match,
-        runtime=runtime,
         loop=loop,
     )
 
@@ -658,7 +669,6 @@ def run_live_sharding(
     clients: int = DEFAULT_LIVE_CLIENTS,
     worker_counts: Sequence[int] = DEFAULT_LIVE_WORKER_COUNTS,
     processing_delay: float = LIVE_PROCESSING_DELAY,
-    runtime: str = "thread",
     timeout: float = 15.0,
 ) -> List[LiveShardingSummary]:
     """The live sweep: one wall-clock row per shard count, same client load.
@@ -666,8 +676,9 @@ def run_live_sharding(
     Unlike the simulated sweep this measures real elapsed time, so rows
     carry scheduler jitter; the speedup column is still throughput relative
     to the sweep's single-shard row, which runs the identical workload.
-    ``runtime`` picks the live substrate — ``"thread"`` for the
-    thread-per-worker runtime, ``"aio"`` for the event-loop runtime.
+    With the default ``processing_delay`` the workers parallelise a
+    modelled timer: the table is a scheduling demo, not a performance
+    result.
     """
     rows: List[LiveShardingSummary] = []
     baseline: Optional[float] = None
@@ -678,7 +689,6 @@ def run_live_sharding(
             workers,
             processing_delay=processing_delay,
             baseline_throughput=baseline,
-            runtime=runtime,
             timeout=timeout,
         )
         if baseline is None:

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chaos import ChaosResult, HealResult
 from .harness import (
+    LIVE_SHARDING_NOTE,
     ConcurrencySummary,
     LatencySummary,
     LiveShardingSummary,
@@ -156,17 +157,19 @@ def format_sharding(rows: Sequence[ShardingSummary]) -> str:
 def format_live_sharding(rows: Sequence[LiveShardingSummary]) -> str:
     """Render the live (real-socket) sharding sweep as a text table.
 
-    Timings are wall clock — real datagrams on the loopback interface —
-    and the last column confirms the raw bytes every client received match
-    the deterministic simulated twin of the same topology.
+    Timings are wall clock — real datagrams on the loopback interface,
+    the modelled ``processing_delay`` timer included — and the last column
+    confirms the raw bytes every client received match the deterministic
+    simulated twin of the same topology.
     """
     header = (
-        f"{'Case':<22} {'Runtime':>8} {'Clients':>8} {'Workers':>8} "
+        f"{'Case':<22} {'Clients':>8} {'Workers':>8} "
         f"{'Makespan (s)':>13} {'Sessions/s':>11} {'Speedup':>8} "
         f"{'Bytes=sim':>10}  {'Shard balance'}"
     )
     lines = [
-        "Live sharded runtime - real loopback sockets, wall-clock timings",
+        "Live sharded runtime - real loopback sockets, wall-clock timings, "
+        + LIVE_SHARDING_NOTE,
         "-" * len(header),
         header,
         "-" * len(header),
@@ -175,7 +178,7 @@ def format_live_sharding(rows: Sequence[LiveShardingSummary]) -> str:
         balance = "/".join(str(count) for count in row.worker_sessions)
         identical = "yes" if row.outputs_match_simulated else "NO"
         lines.append(
-            f"{row.label:<22} {row.runtime:>8} {row.clients:>8} {row.workers:>8} "
+            f"{row.label:<22} {row.clients:>8} {row.workers:>8} "
             f"{row.makespan_s:>13.3f} {row.throughput:>11.1f} "
             f"{row.speedup:>7.2f}x {identical:>10}  {balance}"
         )

@@ -248,7 +248,6 @@ def _timed_live(
     workers: int,
     instrument: bool,
     timeout: float = 30.0,
-    runtime: str = "thread",
 ) -> Tuple[float, int]:
     """Wall-clock seconds for one live run (optionally collected).
 
@@ -256,9 +255,7 @@ def _timed_live(
     collector stops **before** the teardown — a collect racing
     ``undeploy`` would record a spurious error, not overhead.
     """
-    scenario = live_sharded_scenario(
-        case, clients=clients, workers=workers, runtime=runtime
-    )
+    scenario = live_sharded_scenario(case, clients=clients, workers=workers)
     network, runtime = scenario.network, scenario.runtime
     collector: Optional[LiveMetricsCollector] = None
     done = False
@@ -406,19 +403,14 @@ def run_metrics_scrape(
     workers: int = 2,
     port: int = TELEMETRY_METRICS_PORT,
     timeout: float = 30.0,
-    live_runtime: str = "thread",
 ) -> ScrapeCheck:
     """Deploy live, serve a wave, scrape ``/metrics`` twice, lint both.
 
     The first scrape happens mid-deployment (after the wave, while the
     runtime is still up), the second immediately after — counters must
-    be monotone between them, series by series.  ``live_runtime`` picks
-    the substrate the deployment runs on (``thread`` | ``aio``); the
-    endpoint's TCP reply channel and the lint are substrate-agnostic.
+    be monotone between them, series by series.
     """
-    scenario = live_sharded_scenario(
-        case, clients=clients, workers=workers, runtime=live_runtime
-    )
+    scenario = live_sharded_scenario(case, clients=clients, workers=workers)
     network, runtime = scenario.network, scenario.runtime
     endpoint = MetricsEndpoint(
         runtime, Endpoint(_LIVE_HOST, port, Transport.TCP)
@@ -498,21 +490,13 @@ def run_telemetry(
     include_live: bool = True,
     live_clients: int = 16,
     live_workers: int = 4,
-    live_runtime: str = "thread",
 ) -> TelemetryResult:
     """The telemetry table: overhead gate on both runtimes + scrape lint.
 
     The live rows (overhead and scrape) are skipped with a recorded
     reason — not failed — when loopback sockets cannot be bound, the
     same graceful degradation the latency table practises.
-    ``live_runtime`` picks the live substrate (``thread`` | ``aio``);
-    the collector's overhead gate and the ``/metrics`` lint apply to
-    both identically.
     """
-    if live_runtime not in ("thread", "aio"):
-        raise ValueError(
-            f"unknown live runtime {live_runtime!r}; use 'thread' or 'aio'"
-        )
     result = TelemetryResult(case=case)
     result.rows.append(
         _measure_overhead(
@@ -533,13 +517,9 @@ def run_telemetry(
     try:
         result.rows.append(
             _measure_overhead(
-                "live" if live_runtime == "thread" else "live-aio",
+                "live",
                 lambda instrument: _timed_live(
-                    case,
-                    live_clients,
-                    live_workers,
-                    instrument,
-                    runtime=live_runtime,
+                    case, live_clients, live_workers, instrument
                 ),
                 live_clients,
                 live_workers,
@@ -549,7 +529,7 @@ def run_telemetry(
                 attempts,
             )
         )
-        result.scrape = run_metrics_scrape(case, live_runtime=live_runtime)
+        result.scrape = run_metrics_scrape(case)
     except OSError as exc:
         result.live_skipped = f"live run failed to bind sockets: {exc}"
     return result

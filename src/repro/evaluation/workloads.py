@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..bridges.specs import BRIDGE_BUILDERS, CASE_NAMES
 from ..core.engine.bridge import StarlinkBridge
 from ..network.latency import CalibratedLatencies, LatencyModel, default_latencies
+from ..network.aio import AsyncSocketNetwork
 from ..network.simulated import SimulatedNetwork
-from ..network.sockets import SocketNetwork
 from ..obs.tracing import Tracer
 from ..protocols.common import LookupResult
 from ..protocols.mdns import BonjourBrowser, BonjourResponder
@@ -34,11 +34,11 @@ from ..runtime import (
     AutoscaleDecision,
     AutoscalerPolicy,
     ElasticController,
-    LiveShardedRuntime,
     ScaleEvent,
     ShardedRuntime,
     ShardMetrics,
 )
+from ..runtime.aio_live import AsyncLiveShardedRuntime
 
 __all__ = [
     "SLP_SERVICE_TYPE",
@@ -544,22 +544,24 @@ class LiveScenario:
     """N legacy clients through a live sharded runtime on real sockets.
 
     The socket-engine sibling of :class:`ConcurrentScenario`: the same
-    clients, the same non-blocking lookup driver, but the network is a
-    :class:`~repro.network.sockets.SocketNetwork` and time is the wall
+    clients, the same non-blocking lookup driver, but the network is an
+    :class:`~repro.network.aio.AsyncSocketNetwork` and time is the wall
     clock — :meth:`run` polls for completion instead of advancing a
-    simulation.  ``run`` also tears the deployment down (sockets and worker
-    threads are real resources), so a scenario runs **once**.
+    simulation.  ``run`` also tears the deployment down (sockets and the
+    loop thread are real resources), so a scenario runs **once**; what the
+    deployment looked like just before the teardown stays readable on
+    :attr:`final_metrics`, whether the run succeeded, timed out or raised.
     """
 
     name: str
-    #: A :class:`SocketNetwork` or :class:`~repro.network.aio.AsyncSocketNetwork`.
-    network: SocketNetwork
-    #: A :class:`LiveShardedRuntime` or
-    #: :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`.
-    runtime: LiveShardedRuntime
+    network: AsyncSocketNetwork
+    runtime: AsyncLiveShardedRuntime
     clients: List
     target: str
     description: str = ""
+    #: ``runtime.metrics(include_latency=False)`` taken by :meth:`run`
+    #: right before it undeploys (after which ``metrics()`` raises).
+    final_metrics: Optional[ShardMetrics] = None
 
     def run(self, timeout: float = 15.0) -> ConcurrentResult:
         network = self.network
@@ -588,8 +590,11 @@ class LiveScenario:
                 self.name, self.runtime, started, first_send, len(self.clients)
             )
         finally:
-            self.runtime.undeploy()
-            self.network.close()
+            try:
+                self.final_metrics = self.runtime.metrics(include_latency=False)
+            finally:
+                self.runtime.undeploy()
+                self.network.close()
 
     @property
     def raw_responses_by_client(self) -> Dict[str, Tuple[bytes, ...]]:
@@ -627,52 +632,32 @@ def _live_bridge(case: int, processing_delay: float) -> StarlinkBridge:
     return bridge
 
 
-def _live_runtime_parts(runtime: str):
-    """The (network factory, runtime class, name suffix) for a live flavour.
-
-    ``"thread"`` is the thread-per-worker stack
-    (:class:`SocketNetwork` + :class:`LiveShardedRuntime`); ``"aio"`` is
-    the single-event-loop stack (:class:`~repro.network.aio.AsyncSocketNetwork`
-    + :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`).
-    """
-    if runtime == "thread":
-        return SocketNetwork, LiveShardedRuntime, ""
-    if runtime == "aio":
-        from ..network.aio import AsyncSocketNetwork
-        from ..runtime.aio_live import AsyncLiveShardedRuntime
-
-        return AsyncSocketNetwork, AsyncLiveShardedRuntime, "-aio"
-    raise ValueError(f"unknown live runtime {runtime!r}; use 'thread' or 'aio'")
-
-
 def live_sharded_scenario(
     case: int,
     clients: int = 24,
     workers: int = 4,
     processing_delay: float = LIVE_PROCESSING_DELAY,
     trace_sample: Optional[float] = None,
-    runtime: str = "thread",
 ) -> LiveScenario:
     """``clients`` real-socket lookups through a ``workers``-shard runtime.
 
-    Deploys a :class:`~repro.runtime.live.LiveShardedRuntime` (router +
-    thread-per-worker engines) — or, with ``runtime="aio"``, an
-    :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` (router +
-    worker tasks on one event loop) — on a fresh socket engine, with the
-    legacy service and N OS-socket clients of the case attached alongside.
-    Throughput here is *real wall-clock* throughput: ``processing_delay``
-    seconds of serialised translation compute per translated send is what
-    the workers parallelise.
+    Deploys an :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`
+    (router + worker tasks on one event loop) on a fresh socket engine,
+    with the legacy service and N OS-socket clients of the case attached
+    alongside.  Time here is the wall clock; with ``processing_delay > 0``
+    the throughput is *modelled*: that many seconds of serialised
+    translation compute per translated send is the timer the workers
+    parallelise (a scheduling demo, not a performance result — ``bench/``
+    measures the bridge's real work at ``processing_delay=0``).
     """
-    network_factory, runtime_class, suffix = _live_runtime_parts(runtime)
-    network = network_factory()
+    network = AsyncSocketNetwork()
     concurrent_clients, service, target, service_protocol = _live_case_parts(
         case, clients
     )
     overrides: Dict[str, object] = {}
     if trace_sample is not None:
         overrides["trace_sample"] = trace_sample
-    live_runtime = runtime_class.from_bridge(
+    live_runtime = AsyncLiveShardedRuntime.from_bridge(
         _live_bridge(case, processing_delay), workers=workers, **overrides
     )
     try:
@@ -686,7 +671,7 @@ def live_sharded_scenario(
         raise
     client_protocol, _, _ = CASE_NAMES[case].partition(" to ")
     return LiveScenario(
-        name=f"live-case-{case}-x{clients}-w{workers}{suffix}",
+        name=f"live-case-{case}-x{clients}-w{workers}",
         network=network,
         runtime=live_runtime,
         clients=concurrent_clients,
@@ -694,7 +679,7 @@ def live_sharded_scenario(
         description=(
             f"{clients} legacy {client_protocol} lookups over real loopback "
             f"sockets through a {workers}-shard live Starlink runtime "
-            f"({runtime}) answering from a legacy {service_protocol} service"
+            f"answering from a legacy {service_protocol} service"
         ),
     )
 

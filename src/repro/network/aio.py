@@ -1,10 +1,9 @@
-"""An asyncio-native socket network engine.
+"""The socket network engine: real loopback sockets on one asyncio loop.
 
-This engine implements the same :class:`~repro.network.engine.NetworkEngine`
-contract as :class:`~repro.network.sockets.SocketNetwork` — attach/detach,
-``send``, ``call_later``, late ``bind_endpoint``/``unbind_endpoint``, the
-emulated in-process multicast — but on **one event loop** instead of a
-thread per socket and a thread per timer:
+This engine drives the same :class:`~repro.network.engine.NetworkNode`
+abstraction as the simulation — attach/detach, ``send``, ``call_later``,
+late ``bind_endpoint``/``unbind_endpoint`` — over real BSD sockets, with
+every socket, timer and handler on **one event loop**:
 
 * **UDP** endpoints are raw non-blocking sockets registered with
   ``loop.add_reader``.  When one is readable the engine's own reader
@@ -18,16 +17,26 @@ thread per socket and a thread per timer:
   what a wake-up does not read stays in the kernel buffer, and a worker
   queue fed by these readers never holds more than bound × feeding
   sockets jobs (docs/architecture.md, "The UDP reader").
+* **UDP multicast** is *emulated in-process*: joining ``239.x.x.x:p`` adds
+  the node to a local registry and sends to that group fan out directly to
+  the members' real UDP sockets.  True IP multicast is often unavailable in
+  containers and CI runners, and the emulation preserves the delivery
+  semantics the framework relies on.
 * **TCP** endpoints become ``asyncio.start_server`` servers.  Each accepted
   connection reads a request (until the peer half-closes or a short idle
   timeout expires), dispatches it, and holds the connection open as the
-  node's **reply channel** until the (possibly delayed) reply is written.
-  Unlike the thread engine, the channel then loops back for the *next*
-  request on the same connection — pipelined sequential exchanges work.
-* **Timers** are ``loop.call_later`` handles: cheap heap entries pruned on
-  fire, not one OS thread each.  This fixes the thread engine's resource
-  leak at the root — a periodic eviction sweep costs a recycled handle per
-  tick instead of a fresh ``threading.Timer`` thread.
+  node's **reply channel**: whatever the node later sends to the ephemeral
+  peer endpoint is written back on the same connection.  The channel
+  survives the node's handler returning — a node that answers *after a
+  delay* (a translated response scheduled behind a processing delay, or a
+  shard router handing the request to a worker queue) still reaches the
+  waiting client, instead of the engine dialling the peer's
+  kernel-ephemeral port and hitting ``ConnectionRefusedError``.  An
+  unanswered connection is closed after ``tcp_reply_timeout`` seconds; an
+  answered one loops back for the *next* request on the same connection
+  (pipelined sequential exchanges).
+* **Timers** are ``loop.call_later`` handles: heap entries pruned on fire,
+  so a periodic eviction sweep costs a recycled handle per tick.
 
 The public surface is a synchronous, thread-safe facade: the event loop
 runs on a dedicated daemon thread, and calls arriving from other threads
@@ -56,14 +65,16 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.errors import ConfigurationError, NetworkError
 from .addressing import Endpoint, Transport
 from .engine import NetworkEngine, NetworkNode
-from .sockets import (
-    DEFAULT_TCP_REPLY_TIMEOUT,
-    FaultInjectorMixin,
-    _RECV_BUFFER,
-    _TCP_IDLE_TIMEOUT,
-)
+from .faults import FaultInjectorMixin
 
 __all__ = ["AsyncSocketNetwork", "AsyncFaultyNetwork", "uvloop_available"]
+
+_RECV_BUFFER = 65536
+_TCP_IDLE_TIMEOUT = 0.2
+
+#: Seconds an accepted TCP connection stays open waiting for the owning
+#: node's (possibly delayed) reply before the engine gives up and closes it.
+DEFAULT_TCP_REPLY_TIMEOUT = 5.0
 
 #: Seconds a cross-thread marshal onto the loop may take before the caller
 #: gives up (generous: only a stopped loop ever gets close).
@@ -166,8 +177,7 @@ class _AsyncTcpReplyChannel:
     """An accepted TCP connection held open as a node's reply channel.
 
     Loop-thread only: writes and the handler's teardown all run on the
-    event loop, so no lock is needed — the single-threaded-loop invariant
-    replaces the thread engine's per-channel lock.
+    event loop, so no lock is needed.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
@@ -192,7 +202,10 @@ class _AsyncTcpReplyChannel:
 class AsyncSocketNetwork(NetworkEngine):
     """Network engine backed by real loopback sockets on one event loop."""
 
-    #: Late binds go through the kernel, exactly like the thread engine.
+    #: Late binds go through the kernel: request port 0 and the OS assigns
+    #: a free ephemeral port.  The automata engine (and the UPnP control
+    #: point) feature-detect this to skip their deterministic port ranges
+    #: and TIME_WAIT quarantine — the kernel manages reuse.
     kernel_ephemeral_ports = True
 
     def __init__(
@@ -216,8 +229,7 @@ class AsyncSocketNetwork(NetworkEngine):
         ] = {}
         self._owned_sockets: Dict[int, List[Tuple[str, Tuple[str, int]]]] = {}
         self._tcp_replies: Dict[Tuple[str, int], _AsyncTcpReplyChannel] = {}
-        #: Live ``loop.call_later`` handles; pruned on fire (the leak fix
-        #: the thread engine needed is structural here).
+        #: Live ``loop.call_later`` handles; pruned on fire.
         self._timers: Set[asyncio.TimerHandle] = set()
         #: In-flight loop tasks (TCP dials, server installs, accepted
         #: connection handlers) — cancelled on close.
@@ -227,8 +239,9 @@ class AsyncSocketNetwork(NetworkEngine):
         #: the mean batch per wake-up, the loop's saturation signal.
         self.udp_wakeups = 0
         self.udp_datagrams = 0
-        #: Exceptions from node handlers and fire-and-forget sends on the
-        #: loop; inspect after a run, like ``SocketNetwork.errors``.
+        #: Exceptions from node handlers, timer callbacks and
+        #: fire-and-forget sends on the loop, which have no caller to raise
+        #: to; inspect after a run, like ``AsyncWorkerLoop.errors``.
         self.errors: List[BaseException] = []
         self._lock = threading.Lock()
         self._dispatch_owner = threading.local()
@@ -291,11 +304,21 @@ class AsyncSocketNetwork(NetworkEngine):
             future.cancel()
             raise NetworkError("event loop did not respond in time") from exc
 
-    # -- dispatch-owner bookkeeping (mirrors SocketNetwork) ------------
+    # -- dispatch-owner bookkeeping -------------------------------------
+    # The node whose handler is currently executing: ``call_later`` reads
+    # it to attribute the timer to that node, so :meth:`detach` can make
+    # the node's outstanding timers no-ops.
     def _current_owner(self) -> Optional[NetworkNode]:
         return getattr(self._dispatch_owner, "node", None)
 
     def _dispatch(self, node: NetworkNode, callback: Callable[[], None]) -> None:
+        """Run ``callback`` with ``node`` as the current dispatch owner.
+
+        Every path that enters node code (datagram delivery, attach,
+        timer callbacks re-entering on behalf of their owner) goes
+        through here, so timers the node schedules — including chained
+        reschedules like the eviction sweep — attribute to it.
+        """
         previous = self._current_owner()
         self._dispatch_owner.node = node
         try:
@@ -337,8 +360,10 @@ class AsyncSocketNetwork(NetworkEngine):
         def run() -> None:
             if handle_box:
                 self._timers.discard(handle_box[0])
-            # Same guards as the thread engine: no firing into a closed
-            # engine, no stale callbacks on behalf of a detached node.
+            # A timer that races close() must not fire into closed
+            # sockets; one scheduled by a since-detached node must not
+            # deliver a stale callback (e.g. an eviction sweep) into a
+            # retry deployment on the same network.
             if not self._running or self._owner_detached(owner):
                 return
             try:
@@ -371,7 +396,9 @@ class AsyncSocketNetwork(NetworkEngine):
         Port release is synchronous (the close is marshalled onto the loop
         and waited for), so a failed deployment can unwind and retry on
         the same endpoints immediately.  Timers the node scheduled become
-        no-ops (same contract as the thread engine).
+        no-ops.  A node that was never attached (or only partially
+        attached before its ``attach`` raised mid-bind) detaches as a
+        no-op / partial cleanup.
         """
         if node not in self._nodes:
             return
@@ -602,10 +629,10 @@ class AsyncSocketNetwork(NetworkEngine):
         """Read one request; returns ``(request, eof)``.
 
         ``request`` is ``None`` when no further request arrived (the
-        pipelined handler then closes the drained connection).  The first
-        read mirrors the thread engine — an idle connection dispatches an
-        empty request after one idle period; later reads wait up to the
-        reply timeout for the next pipelined request.
+        pipelined handler then closes the drained connection).  On the
+        first read an idle connection dispatches an empty request after
+        one idle period; later reads wait up to the reply timeout for the
+        next pipelined request.
         """
         chunks: List[bytes] = []
         window = _TCP_IDLE_TIMEOUT if first else self.tcp_reply_timeout
@@ -670,8 +697,8 @@ class AsyncSocketNetwork(NetworkEngine):
                         del self._tcp_replies[peer_key]
                     channel.retire()
                 if not answered or eof:
-                    # Unanswered: close like the thread engine (the client
-                    # sees EOF).  Answered + peer half-closed: drained.
+                    # Unanswered: close (the client sees EOF).  Answered +
+                    # peer half-closed: drained.
                     break
                 try:
                     await writer.drain()
@@ -709,8 +736,8 @@ class AsyncSocketNetwork(NetworkEngine):
 
     async def _send_async(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
         if (not destination.is_multicast) and destination.transport == Transport.TCP:
-            # Blocking semantics for off-loop callers, mirroring the
-            # thread engine: the dial's failure raises to the sender.
+            # Blocking semantics for off-loop callers: the dial's
+            # failure raises to the sender.
             await self._send_tcp(data, source, destination)
             return
         self._send_now(data, source, destination)
@@ -861,10 +888,8 @@ class AsyncSocketNetwork(NetworkEngine):
 class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
     """An :class:`AsyncSocketNetwork` with seeded UDP fault injection.
 
-    Same :class:`~repro.network.sockets.FaultInjectorMixin` decoration over
-    ``_send_udp`` as the thread engine's ``FaultyNetwork`` — identical
-    seeding, identical window semantics, so chaos schedules replay
-    byte-for-byte across both substrates.
+    See :class:`~repro.network.faults.FaultInjectorMixin` for the
+    injection semantics.
     """
 
     def __init__(

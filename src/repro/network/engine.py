@@ -9,8 +9,9 @@ arrays plus endpoint/colour information, so the engine can be swapped:
 * :class:`repro.network.simulated.SimulatedNetwork` — a deterministic
   discrete-event simulation with a virtual clock, used by the tests and the
   evaluation harness (the paper's testbed latencies are modelled there);
-* :class:`repro.network.sockets.SocketNetwork` — real UDP/TCP sockets on
-  the loopback interface for live demos.
+* :class:`repro.network.aio.AsyncSocketNetwork` — real UDP/TCP sockets on
+  the loopback interface, all on one asyncio event loop, for live
+  deployments and the out-of-process benchmark (``bench/``).
 
 Participants are :class:`NetworkNode` objects: they declare the unicast
 endpoints they own and the multicast groups they join, and receive

@@ -19,7 +19,7 @@ Three artifacts on one timeline:
 * :func:`render_prometheus` + :class:`MetricsEndpoint` — the live
   ``/metrics`` exposition: Prometheus text format (v0.0.4) rendered
   from a ``ShardMetrics`` snapshot plus the tracer's stage histograms,
-  served as an HTTP response over the existing ``SocketNetwork`` TCP
+  served as an HTTP response over the socket engine's existing TCP
   reply channel (the same path the bridges' HTTP legs already use), and
   equally scrapeable on the simulated network for tests.
 """
@@ -59,9 +59,7 @@ _NONDETERMINISTIC_KEYS = frozenset(
         "p99_us",
         "mean_us",
         "total_seconds",
-        "lock_wait_seconds",
         "classify_seconds",
-        "route_lock_wait_seconds",
         "charged_routing_seconds",
     }
 )
@@ -353,7 +351,7 @@ def render_prometheus(
 class MetricsEndpoint(NetworkNode):
     """A `/metrics` scrape target on the deployment's own network.
 
-    Live, the node owns one TCP endpoint on the ``SocketNetwork``: a
+    Live, the node owns one TCP endpoint on the socket engine: a
     scraper connects, sends ``GET /metrics`` (anything, really — the
     node answers every request with the full exposition), half-closes,
     and the response rides the engine's TCP reply channel — exactly the
@@ -361,9 +359,9 @@ class MetricsEndpoint(NetworkNode):
     network the same node answers datagram "scrapes", so the format is
     testable without sockets.
 
-    Rendering runs on the engine's receiver thread and only *reads*
-    (``runtime.metrics()`` snapshots under its own locks; histogram
-    merges copy), so a scrape never blocks the data path.
+    Rendering runs on the engine's loop thread and only *reads*
+    (``runtime.metrics()`` snapshots, histogram merges copy), so a scrape
+    costs the data path one render, never a wait.
     """
 
     def __init__(

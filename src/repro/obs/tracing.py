@@ -14,9 +14,9 @@ The instrumentation contract, tuned for the hot path:
   datagrams.
 * **One logical writer per recorder.**  Each component with a recorder —
   the router, each worker engine — only ever records from one thread at
-  a time (the simulation is single-threaded; live, the router records
-  under ``_route_lock`` and a worker engine under its loop lock), so the
-  ring-buffer append needs no lock.  Metrics/export readers on other
+  a time (the simulation is single-threaded; live, the router and every
+  worker engine record on the event-loop thread), so the ring-buffer
+  append needs no lock.  Metrics/export readers on other
   threads may observe a torn *window* (a span overwritten mid-read) but
   never a torn tuple; the export is a debugging artifact, not a ledger.
 * **Two clock domains.**  Span *durations* for CPU stages are measured

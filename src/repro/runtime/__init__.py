@@ -14,9 +14,12 @@ and *elasticity*:
   N worker engines around one read-only behaviour model, aggregates their
   sessions and statistics, and resizes the pool loss-free (shrinking
   *drains*: no new keys, wait for the session table to empty, detach);
-* :class:`~repro.runtime.live.LiveShardedRuntime` — the same deployment on
-  real loopback sockets, one thread-per-worker event loop each, behind a
-  :class:`~repro.runtime.live.LiveShardRouter`; rebalances in place too;
+* :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` — the same
+  deployment on real loopback sockets: every worker a queue-draining task
+  on the socket engine's one asyncio loop, behind an
+  :class:`~repro.runtime.aio_live.AsyncShardRouter`; rebalances in place
+  too (import it from :mod:`repro.runtime.aio_live` — this package does
+  not pull ``asyncio`` in for simulation-only users);
 * :mod:`~repro.runtime.metrics` — :class:`ShardMetrics` load snapshots
   (session tables, compute backlogs, queue depths, router dispatch cost);
 * :mod:`~repro.runtime.elastic` — the control plane: an
@@ -42,10 +45,8 @@ from .health import (
     HealthPolicy,
     HealthProbe,
     LiveHealthController,
-    wedge_live_worker,
     wedge_simulated_worker,
 )
-from .live import LiveShardedRuntime, LiveShardRouter, WorkerLoop
 from .metrics import RouterMetrics, ShardMetrics, WorkerMetrics
 from .router import ShardRouter
 from .runtime import DEFAULT_WORKERS, VICTIM_STRATEGIES, ScaleEvent, ShardedRuntime
@@ -58,9 +59,6 @@ __all__ = [
     "ShardRouter",
     "ShardedRuntime",
     "ScaleEvent",
-    "LiveShardRouter",
-    "LiveShardedRuntime",
-    "WorkerLoop",
     "DEFAULT_WORKERS",
     "ShardMetrics",
     "WorkerMetrics",
@@ -77,5 +75,4 @@ __all__ = [
     "HealthController",
     "LiveHealthController",
     "wedge_simulated_worker",
-    "wedge_live_worker",
 ]

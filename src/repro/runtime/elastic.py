@@ -284,7 +284,8 @@ class ElasticController:
 
 
 class LiveElasticController(ElasticController):
-    """The control loop as a thread, for :class:`LiveShardedRuntime`.
+    """The control loop as a thread, for the live runtime
+    (:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`).
 
     Same observe-decide-act cycle, but paced by the wall clock: a daemon
     thread wakes every ``interval`` seconds while started.  ``scale_to``

@@ -24,7 +24,7 @@ closes the loop the way the elastic control plane closed the sizing loop:
 * :class:`LiveHealthController` — the same loop as a control thread over
   the **live** runtime.  Live heartbeats are the worker loops' own
   ``heartbeat_at`` stamps (``time.monotonic()``, the same clock as
-  ``SocketNetwork.now()``); the controller posts a no-op ping per loop
+  ``AsyncSocketNetwork.now()``); the controller posts a no-op ping per loop
   per tick so an *idle* loop stays distinguishable from a *wedged* one.
 
 Escalation: ``suspect_after`` consecutive bad probes **quarantines** the
@@ -41,17 +41,17 @@ drain marks, which the controller re-asserts on its next tick.
 The fault injectors the detector is tested against live here too:
 :func:`wedge_simulated_worker` (inflate the victim's busy-until clock —
 deliveries still process, just late, so correctness is preserved while
-every probe signal degrades) and :func:`wedge_live_worker` (post a
-blocking job to the victim's loop: its queue backs up and its heartbeat
-goes stale while posted jobs survive to run after the stall).  The
-network-side injector (:class:`~repro.network.sockets.FaultyNetwork`)
+every probe signal degrades); its live counterpart is
+:meth:`~repro.runtime.aio_live.AsyncLiveShardedRuntime.wedge_worker` (an
+awaited sleep posted to the victim's loop: its queue backs up and its
+heartbeat goes stale while posted jobs survive to run after the stall).  The
+network-side injector (:class:`~repro.network.aio.AsyncFaultyNetwork`)
 lives with the socket engine.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -69,7 +69,6 @@ __all__ = [
     "HealthController",
     "LiveHealthController",
     "wedge_simulated_worker",
-    "wedge_live_worker",
     "HEALTHY",
     "SUSPECT",
     "FAILED",
@@ -566,9 +565,10 @@ class LiveHealthController(HealthController):
     live-specific differences:
 
     * heartbeats are not scheduled pulses — every worker loop stamps
-      ``heartbeat_at`` (``time.monotonic()``, the ``SocketNetwork.now()``
-      clock) after each job, and the controller posts a no-op **ping**
-      per loop per tick so idle loops keep proving liveness;
+      ``heartbeat_at`` (``time.monotonic()``, the
+      ``AsyncSocketNetwork.now()`` clock) after each job, and the
+      controller posts a no-op **ping** per loop per tick so idle loops
+      keep proving liveness;
     * ``replace_worker`` on the live runtime blocks through the victim's
       drain.  That blocks only this control thread — the data path keeps
       running — and the next tick resumes against the settled pool.
@@ -626,8 +626,9 @@ class LiveHealthController(HealthController):
 
 
 # ----------------------------------------------------------------------
-# fault injectors (time faults; the network fault injector is
-# repro.network.sockets.FaultyNetwork)
+# fault injector (time faults on the simulation; live it is
+# AsyncLiveShardedRuntime.wedge_worker, and the network fault injector is
+# repro.network.aio.AsyncFaultyNetwork)
 # ----------------------------------------------------------------------
 def wedge_simulated_worker(
     runtime: ShardedRuntime,
@@ -648,25 +649,3 @@ def wedge_simulated_worker(
     worker = runtime.workers[runtime.worker_ids.index(worker_id)]
     worker.stall_processing(network.now(), seconds)
 
-
-def wedge_live_worker(runtime, worker_id: int, seconds: float) -> None:
-    """Wedge one live worker's loop for ``seconds`` of wall time.
-
-    Posts a blocking job (``time.sleep``) to the victim's
-    :class:`~repro.runtime.live.WorkerLoop`: the loop thread stalls, its
-    queue backs up, and its heartbeat stamp goes stale — while every job
-    posted behind the stall survives to run afterwards, so the drain that
-    follows detection still completes loss-free.
-
-    A runtime may provide its own ``wedge_worker`` injector — the asyncio
-    runtime must (a blocking sleep on the shared event loop would wedge
-    *every* worker, not the victim): it posts an awaited ``asyncio.sleep``
-    that stalls only the victim's drain task.
-    """
-    if seconds < 0:
-        raise ConfigurationError(f"cannot wedge for {seconds!r} seconds")
-    wedge = getattr(runtime, "wedge_worker", None)
-    if wedge is not None:
-        wedge(worker_id, seconds)
-        return
-    runtime.post_to_worker(worker_id, partial(time.sleep, seconds))

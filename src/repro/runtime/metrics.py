@@ -6,8 +6,7 @@ snapshot types the control plane consumes:
 * :class:`WorkerMetrics` — one worker engine's load at a point in time:
   session-table size, completed/evicted counts, the serialised-compute
   backlog (how far the busy-until clock is ahead of *now*), and — on the
-  live runtime — the worker loop's queue depth and accumulated lock-wait
-  time;
+  live runtime — the worker loop's queue depth;
 * :class:`RouterMetrics` — the shard router's own counters: routed /
   unrouted / echo totals, sticky-table size, and the measured wall-clock
   cost of its classify-and-place step, which is what makes the "router is
@@ -18,8 +17,7 @@ snapshot types the control plane consumes:
   but receive no new keys).
 
 Snapshots are plain frozen dataclasses: producing one never blocks the
-data path beyond the locks the live runtime already holds to read worker
-state, and consuming one (the :class:`~repro.runtime.elastic.Autoscaler`)
+data path, and consuming one (the :class:`~repro.runtime.elastic.Autoscaler`)
 is pure computation that can be unit-tested without a network.
 """
 
@@ -85,9 +83,6 @@ class WorkerMetrics:
     draining: bool = False
     #: Live runtime only: jobs waiting in the worker loop's queue.
     queue_depth: int = 0
-    #: Live runtime only: cumulative seconds threads spent waiting to
-    #: acquire this worker's loop lock (router fan-out contention).
-    lock_wait_seconds: float = 0.0
     #: The worker's stable membership id (survives pool compaction after
     #: an arbitrary-worker drain; ``index`` is just the list position).
     worker_id: int = -1
@@ -98,7 +93,7 @@ class WorkerMetrics:
     #: running any parser (garbage floods become cheap rejects).
     garbage_rejects: int = 0
     #: Live runtime only: exceptions the worker loop caught while running
-    #: jobs (``WorkerLoop.errors``); always 0 on the simulation.
+    #: jobs (``AsyncWorkerLoop.errors``); always 0 on the simulation.
     errors: int = 0
     #: Seconds since the worker last proved liveness: on the live runtime,
     #: since its loop last finished a job; on the simulation, since the
@@ -126,7 +121,6 @@ class WorkerMetrics:
             "busy_backlog_s": round(self.busy_backlog, 6),
             "draining": self.draining,
             "queue_depth": self.queue_depth,
-            "lock_wait_s": round(self.lock_wait_seconds, 6),
             "discriminator_misses": self.discriminator_misses,
             "garbage_rejects": self.garbage_rejects,
             "errors": self.errors,
@@ -151,9 +145,6 @@ class RouterMetrics:
     #: seconds even on the simulation: the router's compute is what this
     #: measures, not the virtual clock.
     classify_seconds: float
-    #: Live router only: cumulative seconds receiver threads waited for
-    #: the route lock before classifying (router-lock contention).
-    route_lock_wait_seconds: float = 0.0
     #: Simulated router only: cumulative *virtual* seconds of modelled
     #: router compute charged by the ``routing_delay`` busy-until clock
     #: (0.0 when the router cost is measured but not modelled).
@@ -165,16 +156,16 @@ class RouterMetrics:
     #: before any parser ran.
     garbage_rejects: int = 0
     #: Live runtime only: socket-layer errors the network recorded
-    #: (``SocketNetwork.errors``); always 0 on the simulation.
+    #: (``AsyncSocketNetwork.errors``); always 0 on the simulation.
     network_errors: int = 0
     #: Live runtime only: TCP replies dropped because the client
-    #: connection was already gone (``SocketNetwork.tcp_replies_dropped``).
+    #: connection was already gone
+    #: (``AsyncSocketNetwork.tcp_replies_dropped``).
     tcp_replies_dropped: int = 0
-    #: Asyncio substrate only: UDP reader wake-ups and the datagrams they
+    #: Live runtime only: UDP reader wake-ups and the datagrams they
     #: drained (``AsyncSocketNetwork.udp_wakeups`` / ``udp_datagrams``).
     #: Their ratio is the mean batch per wake-up — near 1 on an idle loop,
-    #: approaching the drain bound on a saturated one.  0 on the thread
-    #: engine (a blocking receiver per socket has no wake-ups to count).
+    #: approaching the drain bound on a saturated one.
     udp_wakeups: int = 0
     udp_datagrams: int = 0
 
@@ -193,7 +184,6 @@ class RouterMetrics:
             "sticky_entries": self.sticky_entries,
             "classify_count": self.classify_count,
             "classify_cost_avg_us": round(self.classify_cost_avg_us, 2),
-            "route_lock_wait_s": round(self.route_lock_wait_seconds, 6),
             "charged_routing_s": round(self.charged_routing_seconds, 6),
             "discriminator_misses": self.discriminator_misses,
             "garbage_rejects": self.garbage_rejects,

@@ -113,11 +113,10 @@ class ShardRouter(NetworkNode):
         #: Session key -> worker id, pinned for the session's lifetime.
         self._sticky: Dict[Hashable, Hashable] = {}
         #: Keys whose session a worker reported closed, awaiting removal
-        #: from the sticky table.  Appended from worker engines (worker
-        #: threads on the live runtime; ``deque.append`` is atomic) and
-        #: consumed under the routing discipline at the next routing
-        #: operation, prune sweep or drain check — so completed sessions
-        #: unpin promptly instead of waiting for the periodic sweep.
+        #: from the sticky table.  Appended from worker engines and
+        #: consumed at the next routing operation, prune sweep or drain
+        #: check — so completed sessions unpin promptly instead of waiting
+        #: for the periodic sweep.
         self._closed_keys: Deque[Hashable] = deque()
         #: Datagrams no shard claimed (aggregate of the fan-out passes).
         self.unrouted_datagrams = 0
@@ -136,9 +135,6 @@ class ShardRouter(NetworkNode):
         #: The modelled busy-until clock: hand-offs are delayed until the
         #: router's serial compute would actually have finished.
         self._route_busy_until = 0.0
-        #: Live router only (accumulated by the subclass): seconds receiver
-        #: threads spent waiting for the route lock.
-        self.route_lock_wait_seconds = 0.0
         #: The router's *own* classify outcome counters: edge classifies
         #: run against worker 0's read-only model but are charged here via
         #: the classify ``counters=`` redirect, so router + worker counters
@@ -351,12 +347,12 @@ class ShardRouter(NetworkNode):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    # The two overridable seams below are how the live (thread-per-worker)
-    # router of :mod:`repro.runtime.live` reuses this routing logic over
-    # real sockets: ``_hand_off`` decides *where* a delivery closure runs
-    # (a simulated event here, a worker thread's queue live), and
-    # ``_dispatch_to`` decides *how* one worker's engine is invoked (bare
-    # here, under the worker's lock and engine view live).
+    # The two overridable seams below are how the live router of
+    # :mod:`repro.runtime.aio_live` reuses this routing logic over real
+    # sockets: ``_hand_off`` decides *where* a delivery closure runs (a
+    # simulated event here, a worker's queue live), and ``_dispatch_to``
+    # decides *how* one worker's engine is invoked (bare here, through the
+    # worker's engine view live).
 
     def _charge_routing(self, now: float) -> float:
         """Occupy the modelled router clock; return the queueing delay.
@@ -424,7 +420,7 @@ class ShardRouter(NetworkNode):
         )
 
     def _record_outcome(self, routed: bool) -> None:
-        """Count one delivery's outcome (overridable for thread-safety)."""
+        """Count one delivery's outcome."""
         if routed:
             self.routed_datagrams += 1
         else:
@@ -500,10 +496,10 @@ class ShardRouter(NetworkNode):
 
         Wired as the workers' ``session_close_listener``; may run on any
         thread (the ``deque`` append is atomic), so the sticky entry is
-        only *queued* for removal here and actually dropped under the
-        routing discipline by :meth:`_flush_closed_keys` — at the next
-        datagram, prune sweep or drain check.  This is what keeps drain
-        latency bounded by session lifetime instead of the prune interval.
+        only *queued* for removal here and actually dropped by
+        :meth:`_flush_closed_keys` — at the next datagram, prune sweep or
+        drain check.  This is what keeps drain latency bounded by session
+        lifetime instead of the prune interval.
         """
         self._closed_keys.append(key)
 
@@ -521,7 +517,7 @@ class ShardRouter(NetworkNode):
             if worker_id is None:
                 continue
             worker = self._by_id.get(worker_id)
-            if worker is not None and self._has_session(worker, key):
+            if worker is not None and worker.has_session(key):
                 continue
             del self._sticky[key]
 
@@ -531,15 +527,6 @@ class ShardRouter(NetworkNode):
         self._prune_scheduled = True
         engine.call_later(self.prune_interval, lambda: self._prune(engine))
 
-    def _has_session(self, worker, key: Hashable) -> bool:
-        """Probe one worker's session table (overridable for thread-safety).
-
-        The live router overrides this to take the worker's loop lock:
-        pruning runs on a timer thread there, and worker state must never
-        be read while a worker-loop thread mutates it.
-        """
-        return worker.has_session(key)
-
     def _prune(self, engine: NetworkEngine) -> None:
         self._prune_scheduled = False
         self._flush_closed_keys()
@@ -547,7 +534,7 @@ class ShardRouter(NetworkNode):
             key: worker_id
             for key, worker_id in self._sticky.items()
             if worker_id in self._by_id
-            and self._has_session(self._by_id[worker_id], key)
+            and self._by_id[worker_id].has_session(key)
         }
         if self._sticky:
             self._ensure_pruner(engine)
@@ -561,11 +548,7 @@ class ShardRouter(NetworkNode):
     # metrics
     # ------------------------------------------------------------------
     def metrics(self) -> RouterMetrics:
-        """The router's counters as an immutable snapshot.
-
-        The live subclass wraps this in its route lock; here the event
-        loop serialises access already.
-        """
+        """The router's counters as an immutable snapshot."""
         return RouterMetrics(
             routed_datagrams=self.routed_datagrams,
             unrouted_datagrams=self.unrouted_datagrams,
@@ -573,7 +556,6 @@ class ShardRouter(NetworkNode):
             sticky_entries=len(self._sticky),
             classify_count=self.classify_count,
             classify_seconds=self.classify_seconds,
-            route_lock_wait_seconds=self.route_lock_wait_seconds,
             charged_routing_seconds=self.charged_routing_seconds,
             discriminator_misses=self.discriminator_misses,
             garbage_rejects=self.garbage_rejects,

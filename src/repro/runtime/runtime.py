@@ -36,8 +36,8 @@ is a serial resource, and the router hands datagrams over as fresh events.
 Throughput therefore scales with the worker count until the legacy
 protocol latencies dominate — the same shape a process-per-shard
 deployment shows on real hardware.  The same objects deploy unchanged on
-:class:`~repro.network.sockets.SocketNetwork`, where each worker's
-receiver threads provide the parallelism.
+real loopback sockets (:mod:`repro.runtime.aio_live`), where every worker
+is a queue-draining task on the socket engine's one event loop.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class ShardedRuntime:
     evaluation scenarios drive either deployment interchangeably.  Build
     one from an undeployed bridge with :meth:`from_bridge`, or directly
     from the models.  For a deployment over real sockets use the
-    :class:`~repro.runtime.live.LiveShardedRuntime` subclass, which runs
-    each worker on its own thread.
+    :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` subclass,
+    which runs each worker as a task on the socket engine's event loop.
     """
 
     def __init__(
@@ -363,7 +363,7 @@ class ShardedRuntime:
 
         Ties prefer the highest pool position, so a uniformly-loaded pool
         selects exactly the suffix.  On the live runtime the session
-        counts are sampled without the loop locks — victim choice is a
+        counts are sampled off the loop thread — victim choice is a
         heuristic, not a correctness decision.
         """
         if strategy not in VICTIM_STRATEGIES:
@@ -766,8 +766,8 @@ class ShardedRuntime:
         draining: bool,
         worker_id: int,
     ) -> WorkerMetrics:
-        """One worker's load row (the live subclass reads under the loop
-        lock and adds queue depth and lock-wait time)."""
+        """One worker's load row (the live subclass adds queue depth,
+        loop errors and the loop's own heartbeat stamp)."""
         recorder = self.tracer.find(worker.name)
         return WorkerMetrics(
             index=index,

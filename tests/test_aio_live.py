@@ -1,9 +1,10 @@
-"""Tests for the asyncio-native live runtime (`repro.runtime.aio_live`).
+"""Tests for the live runtime's event-loop mechanics (`repro.runtime.aio_live`).
 
-The async runtime must be observably identical to the thread runtime —
-same deploy/scale/drain choreography, same loss-free guarantees, and
-byte-identical bridge outputs against the simulated twin — while running
-every worker as a single-loop task instead of a thread.
+What is particular to running every worker as a task on one loop: the
+byte-identity invariant at any shard count, a wedge that stalls one
+worker and not the loop, immediate sticky unpinning, and the reader
+counters on the metrics row.  ``tests/test_live_sharding.py`` covers the
+deploy/scale/teardown choreography.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import time
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.network.sockets import SocketNetwork, loopback_available
 from repro.evaluation.telemetry import lint_prometheus
 from repro.evaluation.workloads import live_sharded_scenario, live_twin_scenario
+from repro.network.sockets import loopback_available
+from repro.network.simulated import SimulatedNetwork
 from repro.obs import render_prometheus
 
 pytestmark = pytest.mark.skipif(
@@ -23,15 +25,15 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_aio_outputs_are_byte_identical_to_the_simulated_twin(workers):
-    """The acceptance invariant, on the event-loop substrate.
+    """The acceptance invariant: going live must not change a byte.
 
     Same case, same clients, same shard count: every raw translated byte
     a live client receives over real sockets must equal what its twin
     received on the deterministic simulation — at any shard count.
     """
-    live = live_sharded_scenario(2, clients=6, workers=workers, runtime="aio")
+    live = live_sharded_scenario(2, clients=6, workers=workers)
     result = live.run(timeout=20.0)
     assert result.all_found
     live_bytes = live.raw_responses_by_client
@@ -45,7 +47,7 @@ def test_aio_outputs_are_byte_identical_to_the_simulated_twin(workers):
 
 def test_aio_scale_up_and_drain_down_is_loss_free():
     """Growing then shrinking the pool must not abandon sessions."""
-    live = live_sharded_scenario(2, clients=10, workers=2, runtime="aio")
+    live = live_sharded_scenario(2, clients=10, workers=2)
     runtime = live.runtime
     runtime.scale_to(4)
     assert runtime.worker_count == 4
@@ -65,7 +67,7 @@ def test_aio_wedge_stalls_only_the_victim_worker():
     the victim's drain task: other workers keep answering pings while the
     victim's heartbeat goes stale.
     """
-    live = live_sharded_scenario(2, clients=4, workers=3, runtime="aio")
+    live = live_sharded_scenario(2, clients=4, workers=3)
     runtime = live.runtime
     try:
         victim = runtime._worker_ids[0]
@@ -86,7 +88,7 @@ def test_aio_wedge_stalls_only_the_victim_worker():
 
 
 def test_aio_wedge_validates_worker_id():
-    live = live_sharded_scenario(2, clients=2, workers=2, runtime="aio")
+    live = live_sharded_scenario(2, clients=2, workers=2)
     try:
         with pytest.raises(ConfigurationError):
             live.runtime.wedge_worker(99, 0.1)
@@ -97,23 +99,21 @@ def test_aio_wedge_validates_worker_id():
         live.network.close()
 
 
-def test_aio_runtime_rejects_a_thread_network():
-    """Deploying the async runtime on the thread engine is a config error."""
+def test_aio_runtime_rejects_a_non_asyncio_network():
+    """The live runtime needs the socket engine's loop: deploying it on
+    anything else (the simulation, say) is a configuration error."""
     from repro.runtime.aio_live import AsyncLiveShardedRuntime
     from repro.evaluation.workloads import _live_bridge
 
     runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=1)
-    network = SocketNetwork()
-    try:
-        with pytest.raises(ConfigurationError):
-            runtime.deploy(network)
-    finally:
-        network.close()
+    with pytest.raises(ConfigurationError):
+        runtime.deploy(SimulatedNetwork())
+    assert runtime.router is None
 
 
 def test_aio_metrics_stay_lean_without_latency():
     """`metrics(include_latency=False)` skips histogram work on the hot path."""
-    live = live_sharded_scenario(2, clients=4, workers=2, runtime="aio")
+    live = live_sharded_scenario(2, clients=4, workers=2)
     try:
         lean = live.runtime.metrics(include_latency=False)
         assert len(lean.workers) == 2
@@ -129,12 +129,12 @@ def test_aio_idle_bridge_holds_no_sticky_pins(workers):
 
     Session closes are reported on the loop thread — the routing thread —
     so the router unpins at once.  Deferring the flush to the next routed
-    datagram (as the thread router must) left the last sessions' keys in
-    the table of an idle bridge until the 15 s prune, and ``/metrics``
-    ``sticky_entries`` over-reported the same way.
+    datagram (as the simulated router does) would leave the last sessions'
+    keys in the table of an idle bridge until the 15 s prune, and
+    ``/metrics`` ``sticky_entries`` would over-report the same way.
     """
     live = live_sharded_scenario(
-        2, clients=12, workers=workers, processing_delay=0.0, runtime="aio"
+        2, clients=12, workers=workers, processing_delay=0.0
     )
     try:
         started = [

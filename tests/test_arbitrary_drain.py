@@ -28,15 +28,12 @@ import pytest
 from case2_utils import SERVICE_URL, attach_clients, deploy_case2, mdns_answer
 from repro.core.errors import ConfigurationError, EngineError
 from repro.network.addressing import Endpoint, Transport
+from repro.network.aio import AsyncSocketNetwork
 from repro.network.latency import LatencyModel
-from repro.network.sockets import SocketNetwork, loopback_available
+from repro.network.sockets import loopback_available
 from repro.protocols.mdns import BonjourResponder
-from repro.runtime import (
-    Autoscaler,
-    AutoscalerPolicy,
-    ElasticController,
-    LiveShardedRuntime,
-)
+from repro.runtime import Autoscaler, AutoscalerPolicy, ElasticController
+from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 live_only = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -271,8 +268,8 @@ class TestArbitraryDrainLive:
         from repro.evaluation.workloads import _live_bridge, _live_case_parts
 
         clients, service, target, _ = _live_case_parts(2, 9)
-        runtime = LiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=3)
-        network = SocketNetwork()
+        runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=3)
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             network.attach(service)
@@ -315,8 +312,8 @@ class TestArbitraryDrainLive:
         pass aborts before the surviving shards are offered the datagram."""
         from repro.evaluation.workloads import _live_bridge
 
-        runtime = LiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
-        network = SocketNetwork()
+        runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             router = runtime.router
@@ -345,10 +342,10 @@ class TestArbitraryDrainLive:
         clients, _, target, _ = _live_case_parts(2, 1)
         # No service attached: the lookup stalls until the (short) session
         # timeout evicts it.
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             _live_bridge(2, 0.0), workers=2, session_timeout=1.0
         )
-        network = SocketNetwork()
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             (client,) = clients
@@ -400,10 +397,10 @@ class TestArbitraryDrainLive:
         from repro.evaluation.workloads import _live_bridge, _live_case_parts
 
         clients, _, target, _ = _live_case_parts(2, 1)
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             _live_bridge(2, 0.0), workers=2, session_timeout=30.0
         )
-        network = SocketNetwork()
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             (client,) = clients

@@ -519,7 +519,8 @@ class TestPerLookupClientPorts:
 # ----------------------------------------------------------------------
 import time as _time
 
-from repro.network.sockets import SocketNetwork, loopback_available
+from repro.network.aio import AsyncSocketNetwork
+from repro.network.sockets import loopback_available
 
 live_only = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -537,16 +538,16 @@ def _await_results(pairs, timeout: float = 10.0) -> bool:
 
 @live_only
 def test_live_scale_to_both_directions_byte_identical():
-    """Acceptance: `LiveShardedRuntime.scale_to` works in both directions
+    """Acceptance: `AsyncLiveShardedRuntime.scale_to` works in both directions
     and a run that resizes 1 -> 3 -> 1 mid-traffic hands every client the
     exact bytes a fixed-shard run does."""
     from repro.evaluation.workloads import _live_bridge, _live_case_parts
-    from repro.runtime import LiveShardedRuntime
+    from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
     def run_elastic_live():
         clients, service, target, _ = _live_case_parts(2, 9)
-        runtime = LiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=1)
-        network = SocketNetwork()
+        runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=1)
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             network.attach(service)
@@ -579,8 +580,8 @@ def test_live_scale_to_both_directions_byte_identical():
 
     def run_fixed_live():
         clients, service, target, _ = _live_case_parts(2, 9)
-        runtime = LiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
-        network = SocketNetwork()
+        runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
+        network = AsyncSocketNetwork()
         try:
             runtime.deploy(network)
             network.attach(service)
@@ -601,11 +602,12 @@ def test_live_elastic_controller_runs_and_stops_cleanly():
     """The live control thread ticks against a deployed runtime without
     errors; unreachable watermarks mean it observes but never scales."""
     from repro.evaluation.workloads import _live_bridge, _live_case_parts
-    from repro.runtime import LiveElasticController, LiveShardedRuntime
+    from repro.runtime import LiveElasticController
+    from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
     clients, service, target, _ = _live_case_parts(2, 4)
-    runtime = LiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
-    network = SocketNetwork()
+    runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
+    network = AsyncSocketNetwork()
     controller = LiveElasticController(
         runtime,
         Autoscaler(AutoscalerPolicy(scale_up_at=1e9, scale_down_at=0.0)),

@@ -11,9 +11,9 @@ ceilings can never trip the detector, however long it is probed.
 
 The controller half deploys real runtimes and injects real faults: a
 wedged simulated worker (stalled busy-until clock) and a wedged live
-worker loop (a blocking job) must each be detected and replaced **within
+worker loop (an awaited sleep) must each be detected and replaced **within
 the configured probe budget** by the controller alone.  The
-``FaultyNetwork`` tests pin the seeded injector's determinism and its
+``AsyncFaultyNetwork`` tests pin the seeded injector's determinism and its
 loss-window bounds: same seed → the same drop/dup/reorder trace, and no
 fault ever leaks outside a window.
 """
@@ -36,23 +36,19 @@ settings.load_profile("repro")
 from repro.bridges.specs import BRIDGE_BUILDERS
 from repro.core.errors import ConfigurationError
 from repro.network.addressing import Endpoint, Transport
+from repro.network.aio import AsyncFaultyNetwork, AsyncSocketNetwork
+from repro.network.faults import FaultPlan
 from repro.network.simulated import SimulatedNetwork
-from repro.network.sockets import (
-    FaultPlan,
-    FaultyNetwork,
-    SocketNetwork,
-    loopback_available,
-)
+from repro.network.sockets import loopback_available
 from repro.runtime import (
     FailureDetector,
     HealthController,
     HealthPolicy,
     LiveHealthController,
-    LiveShardedRuntime,
     ShardedRuntime,
-    wedge_live_worker,
     wedge_simulated_worker,
 )
+from repro.runtime.aio_live import AsyncLiveShardedRuntime
 from repro.runtime.health import FAILED, HEALTHY, SUSPECT
 from repro.runtime.metrics import RouterMetrics, ShardMetrics, WorkerMetrics
 
@@ -403,19 +399,19 @@ class TestLiveController:
             fail_after=3,
             cooldown=1.0,
         )
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47200), workers=2
         )
         controller = LiveHealthController(
             runtime, FailureDetector(policy), interval=0.05
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             try:
                 controller.start()
                 victim = runtime.worker_ids[0]
                 wedge_at = time.monotonic()
-                wedge_live_worker(runtime, victim, 0.8)
+                runtime.wedge_worker(victim, 0.8)
                 deadline = time.monotonic() + 15.0
                 while (
                     time.monotonic() < deadline
@@ -444,11 +440,11 @@ class TestLiveController:
                 runtime.undeploy()
 
     def test_wedge_injector_rejects_negative_duration(self):
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47300), workers=1
         )
         with pytest.raises(ConfigurationError):
-            wedge_live_worker(runtime, 0, -1.0)
+            runtime.wedge_worker(0, -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +494,7 @@ class TestFaultyNetwork:
         sock, destination = self._receiver()
 
         def run(seed):
-            network = FaultyNetwork(seed=seed)
+            network = AsyncFaultyNetwork(seed=seed)
             try:
                 network.open_loss_window()
                 for index in range(40):
@@ -524,12 +520,12 @@ class TestFaultyNetwork:
             sock.close()
 
     def test_faults_never_leak_outside_a_window(self):
-        """Outside a window the engine is a plain SocketNetwork: no
+        """Outside a window the engine is a plain AsyncSocketNetwork: no
         verdicts drawn, nothing counted — and closing a window flushes the
         held (reordered) datagram, so the one-slot swap cannot leak."""
         source = Endpoint("127.0.0.1", 45996, Transport.UDP)
         sock, destination = self._receiver()
-        network = FaultyNetwork(seed=1, loss=0.0, duplicate=0.0, reorder=1.0)
+        network = AsyncFaultyNetwork(seed=1, loss=0.0, duplicate=0.0, reorder=1.0)
         try:
             network._send_udp(b"before", source, destination)
             assert network.decisions == []

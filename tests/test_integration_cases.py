@@ -15,11 +15,12 @@ from repro.bridges.specs import BRIDGE_BUILDERS
 from repro.core.errors import EngineError
 from repro.network.latency import LatencyModel
 from repro.network.simulated import SimulatedNetwork
-from repro.network.sockets import SocketNetwork, loopback_available
+from repro.network.aio import AsyncSocketNetwork
+from repro.network.sockets import loopback_available
 from repro.protocols.mdns import BonjourBrowser, BonjourResponder
 from repro.protocols.slp import SLPServiceAgent, SLPUserAgent
 from repro.protocols.upnp import UPnPControlPoint, UPnPDevice
-from repro.runtime import LiveShardedRuntime
+from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 _FAST = LatencyModel(0.001, 0.002)
 _NONE = LatencyModel(0.0, 0.0)
@@ -195,7 +196,7 @@ class TestCase6BonjourToSlp:
     not loopback_available(), reason="loopback sockets unavailable in this environment"
 )
 class TestLiveBridgeCases:
-    """The bridge cases over real loopback sockets (SocketNetwork).
+    """The bridge cases over real loopback sockets (AsyncSocketNetwork).
 
     The TCP/HTTP legs exercise the engine's reply-channel handling: the
     bridge's translated HTTP response is scheduled behind its processing
@@ -211,7 +212,7 @@ class TestLiveBridgeCases:
         bridge = BRIDGE_BUILDERS[3](
             host="127.0.0.1", base_port=46300, processing_delay=0.01
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             bridge.deploy(network)
             service = SLPServiceAgent(
                 host="127.0.0.1", port=46390, latency=self._FAST_LIVE
@@ -239,8 +240,8 @@ class TestLiveBridgeCases:
             host="127.0.0.1", base_port=46400, processing_delay=0.01
         )
         bridge.validate()
-        runtime = LiveShardedRuntime.from_bridge(bridge, workers=2)
-        with SocketNetwork() as network:
+        runtime = AsyncLiveShardedRuntime.from_bridge(bridge, workers=2)
+        with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             service = SLPServiceAgent(
                 host="127.0.0.1", port=46490, latency=self._FAST_LIVE
@@ -266,7 +267,7 @@ class TestLiveBridgeCases:
         bridge = BRIDGE_BUILDERS[1](
             host="127.0.0.1", base_port=46500, processing_delay=0.01
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             bridge.deploy(network)
             device = UPnPDevice(
                 host="127.0.0.1",

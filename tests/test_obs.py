@@ -35,7 +35,8 @@ from repro.evaluation.workloads import (
     sharded_scenario,
 )
 from repro.network.addressing import Endpoint, Transport
-from repro.network.sockets import SocketNetwork, loopback_available
+from repro.network.aio import AsyncSocketNetwork
+from repro.network.sockets import loopback_available
 from repro.obs.tracing import (
     STAGE_DISPATCH,
     STAGE_INGRESS,
@@ -49,7 +50,7 @@ from repro.obs.tracing import (
     export_traces,
 )
 from repro.protocols.mdns import BonjourResponder
-from repro.runtime import LiveShardedRuntime
+from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 live_only = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -341,17 +342,16 @@ class TestLiveTracing:
         _assert_all_complete(export)
 
     def test_live_metrics_surface_error_counters(self):
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47200), workers=2
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             snapshot = runtime.metrics()
             runtime.undeploy()
         assert snapshot.router.network_errors == 0
         assert snapshot.router.tcp_replies_dropped == 0
-        # Reader counters exist only on the asyncio engine; the thread
-        # engine's rows carry the same names at zero.
+        # No datagram arrived: the reader counters ride on the row at zero.
         assert snapshot.router.udp_wakeups == 0
         assert snapshot.router.udp_datagrams == 0
         assert all(worker.errors == 0 for worker in snapshot.workers)
@@ -480,10 +480,10 @@ class TestConservedCounters:
 
     @live_only
     def test_live_counters_survive_churn_too(self):
-        runtime = LiveShardedRuntime.from_bridge(
+        runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47300), workers=3
         )
-        with SocketNetwork() as network:
+        with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             assert runtime.worker_ids == [0, 1, 2]
             before = (

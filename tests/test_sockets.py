@@ -1,10 +1,9 @@
-"""Tests for the loopback socket network engines.
+"""Tests for the loopback socket network engine.
 
-The contract suite runs twice — once against the thread-per-socket
-:class:`SocketNetwork` and once against the event-loop
-:class:`AsyncSocketNetwork` — because the two engines promise the same
-``NetworkEngine`` behaviour on different substrates.  All tests exercise
-real UDP/TCP sockets on 127.0.0.1 plus the in-process multicast
+The suite runs once per event loop the platform has — the stdlib loop
+always, uvloop where it is installed — against
+:class:`AsyncSocketNetwork`'s ``NetworkEngine`` contract.  All tests
+exercise real UDP/TCP sockets on 127.0.0.1 plus the in-process multicast
 emulation, and are skipped automatically when the environment forbids
 binding loopback sockets (some sandboxes do).
 """
@@ -19,20 +18,26 @@ from typing import List
 import pytest
 
 from repro.network.addressing import Endpoint, Transport
-from repro.network.aio import _DRAIN_BOUND, AsyncSocketNetwork, uvloop_available
+from repro.network.aio import (
+    _DRAIN_BOUND,
+    AsyncSocketNetwork,
+    _AsyncTcpReplyChannel,
+    uvloop_available,
+)
 from repro.network.engine import NetworkNode
-from repro.network.sockets import SocketNetwork, loopback_available
+from repro.network.sockets import loopback_available
 
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
 )
 
-ENGINES = {"thread": SocketNetwork, "aio": AsyncSocketNetwork}
+#: ``use_uvloop`` values the suite runs under.
+LOOPS = [False] + ([True] if uvloop_available() else [])
 
 
-@pytest.fixture(params=sorted(ENGINES))
+@pytest.fixture(params=LOOPS, ids=lambda use_uvloop: "uvloop" if use_uvloop else "aio")
 def make_network(request):
-    """Factory fixture: one engine flavour per parameterized run.
+    """Factory fixture: one event loop per parameterized run.
 
     Engines opened through the factory are closed on teardown even when
     the test body raises before its ``with`` block would have.
@@ -40,7 +45,7 @@ def make_network(request):
     opened = []
 
     def factory(**kwargs):
-        network = ENGINES[request.param](**kwargs)
+        network = AsyncSocketNetwork(use_uvloop=request.param, **kwargs)
         opened.append(network)
         return network
 
@@ -80,7 +85,7 @@ class DelayedEchoTcp(Sink):
 
     This is the shape of every bridged TCP exchange: the automata engine
     schedules the translated response behind its processing delay (and a
-    shard router first hands the request to a worker thread), so the reply
+    shard router first hands the request to a worker queue), so the reply
     is sent long after ``on_datagram`` returned.  The engine must keep the
     accepted connection open as the reply channel until then.
     """
@@ -206,41 +211,34 @@ def test_tcp_unanswered_connection_closes_after_reply_timeout(make_network):
 def test_reply_after_channel_close_is_dropped_not_raised():
     """Regression: a reply losing the race against the handler's timeout.
 
-    ``send()`` can fetch the reply channel just before the handler's
-    ``finally`` pops and closes it; the write must then be counted as a
-    dropped reply, not raise on (and kill) the sending timer thread, and
-    not fall through to dialling the peer's kernel-ephemeral port.
-
-    Thread engine only — it pokes the engine's internals.  The async
-    engine's equivalent race is covered by
-    ``test_delayed_reply_past_timeout_lands_in_error_log``, which runs on
-    both engines.
+    A sender can find the reply channel just as the handler's timeout
+    retires it; the write must then be counted as a dropped reply — not
+    raise to the sender, not land in ``errors``, and not fall through to
+    dialling the peer's kernel-ephemeral port.  (It pokes the engine's
+    internals to hit the window; the same race by timing alone is
+    ``test_delayed_reply_past_timeout_lands_in_error_log``.)
     """
-    from repro.network.sockets import _TcpReplyChannel
-
-    with SocketNetwork() as network:
-        a, b = socket.socketpair()
-        channel = _TcpReplyChannel(a)
-        channel.close()
-        b.close()
+    with AsyncSocketNetwork() as network:
+        channel = _AsyncTcpReplyChannel(writer=None)
+        channel.retire()
         peer = ("127.0.0.1", 54321)
-        with network._lock:
-            network._tcp_replies[peer] = channel
-        network._send_tcp(
+        network._tcp_replies[peer] = channel
+        network.send(
             b"too late",
             Endpoint("127.0.0.1", 1, Transport.UDP),
             Endpoint(peer[0], peer[1], Transport.TCP),
         )
         assert network.tcp_replies_dropped == 1
+        assert network.errors == []
 
 
 def test_delayed_reply_past_timeout_lands_in_error_log(make_network):
     """A delayed send that misses the reply window must not vanish.
 
     Once the handler has popped (or retired) the channel, the engine falls
-    back to dialling the peer's ephemeral port and fails; on a timer
-    thread that exception used to be silently dropped — it now lands in
-    the engine's ``errors`` list like ``WorkerLoop.errors``.
+    back to dialling the peer's ephemeral port and fails; a timer callback
+    has no caller to raise to, so the exception lands in the engine's
+    ``errors`` list like ``AsyncWorkerLoop.errors``.
     """
     with make_network(tcp_reply_timeout=0.1) as network:
         port = _free_port()
@@ -298,18 +296,16 @@ def test_now_is_monotonic_and_call_later_fires(make_network):
 
 
 # ----------------------------------------------------------------------
-# timer lifecycle: leak, close, and detach semantics (both engines)
+# timer lifecycle: leak, close, and detach semantics
 # ----------------------------------------------------------------------
 
 
 def test_fired_timers_are_pruned(make_network):
     """Regression: ``call_later`` must not accumulate fired timers.
 
-    The thread engine used to append every ``threading.Timer`` to
-    ``_timers`` and only clear the list in ``close()`` — a long-lived
-    deployment scheduling periodic work (eviction sweeps, telemetry
-    ticks) leaked one Timer thread object per tick, unbounded.  Both
-    engines now remove a timer from the registry when it fires.
+    A long-lived deployment scheduling periodic work (eviction sweeps,
+    telemetry ticks) would otherwise leak one spent handle per tick,
+    unbounded: the engine removes a timer from the registry when it fires.
     """
     with make_network() as network:
         fired = []
@@ -391,17 +387,16 @@ def test_detach_is_safe_while_timers_pending(make_network):
 
 
 # ----------------------------------------------------------------------
-# pipelined TCP: a second exchange on the same accepted connection (aio)
+# pipelined TCP: a second exchange on the same accepted connection
 # ----------------------------------------------------------------------
 
 
 def test_tcp_pipelined_second_exchange_same_connection():
-    """The async engine serves sequential exchanges on one connection.
+    """The engine serves sequential exchanges on one connection.
 
     A raw client sends a request, reads the reply, then — without
-    reconnecting — sends a second request and reads its reply.  The
-    thread engine closes after one exchange (connection-per-request);
-    the async handler loops: read → dispatch → await reply → read again.
+    reconnecting — sends a second request and reads its reply: the
+    handler loops read → dispatch → await reply → read again.
     """
     with AsyncSocketNetwork(tcp_reply_timeout=2.0) as network:
         port = _free_port()
@@ -460,7 +455,7 @@ def test_uvloop_is_optional_and_gated():
 
 
 # ----------------------------------------------------------------------
-# runtime endpoint binding (both engines)
+# runtime endpoint binding
 # ----------------------------------------------------------------------
 
 
@@ -547,9 +542,8 @@ def test_ephemeral_binds_never_share_a_port(make_network):
             network.send(b"port-%d" % endpoint.port, src, endpoint)
         expected = {b"port-%d" % endpoint.port for endpoint in survivors}
         assert _wait(lambda: expected <= set(node.received), timeout=5.0)
-    # The thread engine's receivers hold a closed socket's port until their
-    # next poll; without ``SO_REUSEADDR`` that would fail a later test's
-    # fixed-port bind that happens to land on one of these 400.
+    # Closing the engine released every one of them: a later test's
+    # fixed-port bind may land on any of these 400.
     assert _wait(lambda: all(_released(port) for port in ports), timeout=3.0)
 
 
@@ -562,15 +556,14 @@ def _released(port: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the asyncio engine's UDP reader (raw ``add_reader``, bounded drain)
+# the UDP reader (raw ``add_reader``, bounded drain)
 # ----------------------------------------------------------------------
 
 HOST = "127.0.0.1"
 
 
 @pytest.fixture(
-    params=[False] + ([True] if uvloop_available() else []),
-    ids=lambda use_uvloop: "uvloop" if use_uvloop else "asyncio",
+    params=LOOPS, ids=lambda use_uvloop: "uvloop" if use_uvloop else "asyncio"
 )
 def aio_network(request):
     network = AsyncSocketNetwork(use_uvloop=request.param)

@@ -677,7 +677,7 @@ def test_aio_plans_match_interpreted_workers(case, workers, interpreted_builders
     for interpreted in (False, True):
         interpreted_builders(interpreted)
         live = workloads.live_sharded_scenario(
-            case, clients=4, workers=workers, processing_delay=0.0, runtime="aio"
+            case, clients=4, workers=workers, processing_delay=0.0
         )
         runtime = live.runtime
         assert all(w.interpreted is interpreted for w in runtime.workers)
