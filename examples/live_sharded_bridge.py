@@ -49,7 +49,7 @@ def main() -> None:
     # the loopback interface: on real sockets every node shares the host
     # 127.0.0.1 and is distinguished by its port range.
     bridge = upnp_to_slp_bridge(
-        host="127.0.0.1", base_port=47000, processing_delay=0.005
+        host="127.0.0.1", base_port=30000, processing_delay=0.005
     )
     runtime = AsyncLiveShardedRuntime.from_bridge(bridge, workers=2)
 
@@ -57,11 +57,11 @@ def main() -> None:
         runtime.deploy(network)
 
         # A legacy SLP service agent, and two legacy UPnP control points.
-        service = SLPServiceAgent(host="127.0.0.1", port=47090, latency=FAST)
+        service = SLPServiceAgent(host="127.0.0.1", port=30090, latency=FAST)
         network.attach(service)
         clients = [
             UPnPControlPoint(
-                host="127.0.0.1", port=47095 + index,
+                host="127.0.0.1", port=30095 + index,
                 name=f"control-point-{index}", client_overhead=NONE,
             )
             for index in range(2)

@@ -114,6 +114,7 @@ class StarlinkBridge:
             for spec in self.mdl_specs.values()
             for message in spec.messages
         }
+        self.merged.translation.validate()
         equivalence = derive_equivalence(self.merged.translation, mandatory)
         self.merged.validate(equivalence)
 

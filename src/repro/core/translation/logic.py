@@ -66,6 +66,15 @@ _PlanStep = Tuple[
 ]
 
 
+def _structured_value(assignment: "Assignment", label: str) -> MessageError:
+    """The error for ``assignment`` storing structured field ``label`` as a
+    primitive value — on either translation stack and at load time alike."""
+    return MessageError(
+        f"assignment {assignment} would store structured field '{label}' "
+        f"as a primitive value"
+    )
+
+
 @dataclass(frozen=True)
 class MessageFieldRef:
     """A reference ``state.message.field`` used on either side of an assignment.
@@ -261,6 +270,8 @@ class TranslationLogic:
                 value = functions.call(
                     name, function, value, arguments, context, source_instance, target
                 )
+            if isinstance(value, StructuredField):
+                raise _structured_value(assignment, value.label)
             existing = target.find(target_label)
             if existing is None:
                 target.add_field(PrimitiveField(target_label, "String", None, value))
@@ -272,6 +283,27 @@ class TranslationLogic:
             else:
                 existing.value = value
         return target
+
+    def validate(self) -> None:
+        """Reject the assignments that can only store a structured field
+        as a primitive value, whatever the messages hold.
+
+        Statically that is a self-sourced assignment whose source path is
+        a proper prefix of its target path (``M.S.x = M.S``): writing
+        ``S.x`` needs ``S`` structured, and a structured ``S`` assigned
+        into its own child would make the message contain itself.  A path
+        that does not parse is left to fail when the assignment runs.
+        """
+        for assignment in self._assignments:
+            if assignment.source.message != assignment.target.message:
+                continue
+            try:
+                source = assignment.source.path().labels
+                target = assignment.target.path().labels
+            except MessageError:
+                continue
+            if len(source) < len(target) and target[: len(source)] == source:
+                raise _structured_value(assignment, source[-1])
 
     def lower(self) -> None:
         """Lower the plan of every target message now.
@@ -369,6 +401,8 @@ class TranslationLogic:
                 source=source_instance,
                 target=target,
             )
+        if isinstance(value, StructuredField):
+            raise _structured_value(assignment, value.label)
         assignment.target.path().assign(target, value)
 
     def __repr__(self) -> str:

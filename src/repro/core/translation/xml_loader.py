@@ -165,6 +165,7 @@ def _from_element(root: ET.Element, automata: Sequence["ColoredAutomaton"]) -> "
                 )
             )
 
+    translation.validate()
     merged = MergedAutomaton(
         name,
         referenced,

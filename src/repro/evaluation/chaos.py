@@ -569,7 +569,7 @@ def run_chaos_live(
         clients=total,
         completed=0,
     )
-    injector = Endpoint(_LIVE_HOST, 45999, Transport.UDP)
+    injector = Endpoint(_LIVE_HOST, 28999, Transport.UDP)
     started: List[Tuple[object, object]] = []
 
     def wave_done(pairs) -> bool:
@@ -1211,7 +1211,7 @@ def run_heal_live(
         completed=0,
         detection_budget=detection_budget,
     )
-    injector = Endpoint(_LIVE_HOST, 45998, Transport.UDP)
+    injector = Endpoint(_LIVE_HOST, 28998, Transport.UDP)
     started: List[Tuple[object, object]] = []
 
     def wave_done(pairs) -> bool:

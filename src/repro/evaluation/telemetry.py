@@ -61,7 +61,7 @@ COLLECTOR_OVERHEAD_THRESHOLD_PCT = 5.0
 
 #: Loopback TCP port the scrape check binds its ``/metrics`` endpoint on
 #: (outside the live workload's client/bridge/service port ranges).
-TELEMETRY_METRICS_PORT = 43900
+TELEMETRY_METRICS_PORT = 26900
 
 #: Collection cadence of the *live* overhead run.  Much denser than the
 #: production default (0.25 s) because the live wave finishes in well

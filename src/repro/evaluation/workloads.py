@@ -489,9 +489,9 @@ def sharded_scenario(
 #: Fixed loopback port layout of the live workload.  The ports are part of
 #: the topology: the simulated twin uses the same numbers, so translated
 #: bytes that embed a bridge or service endpoint are identical in both.
-LIVE_BRIDGE_PORT = 41700
-LIVE_SERVICE_PORT = 42700
-LIVE_CLIENT_PORT_BASE = 42750
+LIVE_BRIDGE_PORT = 24700
+LIVE_SERVICE_PORT = 25700
+LIVE_CLIENT_PORT_BASE = 25750
 
 #: Wall-clock seconds of translation compute charged per translated send in
 #: the live workload (the serial resource each worker parallelises).

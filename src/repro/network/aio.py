@@ -6,57 +6,44 @@ late ``bind_endpoint``/``unbind_endpoint`` — over real BSD sockets, with
 every socket, timer and handler on **one event loop**:
 
 * **UDP** endpoints are raw non-blocking sockets registered with
-  ``loop.add_reader``.  When one is readable the engine's own reader
-  drains up to :data:`_DRAIN_BOUND` datagrams with ``recvfrom(64 KiB)``
-  and dispatches each to its owning node *on the loop thread*.  Not
-  asyncio's stock datagram transport: that reads one datagram per loop
-  iteration with ``recvfrom(256 KiB)``, and a 256 KiB ``bytes`` crosses
-  malloc's mmap threshold — a loopback send + receive measured 17.1 µs
-  that way against 3.1 µs at 64 KiB.  The bound keeps one flooded
-  socket from starving the rest and keeps the backlog where it is counted:
-  what a wake-up does not read stays in the kernel buffer, and a worker
-  queue fed by these readers never holds more than bound × feeding
-  sockets jobs (docs/architecture.md, "The UDP reader").
-* **UDP multicast** is *emulated in-process*: joining ``239.x.x.x:p`` adds
-  the node to a local registry and sends to that group fan out directly to
-  the members' real UDP sockets.  True IP multicast is often unavailable in
-  containers and CI runners, and the emulation preserves the delivery
-  semantics the framework relies on.
-* **TCP** endpoints become ``asyncio.start_server`` servers.  Each accepted
-  connection reads a request (until the peer half-closes or a short idle
-  timeout expires), dispatches it, and holds the connection open as the
-  node's **reply channel**: whatever the node later sends to the ephemeral
-  peer endpoint is written back on the same connection.  The channel
-  survives the node's handler returning — a node that answers *after a
-  delay* (a translated response scheduled behind a processing delay, or a
-  shard router handing the request to a worker queue) still reaches the
-  waiting client, instead of the engine dialling the peer's
-  kernel-ephemeral port and hitting ``ConnectionRefusedError``.  An
-  unanswered connection is closed after ``tcp_reply_timeout`` seconds; an
-  answered one loops back for the *next* request on the same connection
-  (pipelined sequential exchanges).
+  ``loop.add_reader``; the engine's own reader drains up to
+  :data:`_DRAIN_BOUND` datagrams per wake-up with ``recvfrom(64 KiB)`` and
+  dispatches each on the loop thread.  (asyncio's datagram transport reads
+  one per iteration into 256 KiB, past malloc's mmap threshold: 17.1 µs a
+  loopback send + receive against 3.1 µs.)  The bound keeps a flooded
+  socket from starving the rest and the backlog in the kernel buffer, where
+  it is counted (docs/architecture.md, "The UDP reader").
+* **UDP multicast** is *emulated in-process* (true IP multicast is often
+  unavailable in containers and CI): a send to a joined ``239.x.x.x:p``
+  group fans out to the members' real UDP sockets.
+* **TCP** is two state machines on raw non-blocking sockets, driven by
+  ``add_reader`` / ``add_writer`` and one timer handle each — no streams,
+  no tasks (≈ 85–145 µs per exchange on a bare loop against 380–590 µs
+  through asyncio's streams; docs/architecture.md, "The TCP path").  A
+  listener's reader accepts up to :data:`_DRAIN_BOUND` connections per
+  wake-up; each :class:`_TcpConnection` is the node's **reply channel**,
+  so a reply sent *after a delay* (behind a processing delay or a worker
+  queue) still goes back on the connection instead of being dialled to the
+  peer's kernel-ephemeral port.  A send to any other TCP endpoint is a
+  :class:`_TcpDial`.
 * **Timers** are ``loop.call_later`` handles: heap entries pruned on fire,
   so a periodic eviction sweep costs a recycled handle per tick.
 
-The public surface is a synchronous, thread-safe facade: the event loop
-runs on a dedicated daemon thread, and calls arriving from other threads
-(deploy/undeploy on the control plane, test drivers, fault-window flushes)
-are marshalled onto it.  Calls already *on* the loop thread (a node's
-handler sending, an engine binding a per-session ephemeral port inside
-session processing) run inline — socket binds are performed synchronously
-on raw sockets so they work from any thread; on the loop thread the reader
-is registered in the same call, from elsewhere by one marshalled callback
-(datagrams arriving in between simply wait in the kernel buffer).
-
-``uvloop`` is used for the event loop when importable (pass
-``use_uvloop=False`` to opt out, ``True`` to require it); the engine is
-complete on the stdlib loop.
+The public surface is a synchronous, thread-safe facade over a loop on a
+daemon thread: calls from other threads (control plane, test drivers,
+fault-window flushes) are marshalled onto it, calls on it (a handler
+sending, a per-session bind) run inline.  Binds are synchronous on raw
+sockets from any thread; the reader is registered in the same call on the
+loop thread, else by one marshalled callback.  ``uvloop`` is used when
+importable (``use_uvloop=False`` opts out, ``True`` requires it).
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import errno
+import os
 import socket
 import threading
 import time
@@ -72,16 +59,14 @@ __all__ = ["AsyncSocketNetwork", "AsyncFaultyNetwork", "uvloop_available"]
 _RECV_BUFFER = 65536
 _TCP_IDLE_TIMEOUT = 0.2
 
-#: Seconds an accepted TCP connection stays open waiting for the owning
-#: node's (possibly delayed) reply before the engine gives up and closes it.
+#: Seconds an accepted TCP connection waits for the node's (possibly
+#: delayed) reply before the engine closes it.
 DEFAULT_TCP_REPLY_TIMEOUT = 5.0
 
-#: Seconds a cross-thread marshal onto the loop may take before the caller
-#: gives up (generous: only a stopped loop ever gets close).
+#: Seconds a cross-thread marshal may take (only a stopped loop gets close).
 _MARSHAL_TIMEOUT = 10.0
 
-#: Datagrams one readiness wake-up drains from one socket before yielding
-#: to the loop (see :meth:`AsyncSocketNetwork._on_udp_readable`).
+#: Datagrams (or connections) one wake-up drains from one socket.
 _DRAIN_BOUND = 32
 
 
@@ -102,27 +87,17 @@ def _new_event_loop(use_uvloop: Optional[bool]) -> Tuple[asyncio.AbstractEventLo
             return uvloop.new_event_loop(), True
         except Exception as exc:  # noqa: BLE001 - fall back unless required
             if use_uvloop:
-                raise ConfigurationError(
-                    f"uvloop was requested but is not usable: {exc}"
-                ) from exc
+                raise ConfigurationError(f"uvloop was requested but is not usable: {exc}") from exc
     return asyncio.new_event_loop(), False
 
 
 class _UdpBinding:
-    """One bound UDP socket, read by the loop's own reader callback.
-
-    The raw socket is bound synchronously (so the port is known to the
-    caller immediately, from any thread) and registered with
-    ``loop.add_reader``.  Sends go straight to the raw non-blocking
-    socket — UDP ``sendto`` never blocks meaningfully, and a full buffer
-    is a legitimate datagram drop.
-    """
+    """One bound UDP socket (bound synchronously, so its port is known at
+    once from any thread), read by the loop's own reader callback."""
 
     __slots__ = ("sock", "fd", "node", "destination", "closed")
 
-    def __init__(
-        self, sock: socket.socket, node: NetworkNode, host: str, port: int
-    ) -> None:
+    def __init__(self, sock: socket.socket, node: NetworkNode, host: str, port: int) -> None:
         self.sock = sock
         #: Kept beside the socket: ``fileno()`` is -1 once it is closed.
         self.fd = sock.fileno()
@@ -132,14 +107,9 @@ class _UdpBinding:
         self.closed = False
 
     def close(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Unregister the reader, then close the socket.
-
-        Loop-thread only; idempotent.  Both steps are synchronous, so the
-        port is released before the caller returns and a detach-then-rebind
-        retry never races the kernel.  (An off-loop bind closed before its
-        reader was registered has nothing to remove; the descriptor is
-        still ours at this point, so the call cannot hit a stranger's.)
-        """
+        """Unregister the reader, then close the socket (loop-thread only,
+        idempotent): the port is free when this returns, so a
+        detach-then-rebind never races the kernel."""
         if self.closed:
             return
         self.closed = True
@@ -150,62 +120,275 @@ class _UdpBinding:
             pass
 
 
-class _TcpBinding:
-    """One listening TCP socket plus its (eventually installed) server."""
+class _TcpStream:
+    """A non-blocking TCP socket, its reader/writer registrations and one
+    timer handle (loop-thread only)."""
 
-    def __init__(self, sock: socket.socket, node: NetworkNode, host: str, port: int) -> None:
-        self.sock = sock
-        self.node = node
-        self.host = host
-        self.port = port
-        self.server: Optional[asyncio.AbstractServer] = None
-        self.closed = False
+    __slots__ = ("network", "loop", "sock", "fd", "chunks", "pending", "timer",
+                 "reading", "writing", "closed")
+
+    def __init__(self, network: "AsyncSocketNetwork", sock: Optional[socket.socket]) -> None:
+        self.network, self.loop, self.sock = network, network._loop, sock
+        self.fd = -1 if sock is None else sock.fileno()
+        self.chunks: List[bytes] = []
+        self.pending: Optional[memoryview] = None
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.reading = self.writing = self.closed = False
+        network._tcp_live.add(self)
+
+    def _arm(self, delay: Optional[float]) -> None:
+        """Restart the timer for ``delay`` seconds (``None``: stop it)."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = None if delay is None else self.loop.call_later(delay, self._on_timer)
+
+    def _watch(self, readable: bool, writable: bool) -> None:
+        """Leave exactly the wanted callbacks registered."""
+        if readable != self.reading:
+            self.reading = readable
+            if readable:
+                self.loop.add_reader(self.fd, self._on_readable)
+            else:
+                self.loop.remove_reader(self.fd)
+        if writable != self.writing:
+            self.writing = writable
+            if writable:
+                self.loop.add_writer(self.fd, self._on_writable)
+            else:
+                self.loop.remove_writer(self.fd)
+
+    def _read(self) -> Tuple[bool, bool]:
+        """Read up to the drain bound: ``(anything arrived, EOF)``."""
+        arrived = False
+        for _ in range(_DRAIN_BOUND):
+            try:
+                chunk = self.sock.recv(_RECV_BUFFER)
+            except (BlockingIOError, InterruptedError):
+                break
+            if not chunk:
+                return arrived, True
+            self.chunks.append(chunk)
+            arrived = True
+        return arrived, False
+
+    def _flush(self) -> bool:
+        """Send what is pending; ``True`` once all of it is out."""
+        try:
+            self.pending = self.pending[self.sock.send(self.pending) :]
+        except (BlockingIOError, InterruptedError):  # connecting, or buffer full
+            return False
+        return not self.pending
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        if self.server is not None:
-            self.server.close()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        if not self.closed:
+            self.closed = True
+            self._arm(None)
+            self._watch(False, False)
+            self.network._tcp_live.discard(self)
+            if self.sock is not None:
+                self.sock.close()
 
 
-class _AsyncTcpReplyChannel:
-    """An accepted TCP connection held open as a node's reply channel.
+class _TcpConnection(_TcpStream):
+    """An accepted connection: read a request, dispatch it, reply, repeat.
 
-    Loop-thread only: writes and the handler's teardown all run on the
-    event loop, so no lock is needed.
+    A request ends at the peer's half-close or after :data:`_TCP_IDLE_TIMEOUT`
+    of quiet (empty if the connection was quiet from the start).  Then the
+    connection is the reply channel in ``_tcp_replies`` for up to
+    ``tcp_reply_timeout`` seconds, else it closes.  After the reply (a
+    dropped one if the client is gone) it closes if the peer half-closed,
+    else waits up to the reply timeout for the next sequential request.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.replied = asyncio.Event()
-        self.closed = False
+    __slots__ = ("node", "destination", "peer", "source", "window", "first", "eof", "awaiting")
 
-    def write(self, data: bytes) -> bool:
-        """Write ``data`` back to the peer; ``False`` if already closed."""
-        if self.closed or self.writer.is_closing():
+    def __init__(self, network: "AsyncSocketNetwork", sock: socket.socket,
+                 node: Optional[NetworkNode], destination: Optional[Endpoint],
+                 peer: Tuple[str, int]) -> None:
+        super().__init__(network, sock)
+        self.node, self.destination, self.peer = node, destination, (peer[0], peer[1])
+        self.source = Endpoint(peer[0], peer[1], Transport.TCP)
+        self.window, self.first = _TCP_IDLE_TIMEOUT, True
+        self.eof = self.awaiting = False
+
+    def _on_timer(self) -> None:
+        self.timer = None
+        if self.awaiting:
+            self.close()  # unanswered: the client reads EOF
+        else:
+            self._end_request()  # the peer went quiet
+
+    def _on_readable(self) -> None:
+        try:
+            arrived, self.eof = self._read()
+        except OSError:  # reset: what arrived is the request, if anything
+            if not self.chunks:
+                self.close()
+                return
+            arrived = self.eof = True
+        if self.eof:
+            self._end_request()
+            return
+        if arrived or self.timer is None:
+            self._arm(_TCP_IDLE_TIMEOUT if arrived else self.window)
+        self._watch(True, False)
+
+    def _end_request(self) -> None:
+        """Dispatch what was read, with this connection as the reply channel."""
+        self._arm(None)
+        self._watch(False, False)
+        if self.chunks:
+            request = b"".join(self.chunks)
+            self.chunks = []
+        elif self.first:
+            request = b""
+        else:
+            self.close()  # no next request
+            return
+        self.first = False
+        network, node = self.network, self.node
+        self.awaiting = True
+        network._tcp_replies[self.peer] = self
+        try:
+            network._dispatch(node, lambda: node.on_datagram(
+                network, request, self.source, self.destination))
+        except Exception as exc:  # noqa: BLE001 - record, close unanswered
+            network.errors.append(exc)
+            if self.awaiting:
+                self.close()
+            return
+        if self.awaiting:
+            self._arm(network.tcp_reply_timeout)
+
+    def reply(self, data: bytes) -> bool:
+        """Write ``data`` as the reply; ``False`` if no request awaits one."""
+        if not self.awaiting:
             return False
-        self.writer.write(data)
-        self.replied.set()
+        self._retire()
+        self._arm(None)
+        self.pending = memoryview(data)
+        self._on_writable()
         return True
 
-    def retire(self) -> None:
-        """Mark unusable without closing the connection (the handler may
-        loop back for a pipelined next request on the same stream)."""
-        self.closed = True
+    def _on_writable(self) -> None:
+        try:
+            done = self._flush()
+        except OSError:  # the client went away mid-reply
+            self.network.tcp_replies_dropped += 1
+            self.close()
+            return
+        if not done:
+            self._watch(False, True)
+        elif self.eof:
+            self.close()
+        else:  # the next request: its first bytes may take a reply timeout
+            self.window = self.network.tcp_reply_timeout
+            self._on_readable()
+
+    def _retire(self) -> None:
+        self.awaiting = False
+        if self.network._tcp_replies.get(self.peer) is self:
+            del self.network._tcp_replies[self.peer]
+
+    def close(self) -> None:
+        if self.awaiting:
+            self._retire()
+        super().close()
+
+
+class _TcpDial(_TcpStream):
+    """An exchange this network starts: connect, send, half-close, read to EOF.
+
+    The request goes out right after ``connect_ex`` (on loopback the
+    handshake is done by then; a writer callback covers the rest; a failed
+    connect is the send's error).  The response, read under one deadline
+    above the server's reply timeout, goes to ``owner``; the outcome
+    resolves ``future`` for an off-loop sender, else a failure joins ``errors``.
+    """
+
+    __slots__ = ("owner", "source", "destination", "future")
+
+    def __init__(self, network: "AsyncSocketNetwork", data: bytes, owner: Optional[NetworkNode],
+                 source: Endpoint, destination: Endpoint, future: Optional[asyncio.Future]) -> None:
+        super().__init__(network, None)
+        self.owner, self.source, self.destination = owner, source, destination
+        self.pending = memoryview(data)
+        self.future = future
+        if not network._running:
+            self.close()
+            return
+        network.tcp_dials += 1
+        self._arm(network.tcp_reply_timeout + 2.0)
+        try:
+            self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self.fd = self.sock.fileno()
+            self.sock.setblocking(False)
+            code = self.sock.connect_ex((destination.host, destination.port))
+            if code not in (0, errno.EINPROGRESS, errno.EAGAIN, errno.EINTR):
+                raise OSError(code, os.strerror(code))
+        except OSError as exc:
+            self._fail(exc)
+            return
+        self._on_writable()
+
+    def _on_timer(self) -> None:
+        self.timer = None
+        self._fail(TimeoutError("no response before the deadline"))
+
+    def _on_writable(self) -> None:
+        try:
+            done = self._flush()
+            if done:
+                self.sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:  # refused, reset, unreachable
+            self._fail(exc)
+            return
+        self._watch(done, not done)
+
+    def _on_readable(self) -> None:
+        try:
+            if not self._read()[1]:
+                return
+        except OSError as exc:
+            self._fail(exc)
+            return
+        response, owner, network, error = b"".join(self.chunks), self.owner, self.network, None
+        if response and owner is not None:
+            try:
+                network._dispatch(owner, lambda: owner.on_datagram(
+                    network, response, self.destination, self.source))
+            except Exception as exc:  # noqa: BLE001 - the owner's handler raised
+                error = exc
+        self._end(error)
+
+    def _fail(self, exc: BaseException) -> None:
+        error = NetworkError(f"TCP send to {self.destination} failed: {exc}")
+        error.__cause__ = exc
+        self._end(error)
+
+    def _end(self, error: Optional[BaseException]) -> None:
+        """Close, then hand the outcome to the waiting sender or ``errors``."""
+        future, self.future = self.future, None
+        self.close()
+        if future is not None and not future.done():
+            if error is None:
+                future.set_result(None)
+            else:
+                future.set_exception(error)
+        elif error is not None:
+            self.network.errors.append(error)
+
+    def close(self) -> None:
+        super().close()
+        if self.future is not None:  # closed under a waiting sender
+            self._end(NetworkError(f"TCP send to {self.destination} aborted: network closed"))
 
 
 class AsyncSocketNetwork(NetworkEngine):
     """Network engine backed by real loopback sockets on one event loop."""
 
-    #: Late binds go through the kernel: request port 0 and the OS assigns
-    #: a free ephemeral port.  The automata engine (and the UPnP control
-    #: point) feature-detect this to skip their deterministic port ranges
-    #: and TIME_WAIT quarantine — the kernel manages reuse.
+    #: Late binds request port 0 and the kernel manages reuse, so the
+    #: automata engine skips its deterministic port ranges and quarantine.
     kernel_ephemeral_ports = True
 
     def __init__(
@@ -218,30 +401,28 @@ class AsyncSocketNetwork(NetworkEngine):
         self.tcp_reply_timeout = tcp_reply_timeout
         self._nodes: List[NetworkNode] = []
         self._udp_binds: Dict[Tuple[str, int], _UdpBinding] = {}
-        self._tcp_binds: Dict[Tuple[str, int], _TcpBinding] = {}
+        self._tcp_binds: Dict[Tuple[str, int], _UdpBinding] = {}
         self._endpoint_owner: Dict[Tuple[str, int, str], NetworkNode] = {}
         self._groups: Dict[Tuple[str, int], Set[NetworkNode]] = {}
-        #: Per group, the ``(member, first UDP endpoint)`` pairs an emulated
-        #: multicast is sent to, sorted by node name; rebuilt (never
-        #: mutated) on attach/detach, so a send iterates a stable list.
-        self._group_targets: Dict[
-            Tuple[str, int], List[Tuple[NetworkNode, Endpoint]]
-        ] = {}
+        #: Per group, the ``(member, first UDP endpoint)`` pairs a multicast
+        #: goes to, by node name; rebuilt (never mutated) on attach/detach.
+        self._group_targets: Dict[Tuple[str, int], List[Tuple[NetworkNode, Endpoint]]] = {}
         self._owned_sockets: Dict[int, List[Tuple[str, Tuple[str, int]]]] = {}
-        self._tcp_replies: Dict[Tuple[str, int], _AsyncTcpReplyChannel] = {}
+        #: Accepted connections awaiting a reply, by peer ``(host, port)``.
+        self._tcp_replies: Dict[Tuple[str, int], _TcpConnection] = {}
+        #: Open accepted connections and dials — closed on close.
+        self._tcp_live: Set[_TcpStream] = set()
         #: Live ``loop.call_later`` handles; pruned on fire.
         self._timers: Set[asyncio.TimerHandle] = set()
-        #: In-flight loop tasks (TCP dials, server installs, accepted
-        #: connection handlers) — cancelled on close.
-        self._tasks: Set["asyncio.Task"] = set()
         self.tcp_replies_dropped = 0
-        #: Reader wake-ups and the datagrams they drained: their ratio is
-        #: the mean batch per wake-up, the loop's saturation signal.
+        #: Connections accepted and exchanges dialled.
+        self.tcp_accepts = 0
+        self.tcp_dials = 0
+        #: UDP reader wake-ups and the datagrams they drained.
         self.udp_wakeups = 0
         self.udp_datagrams = 0
-        #: Exceptions from node handlers, timer callbacks and
-        #: fire-and-forget sends on the loop, which have no caller to raise
-        #: to; inspect after a run, like ``AsyncWorkerLoop.errors``.
+        #: Exceptions on the loop with no caller to raise to (handlers,
+        #: timers, fire-and-forget sends), like ``AsyncWorkerLoop.errors``.
         self.errors: List[BaseException] = []
         self._lock = threading.Lock()
         self._dispatch_owner = threading.local()
@@ -250,9 +431,7 @@ class AsyncSocketNetwork(NetworkEngine):
         self._loop, self.uvloop_active = _new_event_loop(use_uvloop)
         self._loop_thread_ident: Optional[int] = None
         self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run_loop, daemon=True, name="aio-network"
-        )
+        self._thread = threading.Thread(target=self._run_loop, daemon=True, name="aio-network")
         self._thread.start()
         self._started.wait(_MARSHAL_TIMEOUT)
 
@@ -274,25 +453,6 @@ class AsyncSocketNetwork(NetworkEngine):
     def on_loop_thread(self) -> bool:
         return threading.get_ident() == self._loop_thread_ident
 
-    def _spawn(self, coro) -> None:
-        """Fire-and-forget a coroutine on the loop, from any thread."""
-
-        def _start() -> None:
-            if not self._running:
-                coro.close()
-                return
-            task = self._loop.create_task(coro)
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-        if self.on_loop_thread():
-            _start()
-        else:
-            try:
-                self._loop.call_soon_threadsafe(_start)
-            except RuntimeError:
-                coro.close()  # loop already closed
-
     def _call_on_loop(self, coro):
         """Run ``coro`` on the loop and return its result (blocking)."""
         if self.on_loop_thread():
@@ -305,20 +465,14 @@ class AsyncSocketNetwork(NetworkEngine):
             raise NetworkError("event loop did not respond in time") from exc
 
     # -- dispatch-owner bookkeeping -------------------------------------
-    # The node whose handler is currently executing: ``call_later`` reads
-    # it to attribute the timer to that node, so :meth:`detach` can make
-    # the node's outstanding timers no-ops.
+    # ``call_later`` attributes a timer to the node whose handler is running,
+    # so :meth:`detach` can make the node's outstanding timers no-ops.
     def _current_owner(self) -> Optional[NetworkNode]:
         return getattr(self._dispatch_owner, "node", None)
 
     def _dispatch(self, node: NetworkNode, callback: Callable[[], None]) -> None:
-        """Run ``callback`` with ``node`` as the current dispatch owner.
-
-        Every path that enters node code (datagram delivery, attach,
-        timer callbacks re-entering on behalf of their owner) goes
-        through here, so timers the node schedules — including chained
-        reschedules like the eviction sweep — attribute to it.
-        """
+        """Run ``callback`` with ``node`` as the current dispatch owner (every
+        path into node code does, so chained reschedules attribute too)."""
         previous = self._current_owner()
         self._dispatch_owner.node = node
         try:
@@ -327,9 +481,7 @@ class AsyncSocketNetwork(NetworkEngine):
             self._dispatch_owner.node = previous
 
     def _owner_detached(self, owner: Optional[NetworkNode]) -> bool:
-        if owner is None:
-            return False
-        return all(existing is not owner for existing in self._nodes)
+        return owner is not None and all(existing is not owner for existing in self._nodes)
 
     # ------------------------------------------------------------------
     def now(self) -> float:
@@ -348,10 +500,7 @@ class AsyncSocketNetwork(NetworkEngine):
                 pass  # loop closed: the engine is shut down, timers moot
 
     def _schedule_timer(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        owner: Optional[NetworkNode],
+        self, delay: float, callback: Callable[[], None], owner: Optional[NetworkNode]
     ) -> None:
         if not self._running:
             return
@@ -360,10 +509,8 @@ class AsyncSocketNetwork(NetworkEngine):
         def run() -> None:
             if handle_box:
                 self._timers.discard(handle_box[0])
-            # A timer that races close() must not fire into closed
-            # sockets; one scheduled by a since-detached node must not
-            # deliver a stale callback (e.g. an eviction sweep) into a
-            # retry deployment on the same network.
+            # Not into closed sockets, nor from a since-detached node into
+            # a retry deployment on the same network.
             if not self._running or self._owner_detached(owner):
                 return
             try:
@@ -391,15 +538,10 @@ class AsyncSocketNetwork(NetworkEngine):
         self._dispatch(node, lambda: node.on_attached(self))
 
     def detach(self, node: NetworkNode) -> None:
-        """Remove ``node`` and close the sockets bound on its behalf.
-
-        Port release is synchronous (the close is marshalled onto the loop
-        and waited for), so a failed deployment can unwind and retry on
-        the same endpoints immediately.  Timers the node scheduled become
-        no-ops.  A node that was never attached (or only partially
-        attached before its ``attach`` raised mid-bind) detaches as a
-        no-op / partial cleanup.
-        """
+        """Remove ``node``, close its sockets (synchronously, so a failed
+        deployment can retry on the same endpoints at once) and make its
+        timers no-ops.  A never or partially attached node is a no-op /
+        partial cleanup."""
         if node not in self._nodes:
             return
         self._nodes.remove(node)
@@ -414,13 +556,9 @@ class AsyncSocketNetwork(NetworkEngine):
             self._release_owned(owned)
 
     def _rebuild_group_targets(self) -> None:
-        """Recompute every group's send list from its membership.
-
-        Sorted by node name, like ``SimulatedNetwork._recipients``: the
-        member *set* iterates in object-address order, which would make
-        the order of a multicast's copies differ from process to process.
-        A member without a UDP endpoint receives nothing.
-        """
+        """Recompute every group's send list, sorted by node name like
+        ``SimulatedNetwork._recipients`` (a set iterates in address order,
+        which differs from process to process)."""
         targets: Dict[Tuple[str, int], List[Tuple[NetworkNode, Endpoint]]] = {}
         for group, members in self._groups.items():
             pairs = []
@@ -453,7 +591,7 @@ class AsyncSocketNetwork(NetworkEngine):
             else:
                 tcp = self._tcp_binds.pop(key, None)
                 if tcp is not None:
-                    tcp.close()
+                    tcp.close(self._loop)
 
     # -- binding --------------------------------------------------------
     def _bind(self, node: NetworkNode, endpoint: Endpoint) -> None:
@@ -567,44 +705,56 @@ class AsyncSocketNetwork(NetworkEngine):
             raise
         sock.setblocking(False)
         actual_port = sock.getsockname()[1]
-        binding = _TcpBinding(sock, node, endpoint.host, actual_port)
-        self._tcp_binds[(endpoint.host, actual_port)] = binding
-        self._owned_sockets.setdefault(id(node), []).append(
-            ("tcp", (endpoint.host, actual_port))
-        )
-        self._spawn(self._install_tcp_server(binding))
+        # Held like a UDP binding; what reads it is the accept handler.
+        listener = _UdpBinding(sock, node, endpoint.host, actual_port)
+        listener.destination = Endpoint(endpoint.host, actual_port, Transport.TCP)
+        self._tcp_binds[(endpoint.host, actual_port)] = listener
+        self._owned_sockets.setdefault(id(node), []).append(("tcp", (endpoint.host, actual_port)))
+        if self.on_loop_thread():
+            self._start_accepting(listener)
+        else:
+            try:
+                self._loop.call_soon_threadsafe(self._start_accepting, listener)
+            except RuntimeError:
+                pass  # loop closed: the engine is shut down
 
-    async def _install_tcp_server(self, binding: _TcpBinding) -> None:
-        if binding.closed or not self._running:
-            return
+    def _start_accepting(self, listener: _UdpBinding) -> None:
+        if not listener.closed and self._running:
+            self._loop.add_reader(listener.fd, self._on_tcp_acceptable, listener)
 
-        async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-            await self._handle_tcp_client(binding, reader, writer)
-
-        try:
-            server = await asyncio.start_server(handler, sock=binding.sock)
-        except Exception as exc:  # noqa: BLE001 - surface, don't crash the loop
-            self.errors.append(exc)
-            return
-        binding.server = server
-        if binding.closed or not self._running:
-            server.close()
+    def _on_tcp_acceptable(self, listener: _UdpBinding) -> None:
+        """Accept up to :data:`_DRAIN_BOUND` connections and start reading each."""
+        for _ in range(_DRAIN_BOUND):
+            if listener.closed:  # a handler detached its node
+                return
+            try:
+                sock, peer = listener.sock.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue  # reset before it was accepted
+            except OSError as exc:
+                # Out of descriptors, say: rest a second, do not spin.
+                self.errors.append(exc)
+                self._loop.remove_reader(listener.fd)
+                self._loop.call_later(1.0, self._start_accepting, listener)
+                return
+            self.tcp_accepts += 1
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _TcpConnection(self, sock, listener.node, listener.destination, peer)._on_readable()
 
     # -- late binds (per-session ephemeral ports) -----------------------
     def bind_endpoint(self, node: NetworkNode, endpoint: Endpoint) -> Endpoint:
         if endpoint.transport == Transport.TCP:
-            raise NetworkError(
-                "late TCP binds are not supported; TCP replies return on "
-                "the accepted connection"
-            )
+            raise NetworkError("late TCP binds are not supported; TCP replies return on "
+                               "the accepted connection")
         with self._lock:
             key = (endpoint.host, endpoint.port, endpoint.transport)
             if endpoint.port != 0:
                 owner = self._endpoint_owner.get(key)
                 if owner is not None and owner is not node:
-                    raise NetworkError(
-                        f"endpoint {endpoint} already bound by node '{owner.name}'"
-                    )
+                    raise NetworkError(f"endpoint {endpoint} already bound by node '{owner.name}'")
         actual_port = self._bind_udp(node, endpoint)
         bound = Endpoint(endpoint.host, actual_port, Transport.UDP)
         with self._lock:
@@ -622,112 +772,16 @@ class AsyncSocketNetwork(NetworkEngine):
                 owned.remove(("udp", key))
         self._release_owned([("udp", key)])
 
-    # -- TCP serving ----------------------------------------------------
-    async def _read_tcp_request(
-        self, reader: asyncio.StreamReader, first: bool
-    ) -> Tuple[Optional[bytes], bool]:
-        """Read one request; returns ``(request, eof)``.
-
-        ``request`` is ``None`` when no further request arrived (the
-        pipelined handler then closes the drained connection).  On the
-        first read an idle connection dispatches an empty request after
-        one idle period; later reads wait up to the reply timeout for the
-        next pipelined request.
-        """
-        chunks: List[bytes] = []
-        window = _TCP_IDLE_TIMEOUT if first else self.tcp_reply_timeout
-        while True:
-            try:
-                chunk = await asyncio.wait_for(reader.read(_RECV_BUFFER), window)
-            except asyncio.TimeoutError:
-                if chunks:
-                    return b"".join(chunks), False
-                return (b"" if first else None), False
-            except OSError:
-                return (b"".join(chunks) if chunks else None), True
-            if not chunk:
-                if chunks:
-                    return b"".join(chunks), True
-                return (b"" if first else None), True
-            chunks.append(chunk)
-            window = _TCP_IDLE_TIMEOUT
-
-    async def _handle_tcp_client(
-        self,
-        binding: _TcpBinding,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        node = binding.node
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        peer_key = (peer[0], peer[1])
-        source = Endpoint(peer[0], peer[1], Transport.TCP)
-        destination = Endpoint(binding.host, binding.port, Transport.TCP)
-        first = True
-        try:
-            while self._running:
-                request, eof = await self._read_tcp_request(reader, first)
-                if request is None:
-                    break
-                first = False
-                channel = _AsyncTcpReplyChannel(writer)
-                self._tcp_replies[peer_key] = channel
-                answered = False
-                try:
-                    try:
-                        self._dispatch(
-                            node,
-                            lambda: node.on_datagram(self, request, source, destination),
-                        )
-                    except Exception as exc:  # noqa: BLE001 - record, close below
-                        self.errors.append(exc)
-                    else:
-                        try:
-                            await asyncio.wait_for(
-                                channel.replied.wait(), self.tcp_reply_timeout
-                            )
-                            answered = True
-                        except asyncio.TimeoutError:
-                            pass
-                finally:
-                    if self._tcp_replies.get(peer_key) is channel:
-                        del self._tcp_replies[peer_key]
-                    channel.retire()
-                if not answered or eof:
-                    # Unanswered: close (the client sees EOF).  Answered +
-                    # peer half-closed: drained.
-                    break
-                try:
-                    await writer.drain()
-                except OSError:
-                    break
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - teardown
-                pass
-
     # -- sending --------------------------------------------------------
     def send(
-        self,
-        data: bytes,
-        source: Endpoint,
-        destination: Endpoint,
-        delay: float = 0.0,
+        self, data: bytes, source: Endpoint, destination: Endpoint, delay: float = 0.0
     ) -> None:
         if delay > 0:
             self.call_later(delay, lambda: self.send(data, source, destination))
             return
         if self.on_loop_thread():
-            # A node handler (or timer) sending mid-dispatch: UDP and
-            # reply-channel writes complete inline; a fresh TCP dial is a
-            # task whose failure lands in ``errors`` (the loop cannot
-            # block on its own round trip).
+            # Mid-dispatch: UDP and reply writes complete inline; a dial runs
+            # on, its failure landing in ``errors`` (no blocking on the loop).
             self._send_now(data, source, destination)
             return
         if not self._running or not self._thread.is_alive():
@@ -736,9 +790,10 @@ class AsyncSocketNetwork(NetworkEngine):
 
     async def _send_async(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
         if (not destination.is_multicast) and destination.transport == Transport.TCP:
-            # Blocking semantics for off-loop callers: the dial's
-            # failure raises to the sender.
-            await self._send_tcp(data, source, destination)
+            # Off-loop callers block: the exchange's failure raises to them.
+            future = self._loop.create_future()
+            self._send_tcp(data, source, destination, future)
+            await future
             return
         self._send_now(data, source, destination)
 
@@ -754,65 +809,25 @@ class AsyncSocketNetwork(NetworkEngine):
                     self._send_udp(data, source, endpoint)
             return
         if destination.transport == Transport.TCP:
-            if self._write_tcp_reply(data, destination):
-                return
-            self._spawn(self._send_tcp_logged(data, source, destination))
+            self._send_tcp(data, source, destination)
         else:
             self._send_udp(data, source, destination)
 
-    def _write_tcp_reply(self, data: bytes, destination: Endpoint) -> bool:
-        """Write on an open reply channel; ``True`` if one was found."""
+    def _send_tcp(self, data: bytes, source: Endpoint, destination: Endpoint,
+                  future: Optional[asyncio.Future] = None) -> None:
+        """Reply on an open channel to ``destination``, else dial it for the
+        node owning ``source``.  Loop-thread only."""
         channel = self._tcp_replies.get((destination.host, destination.port))
-        if channel is None:
-            return False
-        try:
-            wrote = channel.write(data)
-        except OSError as exc:
-            raise NetworkError(f"TCP reply to {destination} failed: {exc}") from exc
-        if not wrote:
-            self.tcp_replies_dropped += 1
-        return True
-
-    async def _send_tcp_logged(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
-        try:
-            await self._send_tcp(data, source, destination)
-        except NetworkError as exc:
-            self.errors.append(exc)
-
-    async def _send_tcp(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
-        if self._write_tcp_reply(data, destination):
+        if channel is not None:
+            if not channel.reply(data):
+                self.tcp_replies_dropped += 1
+            if future is not None:
+                future.set_result(None)
             return
-        owner = self._endpoint_owner.get(
-            (source.host, source.port, source.transport)
-        ) or self._endpoint_owner.get((source.host, source.port, Transport.UDP))
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(destination.host, destination.port),
-                self.tcp_reply_timeout + 2.0,
-            )
-            writer.write(data)
-            await writer.drain()
-            if writer.can_write_eof():
-                writer.write_eof()
-            # Read deadline slightly above the server's reply timeout, so
-            # an unanswered request ends in the server's clean EOF rather
-            # than racing a client-side timeout.
-            response = await asyncio.wait_for(
-                reader.read(), self.tcp_reply_timeout + 2.0
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise NetworkError(f"TCP send to {destination} failed: {exc}") from exc
-        finally:
-            if writer is not None:
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001 - teardown
-                    pass
-        if response and owner is not None:
-            self._dispatch(
-                owner, lambda: owner.on_datagram(self, response, destination, source)
-            )
+        owners = self._endpoint_owner
+        owner = owners.get((source.host, source.port, source.transport)) or owners.get(
+            (source.host, source.port, Transport.UDP))
+        _TcpDial(self, data, owner, source, destination, future)
 
     def _send_udp(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
         """The UDP send seam (fault injectors decorate exactly this).
@@ -840,24 +855,14 @@ class AsyncSocketNetwork(NetworkEngine):
         for handle in list(self._timers):
             handle.cancel()
         self._timers.clear()
-        for task in list(self._tasks):
-            task.cancel()
-        self._tasks.clear()
-        for udp in list(self._udp_binds.values()):
-            udp.close(self._loop)
-        for tcp in list(self._tcp_binds.values()):
-            tcp.close()
-        for channel in list(self._tcp_replies.values()):
-            channel.retire()
-            try:
-                channel.writer.close()
-            except Exception:  # noqa: BLE001 - teardown
-                pass
+        for exchange in list(self._tcp_live):
+            exchange.close()
+        for binding in [*self._udp_binds.values(), *self._tcp_binds.values()]:
+            binding.close(self._loop)
         self._udp_binds.clear()
         self._tcp_binds.clear()
-        self._tcp_replies.clear()
         self._owned_sockets.clear()
-        # One tick so cancellations propagate before the loop stops.
+        # One tick so off-loop senders waiting on an aborted dial hear of it.
         await asyncio.sleep(0)
 
     def close(self) -> None:
@@ -886,11 +891,8 @@ class AsyncSocketNetwork(NetworkEngine):
 
 
 class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
-    """An :class:`AsyncSocketNetwork` with seeded UDP fault injection.
-
-    See :class:`~repro.network.faults.FaultInjectorMixin` for the
-    injection semantics.
-    """
+    """An :class:`AsyncSocketNetwork` with seeded UDP fault injection
+    (:class:`~repro.network.faults.FaultInjectorMixin`)."""
 
     def __init__(
         self,
@@ -902,7 +904,5 @@ class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
         reorder: float = 0.15,
         use_uvloop: Optional[bool] = None,
     ) -> None:
-        super().__init__(
-            host=host, tcp_reply_timeout=tcp_reply_timeout, use_uvloop=use_uvloop
-        )
+        super().__init__(host=host, tcp_reply_timeout=tcp_reply_timeout, use_uvloop=use_uvloop)
         self._init_fault_state(seed, loss, duplicate, reorder)

@@ -253,6 +253,8 @@ _ROUTER_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
     ("router_tcp_replies_dropped_total", "TCP replies whose client connection had gone away.", "tcp_replies_dropped"),
     ("router_udp_wakeups_total", "UDP reader wake-ups on the asyncio substrate.", "udp_wakeups"),
     ("router_udp_datagrams_total", "Datagrams the UDP reader wake-ups drained.", "udp_datagrams"),
+    ("router_tcp_accepts_total", "TCP connections accepted on the asyncio substrate.", "tcp_accepts"),
+    ("router_tcp_dials_total", "TCP exchanges dialled on the asyncio substrate.", "tcp_dials"),
 )
 
 

@@ -241,6 +241,8 @@ class MetricsCollector:
             "tcp_replies_dropped",
             "udp_wakeups",
             "udp_datagrams",
+            "tcp_accepts",
+            "tcp_dials",
         )
         window: dict = {"sticky_entries": router.sticky_entries}
         for field in fields:

@@ -949,7 +949,8 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
         (handler and timer exceptions, send failures);
         ``tcp_replies_dropped`` counts replies whose client connection had
         already gone away; ``udp_wakeups`` / ``udp_datagrams`` are the UDP
-        reader's counters.  All land on the router row — they are
+        reader's counters, ``tcp_accepts`` / ``tcp_dials`` the TCP state
+        machines'.  All land on the router row — they are
         properties of the shared substrate, not of any one worker.
         """
         snapshot = super().metrics(include_latency=include_latency)
@@ -962,6 +963,8 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
                 tcp_replies_dropped=network.tcp_replies_dropped,
                 udp_wakeups=network.udp_wakeups,
                 udp_datagrams=network.udp_datagrams,
+                tcp_accepts=network.tcp_accepts,
+                tcp_dials=network.tcp_dials,
             ),
         )
 

@@ -168,6 +168,11 @@ class RouterMetrics:
     #: approaching the drain bound on a saturated one.
     udp_wakeups: int = 0
     udp_datagrams: int = 0
+    #: Live runtime only: TCP connections accepted and exchanges dialled
+    #: (``AsyncSocketNetwork.tcp_accepts`` / ``tcp_dials``).  With both ends
+    #: of every exchange in one network they are equal.
+    tcp_accepts: int = 0
+    tcp_dials: int = 0
 
     @property
     def classify_cost_avg_us(self) -> float:
@@ -191,6 +196,8 @@ class RouterMetrics:
             "tcp_replies_dropped": self.tcp_replies_dropped,
             "udp_wakeups": self.udp_wakeups,
             "udp_datagrams": self.udp_datagrams,
+            "tcp_accepts": self.tcp_accepts,
+            "tcp_dials": self.tcp_dials,
         }
 
 

@@ -164,3 +164,19 @@ def test_aio_idle_bridge_holds_no_sticky_pins(workers):
         live.runtime.undeploy()
         live.network.close()
 
+
+def test_aio_tcp_counters_count_one_exchange_per_http_lookup():
+    """Case 1's HTTP leg is one dial by the worker and one accept by the
+    device per lookup; both ends live in one network, so the counters on
+    the router row and on /metrics agree with the lookup count."""
+    lookups = 6
+    live = live_sharded_scenario(1, clients=lookups, workers=1, processing_delay=0.0)
+    assert live.run(timeout=20.0).all_found  # tears the deployment down
+    router = live.final_metrics.router
+    assert router.tcp_dials == router.tcp_accepts == lookups
+    assert router.tcp_replies_dropped == 0 and router.network_errors == 0
+    body = render_prometheus(live.final_metrics)
+    assert lint_prometheus(body) == []
+    assert f"repro_router_tcp_accepts_total {lookups}" in body
+    assert f"repro_router_tcp_dials_total {lookups}" in body
+

@@ -325,7 +325,7 @@ class TestArbitraryDrainLive:
                     network,
                     "SLP",
                     None,
-                    Endpoint("127.0.0.1", 45998, Transport.UDP),
+                    Endpoint("127.0.0.1", 28998, Transport.UDP),
                 )
                 is False
             )

@@ -400,7 +400,7 @@ class TestLiveController:
             cooldown=1.0,
         )
         runtime = AsyncLiveShardedRuntime.from_bridge(
-            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47200), workers=2
+            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=30200), workers=2
         )
         controller = LiveHealthController(
             runtime, FailureDetector(policy), interval=0.05
@@ -441,7 +441,7 @@ class TestLiveController:
 
     def test_wedge_injector_rejects_negative_duration(self):
         runtime = AsyncLiveShardedRuntime.from_bridge(
-            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47300), workers=1
+            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=30300), workers=1
         )
         with pytest.raises(ConfigurationError):
             runtime.wedge_worker(0, -1.0)
@@ -490,7 +490,7 @@ class TestFaultyNetwork:
         return sock, endpoint
 
     def test_same_seed_same_fault_trace_over_real_sockets(self):
-        source = Endpoint("127.0.0.1", 45997, Transport.UDP)
+        source = Endpoint("127.0.0.1", 28997, Transport.UDP)
         sock, destination = self._receiver()
 
         def run(seed):
@@ -523,7 +523,7 @@ class TestFaultyNetwork:
         """Outside a window the engine is a plain AsyncSocketNetwork: no
         verdicts drawn, nothing counted — and closing a window flushes the
         held (reordered) datagram, so the one-slot swap cannot leak."""
-        source = Endpoint("127.0.0.1", 45996, Transport.UDP)
+        source = Endpoint("127.0.0.1", 28996, Transport.UDP)
         sock, destination = self._receiver()
         network = AsyncFaultyNetwork(seed=1, loss=0.0, duplicate=0.0, reorder=1.0)
         try:

@@ -210,16 +210,16 @@ class TestLiveBridgeCases:
         """UPnP control point -> SLP service: the client's HTTP GET is a
         real TCP exchange answered by the bridge after a delay."""
         bridge = BRIDGE_BUILDERS[3](
-            host="127.0.0.1", base_port=46300, processing_delay=0.01
+            host="127.0.0.1", base_port=29300, processing_delay=0.01
         )
         with AsyncSocketNetwork() as network:
             bridge.deploy(network)
             service = SLPServiceAgent(
-                host="127.0.0.1", port=46390, latency=self._FAST_LIVE
+                host="127.0.0.1", port=29390, latency=self._FAST_LIVE
             )
             network.attach(service)
             client = UPnPControlPoint(
-                host="127.0.0.1", port=46395, client_overhead=_NONE
+                host="127.0.0.1", port=29395, client_overhead=_NONE
             )
             network.attach(client)
             result = client.lookup(
@@ -237,18 +237,18 @@ class TestLiveBridgeCases:
         GET lands on the router's public endpoint, fans out to the owning
         worker, and the worker's delayed reply rides the reply channel."""
         bridge = BRIDGE_BUILDERS[3](
-            host="127.0.0.1", base_port=46400, processing_delay=0.01
+            host="127.0.0.1", base_port=29400, processing_delay=0.01
         )
         bridge.validate()
         runtime = AsyncLiveShardedRuntime.from_bridge(bridge, workers=2)
         with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             service = SLPServiceAgent(
-                host="127.0.0.1", port=46490, latency=self._FAST_LIVE
+                host="127.0.0.1", port=29490, latency=self._FAST_LIVE
             )
             network.attach(service)
             client = UPnPControlPoint(
-                host="127.0.0.1", port=46495, client_overhead=_NONE
+                host="127.0.0.1", port=29495, client_overhead=_NONE
             )
             network.attach(client)
             result = client.lookup(
@@ -265,19 +265,19 @@ class TestLiveBridgeCases:
         """SLP client -> UPnP device: the *bridge* is the TCP client here,
         dialling the device's HTTP server and collecting a delayed reply."""
         bridge = BRIDGE_BUILDERS[1](
-            host="127.0.0.1", base_port=46500, processing_delay=0.01
+            host="127.0.0.1", base_port=29500, processing_delay=0.01
         )
         with AsyncSocketNetwork() as network:
             bridge.deploy(network)
             device = UPnPDevice(
                 host="127.0.0.1",
-                ssdp_port=46590,
-                http_port=46591,
+                ssdp_port=29590,
+                http_port=29591,
                 ssdp_latency=self._FAST_LIVE,
                 http_latency=self._FAST_LIVE,
             )
             network.attach(device)
-            client = SLPUserAgent(host="127.0.0.1", port=46595, client_overhead=_NONE)
+            client = SLPUserAgent(host="127.0.0.1", port=29595, client_overhead=_NONE)
             network.attach(client)
             result = client.lookup(network, "service:test", timeout=5.0)
             assert result.found

@@ -102,7 +102,7 @@ def test_from_bridge_rebinds_model_level_hosts_on_loopback():
     from repro.bridges.specs import upnp_to_slp_bridge
 
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        upnp_to_slp_bridge(base_port=45900), workers=2
+        upnp_to_slp_bridge(base_port=28900), workers=2
     )
     assert runtime.host == "127.0.0.1"
     # Per-session ephemeral ports default on live: AsyncSocketNetwork can bind
@@ -121,7 +121,7 @@ def test_live_runtime_rescales_in_place_both_directions():
     """`scale_to` is implemented live: grow attaches fresh worker loops,
     shrink drains (trivially here: no sessions in flight)."""
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46000), workers=2
+        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=29000), workers=2
     )
     with AsyncSocketNetwork() as network:
         runtime.deploy(network)
@@ -141,7 +141,7 @@ def test_live_runtime_rescales_in_place_both_directions():
 def test_live_runtime_requires_room_for_worker_ports():
     with pytest.raises(ConfigurationError):
         AsyncLiveShardedRuntime.from_bridge(
-            BRIDGE_BUILDERS[1](host="127.0.0.1", base_port=46100),
+            BRIDGE_BUILDERS[1](host="127.0.0.1", base_port=29100),
             workers=2,
             worker_port_stride=1,
         )
@@ -151,7 +151,7 @@ def test_undeploy_joins_loops_and_harvests_draining_errors():
     """Errors from jobs still draining at undeploy must not be lost, and
     every worker task must have finished by the time undeploy returns."""
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46400), workers=2
+        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=29400), workers=2
     )
     with AsyncSocketNetwork() as network:
         runtime.deploy(network)
@@ -185,7 +185,7 @@ def test_failed_deploy_unwinds_loops_and_shells():
             super().attach(node)
 
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46500), workers=2
+        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=29500), workers=2
     )
     with RouterRejectingNetwork() as network:
         with pytest.raises(NetworkError):
@@ -234,7 +234,7 @@ def test_partially_attached_shell_is_unwound_too():
     never saw the attach succeed.
     """
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46600), workers=2
+        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=29600), workers=2
     )
     blocked = runtime._workers[-1].unicast_endpoints()[-1]
     with AsyncSocketNetwork() as network:
@@ -260,7 +260,7 @@ def test_partially_attached_router_is_unwound_too():
     network forever (the runtime holds no reference to the dead router).
     """
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=46700), workers=2
+        BRIDGE_BUILDERS[3](host="127.0.0.1", base_port=29700), workers=2
     )
     blocked = list(runtime.public_endpoints.values())[-1]
     with AsyncSocketNetwork() as network:
@@ -277,7 +277,7 @@ def test_partially_attached_router_is_unwound_too():
 
 def test_live_runtime_redeploys_after_undeploy():
     runtime = AsyncLiveShardedRuntime.from_bridge(
-        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=46200), workers=2
+        BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=29200), workers=2
     )
     with AsyncSocketNetwork() as network:
         runtime.deploy(network)

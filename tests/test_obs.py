@@ -343,7 +343,7 @@ class TestLiveTracing:
 
     def test_live_metrics_surface_error_counters(self):
         runtime = AsyncLiveShardedRuntime.from_bridge(
-            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47200), workers=2
+            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=30200), workers=2
         )
         with AsyncSocketNetwork() as network:
             runtime.deploy(network)
@@ -354,6 +354,7 @@ class TestLiveTracing:
         # No datagram arrived: the reader counters ride on the row at zero.
         assert snapshot.router.udp_wakeups == 0
         assert snapshot.router.udp_datagrams == 0
+        assert snapshot.router.tcp_accepts == snapshot.router.tcp_dials == 0
         assert all(worker.errors == 0 for worker in snapshot.workers)
         assert "errors" in snapshot.workers[0].as_row()
         assert "network_errors" in snapshot.router.as_row()
@@ -481,7 +482,7 @@ class TestConservedCounters:
     @live_only
     def test_live_counters_survive_churn_too(self):
         runtime = AsyncLiveShardedRuntime.from_bridge(
-            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=47300), workers=3
+            BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=30300), workers=3
         )
         with AsyncSocketNetwork() as network:
             runtime.deploy(network)

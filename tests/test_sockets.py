@@ -10,18 +10,24 @@ binding loopback sockets (some sandboxes do).
 
 from __future__ import annotations
 
+import gc
+import os
 import socket
+import struct
 import threading
 import time
+import warnings
 from typing import List
 
 import pytest
 
+from repro.core.errors import NetworkError
 from repro.network.addressing import Endpoint, Transport
 from repro.network.aio import (
     _DRAIN_BOUND,
+    _TCP_IDLE_TIMEOUT,
     AsyncSocketNetwork,
-    _AsyncTcpReplyChannel,
+    _TcpConnection,
     uvloop_available,
 )
 from repro.network.engine import NetworkNode
@@ -114,11 +120,20 @@ def _wait(predicate, timeout: float = 2.0) -> bool:
 
 
 def _free_port() -> int:
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
+    """A port free for both UDP and a TCP listener.
+
+    The TCP probe binds port 0 with ``SO_REUSEADDR``, so the kernel also
+    skips ports a client connection holds in ``TIME_WAIT`` (those refuse
+    a listener's bind, ``SO_REUSEADDR`` or not).
+    """
+    while True:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp:
+            tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            tcp.bind(("127.0.0.1", 0))
+            port = tcp.getsockname()[1]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                if _rebindable(udp, port):
+                    return port
 
 
 def test_udp_unicast_delivery(make_network):
@@ -219,9 +234,9 @@ def test_reply_after_channel_close_is_dropped_not_raised():
     ``test_delayed_reply_past_timeout_lands_in_error_log``.)
     """
     with AsyncSocketNetwork() as network:
-        channel = _AsyncTcpReplyChannel(writer=None)
-        channel.retire()
         peer = ("127.0.0.1", 54321)
+        channel = _TcpConnection(network, socket.socket(), None, None, peer)
+        channel.close()  # retired: the reply window is over
         network._tcp_replies[peer] = channel
         network.send(
             b"too late",
@@ -808,3 +823,209 @@ def test_worker_queue_depth_is_bounded_by_the_drain_bound(aio_network):
     assert not aio_network.errors and not loop.errors
     loop.stop()
     assert loop.join(2.0)
+
+
+# ----------------------------------------------------------------------
+# the TCP state machines (raw accept / dial on add_reader / add_writer)
+# ----------------------------------------------------------------------
+
+
+class BigReply(Sink):
+    """Answers every request with ``size`` bytes in one send."""
+
+    def __init__(self, name, endpoints, size: int):
+        super().__init__(name, endpoints)
+        self.payload = bytes(range(256)) * (size // 256)
+
+    def on_datagram(self, engine, data, source, destination):
+        super().on_datagram(engine, data, source, destination)
+        engine.send(self.payload, source=self._endpoints[0], destination=source)
+
+
+class PingPong(Sink):
+    """Dials ``server`` again on every reply until ``remaining`` runs out."""
+
+    def __init__(self, name, endpoints, server: Endpoint, remaining: int):
+        super().__init__(name, endpoints)
+        self.server = server
+        self.remaining = remaining
+        self.done = threading.Event()
+
+    def kick(self, engine) -> None:
+        engine.send(b"GET / HTTP/1.1\r\n\r\n", source=self._endpoints[0], destination=self.server)
+
+    def on_datagram(self, engine, data, source, destination):
+        super().on_datagram(engine, data, source, destination)
+        self.remaining -= 1
+        if self.remaining:
+            self.kick(engine)
+        else:
+            self.done.set()
+
+
+def _reply_size() -> int:
+    """4 MiB, or the kernel's largest TCP send buffer if that is larger: a
+    reply this size can never sit whole in the server's send buffer."""
+    try:
+        with open("/proc/sys/net/ipv4/tcp_wmem") as limits:
+            largest = int(limits.read().split()[2])
+    except (OSError, ValueError, IndexError):
+        largest = 0
+    return max(4 << 20, largest)
+
+
+def _slow_reader(port: int) -> socket.socket:
+    """A client with a small receive window that sends one request and
+    half-closes: a large reply cannot leave the server in one ``send``."""
+    client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+    client.settimeout(10.0)
+    client.connect((HOST, port))
+    client.sendall(b"GET /big HTTP/1.1\r\n\r\n")
+    client.shutdown(socket.SHUT_WR)
+    return client
+
+
+def _read_to_eof(client: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        chunk = client.recv(1 << 20)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def test_tcp_request_split_over_short_gaps_arrives_as_one(aio_network):
+    """Each gap is shorter than the idle timeout, all of them together
+    longer: the idle window restarts on every chunk, so one request."""
+    server = EchoTcp("server", [Endpoint(HOST, _free_port(), Transport.TCP)])
+    aio_network.attach(server)
+    with socket.create_connection((HOST, server._endpoints[0].port), timeout=5.0) as client:
+        for part in (b"GET /a", b"b HTTP/1.1\r\n", b"\r\n"):
+            client.sendall(part)
+            time.sleep(_TCP_IDLE_TIMEOUT * 0.6)
+        assert client.recv(65536) == b"pong:GET /ab HTTP/1.1\r\n\r\n"
+    assert server.received == [b"GET /ab HTTP/1.1\r\n\r\n"]
+
+
+def test_tcp_reply_larger_than_the_send_buffer_arrives_whole(aio_network):
+    """A reply larger than the send buffer cannot leave in one ``send``: the
+    rest goes out from a writer callback, every byte in order before EOF."""
+    server = BigReply("big", [Endpoint(HOST, _free_port(), Transport.TCP)], _reply_size())
+    aio_network.attach(server)
+    writers: List[int] = []
+    if not aio_network.uvloop_active:
+        add_writer = aio_network.loop.add_writer
+
+        def spy(fd, callback, *args):
+            writers.append(fd)
+            return add_writer(fd, callback, *args)
+
+        aio_network.loop.add_writer = spy
+    with _slow_reader(server._endpoints[0].port) as client:
+        time.sleep(0.2)  # the server fills every buffer on the way
+        assert _read_to_eof(client) == server.payload
+    assert writers or aio_network.uvloop_active
+    assert not aio_network.errors and aio_network.tcp_replies_dropped == 0
+
+
+def test_tcp_client_reset_mid_reply_is_a_dropped_reply(aio_network):
+    """A client that resets while a large reply is still going out costs
+    that reply (counted, nothing raised) and nothing else: the listener
+    serves the next connection in full."""
+    server = BigReply("big", [Endpoint(HOST, _free_port(), Transport.TCP)], _reply_size())
+    aio_network.attach(server)
+    port = server._endpoints[0].port
+    with _slow_reader(port) as client:
+        assert client.recv(1024)  # the reply has started
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert _wait(lambda: aio_network.tcp_replies_dropped == 1)
+    assert all(isinstance(error, NetworkError) for error in aio_network.errors)
+    with _slow_reader(port) as client:
+        assert _read_to_eof(client) == server.payload
+    assert len(server.received) == 2 and aio_network.tcp_accepts == 2
+
+
+def test_tcp_dial_to_a_closed_port_fails_on_loop_and_raises_off_loop(aio_network):
+    client = Sink("client", [Endpoint(HOST, _free_port(), Transport.UDP)])
+    aio_network.attach(client)
+    source, closed = client._endpoints[0], Endpoint(HOST, _free_port(), Transport.TCP)
+    aio_network.call_later(0.0, lambda: aio_network.send(b"ping", source, closed))
+    assert _wait(lambda: aio_network.errors)
+    time.sleep(0.05)
+    assert [type(error) for error in aio_network.errors] == [NetworkError]
+    with pytest.raises(NetworkError, match="refused"):
+        aio_network.send(b"ping", source, closed)
+    assert len(aio_network.errors) == 1  # raised to the sender instead
+    assert aio_network.tcp_dials == 2 and not aio_network._tcp_live
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _loop_state(loop) -> tuple:
+    """Registered descriptors and live timer handles of a stdlib loop."""
+    return (
+        set(loop._selector.get_map()),
+        [handle for handle in loop._scheduled if not handle.cancelled()],
+    )
+
+
+def _loop_state_now(network) -> tuple:
+    box: List[tuple] = []
+    read = threading.Event()
+    network.loop.call_soon_threadsafe(lambda: (box.append(_loop_state(network.loop)), read.set()))
+    assert read.wait(2.0)
+    return box[0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_tcp_exchanges_and_close_leave_no_descriptor_or_registration(make_network):
+    """500 sequential exchanges, then ``close()`` with one mid-flight: every
+    socket is closed — by the engine, not by the garbage collector — and
+    nothing stays registered or scheduled."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _exchange_then_close(make_network)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _exchange_then_close(make_network) -> None:
+    before = _open_fds()
+    network = make_network(tcp_reply_timeout=30.0)
+    if network.uvloop_active:
+        pytest.skip("reads the stdlib loop's selector and timer heap")
+    server = EchoTcp("server", [Endpoint(HOST, _free_port(), Transport.TCP)])
+    client = PingPong(
+        "client", [Endpoint(HOST, _free_port(), Transport.UDP)], server._endpoints[0], 500
+    )
+    mute = Sink("mute", [Endpoint(HOST, _free_port(), Transport.TCP)])
+    for node in (server, client, mute):
+        network.attach(node)
+    attached, state = _open_fds(), _loop_state_now(network)
+    network.call_later(0.0, lambda: client.kick(network))
+    assert client.done.wait(30.0)
+    assert _wait(lambda: _open_fds() == attached)
+    assert _loop_state_now(network) == state
+    assert network.tcp_dials == network.tcp_accepts == 500 and not network.errors
+
+    # Mid-flight: the mute server never answers, so its connection and the
+    # dial both wait on timers when the network closes.
+    network.call_later(
+        0.0, lambda: network.send(b"hang", client._endpoints[0], mute._endpoints[0])
+    )
+    assert _wait(lambda: mute.received)
+    at_stop: List[tuple] = []
+    stop = network.loop.stop
+
+    def recording_stop():
+        at_stop.append(_loop_state(network.loop))
+        stop()
+
+    network.loop.stop = recording_stop
+    self_pipe = network.loop._ssock.fileno()  # the loop's own wake-up reader
+    network.close()
+    assert at_stop == [({self_pipe}, [])]
+    assert _open_fds() == before

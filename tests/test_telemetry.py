@@ -596,7 +596,7 @@ class TestMetricsEndpoint:
 
     @live_only
     def test_live_scrape_over_real_tcp(self):
-        scrape = run_metrics_scrape(clients=6, workers=2, port=43911)
+        scrape = run_metrics_scrape(clients=6, workers=2, port=26911)
         assert scrape.ok, scrape.problems[:5]
         assert scrape.scrapes == 2
         assert scrape.families > 0

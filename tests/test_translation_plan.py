@@ -21,7 +21,7 @@ two-stack comparison rather than a golden value:
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 settings.register_profile(
@@ -248,8 +248,37 @@ def _generated_message(draw, name: str):
     return message
 
 
+class _Replay:
+    """Stands in for ``st.data()`` in an ``@example``: hands out the given
+    draws in order, whatever strategy is asked for."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def draw(self, strategy, label=None):
+        return self._draws.pop(0)
+
+
+#: ``M0.S.x = M0.S`` with no source instances: the source is the target's
+#: own structured ``S``, which once became the value of its child ``x`` (a
+#: message containing itself: comparing its shape recursed forever).
+_SELF_CONTAINING = Assignment(
+    MessageFieldRef("M0", "/field/structuredField[label='S']/primitiveField[label='x']/value"),
+    MessageFieldRef("M0", "S"),
+)
+
+
+def _self_containing_example():
+    logic = TranslationLogic(functions=_registry())
+    logic.add_assignment(_SELF_CONTAINING)
+    prefill = AbstractMessage("M0", [StructuredField("S", [PrimitiveField("x", value="v")])])
+    # logic, target, no M0 / M1 instances, a prefill, non-strict
+    return _Replay(logic, "M0", False, False, True, prefill, False)
+
+
 @settings(max_examples=300)
 @given(data=st.data())
+@example(data=_self_containing_example())
 def test_generated_logic_plan_matches_interpreter(data):
     logic = data.draw(_generated_logic())
     target_name = data.draw(st.sampled_from(_MESSAGES))
@@ -304,6 +333,42 @@ def test_structured_target_same_message_error():
         "MessageError",
         "cannot assign a value to structured field 'S' of message 'Out'",
     )
+
+
+def test_structured_source_for_a_primitive_slot_same_error():
+    """A structured value never becomes a primitive's value: both stacks
+    raise the same error, and a statically self-containing assignment is
+    refused before anything runs."""
+    prefill = [StructuredField("S", [PrimitiveField("x", value="v")])]
+    logic = TranslationLogic()
+    logic.add_assignment(_SELF_CONTAINING)
+    error, _, _ = _assert_stacks_agree(logic, "M0", {}, None, strict=False, prefill=prefill)
+    expected = (
+        "MessageError",
+        f"assignment {_SELF_CONTAINING} would store structured field 'S' as a primitive value",
+    )
+    assert error == expected
+    with pytest.raises(MessageError) as caught:
+        logic.validate()
+    assert str(caught.value) == expected[1]
+    # Flat labels (the plan's slot copies) are held to the same rule.
+    flat = _logic(("Out.a", "In.S"))
+    instances = {"In": AbstractMessage("In", [StructuredField("S")])}
+    error, _, _ = _assert_stacks_agree(flat, "Out", instances, None, strict=False)
+    assert error == (
+        "MessageError",
+        "assignment Out.a = In.S would store structured field 'S' as a primitive value",
+    )
+    flat.validate()  # another message: not decidable statically
+
+
+def test_bridge_validate_rejects_a_self_containing_assignment():
+    bridge = BRIDGE_BUILDERS[2]()
+    bridge.validate()
+    target = bridge.merged.translation.assignments[0].target.message
+    bridge.merged.translation.assign(f"{target}.S.x", f"{target}.S")
+    with pytest.raises(MessageError, match="would store structured field 'S'"):
+        bridge.validate()
 
 
 def test_unknown_and_failing_functions_same_error():
