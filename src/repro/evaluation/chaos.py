@@ -42,17 +42,11 @@ from ..core.errors import ConfigurationError
 from ..network.addressing import Endpoint, Transport
 from ..network.aio import AsyncFaultyNetwork, AsyncSocketNetwork
 from ..network.simulated import SimulatedNetwork
-from ..obs import (
-    EventJournal,
-    FlightRecorder,
-    LiveMetricsCollector,
-    MetricsCollector,
-)
+from ..obs import EventJournal, FlightRecorder, MetricsCollector
 from ..runtime import (
     FailureDetector,
     HealthController,
     HealthPolicy,
-    LiveHealthController,
     ScaleEvent,
     ShardedRuntime,
     wedge_simulated_worker,
@@ -817,7 +811,7 @@ class HealResult:
     abandoned_sessions: int = 0
     unrouted: int = 0
     worker_errors: int = 0
-    #: Exceptions the live control threads swallowed (always 0 simulated).
+    #: Exceptions the health controller and collector ticks swallowed.
     controller_errors: int = 0
     final_workers: int = 0
     outputs_match_twin: bool = False
@@ -929,8 +923,12 @@ class HealResult:
         }
 
 
-def _harvest_controller(result: HealResult, controller: HealthController) -> None:
-    """Fold the controller's audit log into the result row."""
+def _harvest_controller(
+    result: HealResult, controller: HealthController, collector: MetricsCollector
+) -> None:
+    """Fold the controller's audit log (and both control loops' swallowed
+    exceptions) into the result row."""
+    result.controller_errors = len(controller.errors) + len(collector.errors)
     result.quarantines = sum(
         1 for a in controller.actions if a.kind == "quarantine"
     )
@@ -1142,7 +1140,7 @@ def run_heal_simulated(
     result.unrouted = runtime.unrouted_datagrams
     result.final_workers = runtime.worker_count
     result.scale_events = list(runtime.scale_events)
-    _harvest_controller(result, controller)
+    _harvest_controller(result, controller, collector)
     _harvest_telemetry(result, runtime, collector, journal, flight)
     heal_bytes = _collect_bytes(clients)
 
@@ -1169,7 +1167,8 @@ def run_heal_live(
     windows drop / duplicate / reorder real UDP datagrams.  Round 0
     wedges a worker loop mid-wave (an awaited ``asyncio.sleep`` posted to
     its queue, so only the victim stalls) and polls until the
-    :class:`LiveHealthController`'s thread replaces it; the last round
+    :class:`HealthController`, ticking on the loop, has replaced it and
+    the victim's drain has finished; the last round
     opens a loss window over a garbage burst — only after its wave
     settled, so loss can only eat garbage and the zero-drop contract
     stays meaningful.  Detection times are wall-clock
@@ -1185,16 +1184,17 @@ def run_heal_live(
     runtime = AsyncLiveShardedRuntime.from_bridge(
         _live_bridge(case, 0.0), workers=start_workers
     )
-    # Live telemetry: a daemon collector thread and a wall-clock journal.
-    # Bundles here are *not* deterministic (real time, real scheduling) —
-    # only the simulated runs promise byte-stable postmortems.
-    collector = LiveMetricsCollector(runtime, window=_HEAL_COLLECTOR_WINDOW)
+    # Live telemetry: a collector on the loop's timer and a wall-clock
+    # journal.  Bundles here are *not* deterministic (real time, real
+    # scheduling) — only the simulated runs promise byte-stable
+    # postmortems.
+    collector = MetricsCollector(runtime, window=_HEAL_COLLECTOR_WINDOW)
     journal = EventJournal(clock=network.now)
     flight = FlightRecorder(
         collector=collector, journal=journal, tracer=runtime.tracer
     )
     runtime.journal = journal
-    controller = LiveHealthController(
+    controller = HealthController(
         runtime,
         FailureDetector(_LIVE_HEAL_POLICY),
         interval=_LIVE_HEAL_PROBE_INTERVAL,
@@ -1229,8 +1229,8 @@ def run_heal_live(
         network.attach(service)
         for client in clients:
             network.attach(client)
-        collector.start()
-        controller.start()
+        collector.start(network)
+        controller.start(network)
         for round_index in range(rounds):
             wave = clients[
                 round_index * clients_per_round : (round_index + 1) * clients_per_round
@@ -1241,8 +1241,8 @@ def run_heal_live(
             started.extend(wave_started)
             if round_index == 0:
                 # The acceptance wedge: stall one loop mid-wave, then
-                # wait for the control thread — and only it — to notice
-                # and replace the worker.
+                # wait for the controller — and only it — to notice and
+                # replace the worker, and for the victim's drain to end.
                 victim = rng.choice(list(runtime.worker_ids))
                 duration = 0.8
                 wedge_at = _time.monotonic()
@@ -1263,9 +1263,9 @@ def run_heal_live(
                 result.garbage_sent += _send_garbage(network, runtime, injector)
                 result.events.append(ChaosEvent(round_index, "garbage"))
                 heal_deadline = _time.monotonic() + wave_timeout
-                while (
-                    _time.monotonic() < heal_deadline
-                    and victim not in controller.replaced_ids
+                while _time.monotonic() < heal_deadline and (
+                    victim not in controller.replaced_ids
+                    or runtime.scaling_in_progress
                 ):
                     if runtime.worker_errors or controller.errors:
                         break
@@ -1334,8 +1334,7 @@ def run_heal_live(
         runtime.undeploy()
         network.close()
 
-    result.controller_errors = len(controller.errors) + len(collector.errors)
-    _harvest_controller(result, controller)
+    _harvest_controller(result, controller, collector)
     result.outputs_match_twin = heal_bytes == _twin_bytes(
         case, seed, total, twin_workers, wave_timeout, live_topology=True
     )

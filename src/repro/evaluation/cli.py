@@ -12,10 +12,11 @@ CLI exists so the headline result can be reproduced without pytest.
 ``--table live-sharding`` runs the sweep over **real loopback sockets**
 (worker tasks on one event loop, wall-clock timings, a *modelled*
 5 ms ``processing_delay`` — a scheduling demo, labelled as such) and
-writes the rows to ``BENCH_live_sharding.json`` (directory overridable
-with ``REPRO_BENCH_RESULTS_DIR``).  It is excluded from ``all``: it needs
-permission to bind loopback sockets and measures the machine, not the
-model.
+writes the rows to ``BENCH_live_sharding.json`` (in
+``REPRO_BENCH_RESULTS_DIR``, by default ``repro-results`` under the
+system temporary directory — like every artifact below).  It is
+excluded from ``all``: it needs permission to bind loopback sockets and
+measures the machine, not the model.
 
 ``--table chaos`` runs the seeded fault-injection sweep of
 :mod:`repro.evaluation.chaos` (membership faults + garbage + loss windows
@@ -68,6 +69,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from typing import List, Optional, Sequence
 
 from .chaos import (
@@ -131,6 +133,20 @@ __all__ = [
 ]
 
 
+def _results_dir() -> str:
+    """The directory ``--table`` artifacts are written to.
+
+    ``REPRO_BENCH_RESULTS_DIR`` when set; otherwise ``repro-results``
+    under the system temporary directory, created on demand — never the
+    working directory, so a table run leaves a checkout clean.
+    """
+    path = os.environ.get("REPRO_BENCH_RESULTS_DIR") or os.path.join(
+        tempfile.gettempdir(), "repro-results"
+    )
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
 def _write_bench_json(name: str, **payload) -> str:
     """Write one table's ``BENCH_<name>.json`` artifact and return the path.
 
@@ -139,7 +155,7 @@ def _write_bench_json(name: str, **payload) -> str:
     benchmark suite's writers, so CI archives the CLI output
     interchangeably with the pytest-benchmark artifacts.
     """
-    results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR", os.getcwd())
+    results_dir = _results_dir()
     payload = {"benchmark": name, **environment_stamp(), **payload}
     path = os.path.join(results_dir, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -199,7 +215,7 @@ def write_postmortems(results) -> List[str]:
     are captured with ``deterministic=True`` — same seed, same bytes —
     so archiving them per CI run makes telemetry regressions diffable.
     """
-    results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR", os.getcwd())
+    results_dir = _results_dir()
     paths: List[str] = []
     for result in results:
         for index, bundle in enumerate(result.postmortems):
@@ -249,7 +265,7 @@ def write_trace_sample(case: int, seed: int) -> str:
     the same run, on one virtual timeline.
     """
     result = run_chaos_simulated(case=case, seed=seed, trace_sample=1.0)
-    results_dir = os.environ.get("REPRO_BENCH_RESULTS_DIR", os.getcwd())
+    results_dir = _results_dir()
     payload = {
         "benchmark": "trace_sample",
         **environment_stamp(),

@@ -36,11 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..network.addressing import Endpoint, Transport
 from ..network.sockets import loopback_available
 from ..obs.recorder import MetricsEndpoint
-from ..obs.timeseries import (
-    DEFAULT_WINDOW_SECONDS,
-    LiveMetricsCollector,
-    MetricsCollector,
-)
+from ..obs.timeseries import DEFAULT_WINDOW_SECONDS, MetricsCollector
 from .workloads import live_sharded_scenario, sharded_scenario
 
 __all__ = [
@@ -257,16 +253,14 @@ def _timed_live(
     """
     scenario = live_sharded_scenario(case, clients=clients, workers=workers)
     network, runtime = scenario.network, scenario.runtime
-    collector: Optional[LiveMetricsCollector] = None
+    collector: Optional[MetricsCollector] = None
     done = False
     gc.collect()
     gc.disable()
     try:
         if instrument:
-            collector = LiveMetricsCollector(
-                runtime, window=_OVERHEAD_WINDOW_SECONDS
-            )
-            collector.start()
+            collector = MetricsCollector(runtime, window=_OVERHEAD_WINDOW_SECONDS)
+            collector.start(network)
         start = time.perf_counter()
         started = [
             (client, client.start_lookup(network, scenario.target))

@@ -15,7 +15,9 @@ arrays plus endpoint/colour information, so the engine can be swapped:
 
 Participants are :class:`NetworkNode` objects: they declare the unicast
 endpoints they own and the multicast groups they join, and receive
-datagrams through :meth:`NetworkNode.on_datagram`.
+datagrams through :meth:`NetworkNode.on_datagram`.  Periodic control
+work (autoscaling, failure detection, telemetry) runs as a
+:class:`ControlLoop` on the engine's own timer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, List, Optional, Protocol, Tuple
 
 from .addressing import Endpoint
 
-__all__ = ["NetworkNode", "NetworkEngine"]
+__all__ = ["NetworkNode", "NetworkEngine", "ControlLoop"]
 
 
 class NetworkNode:
@@ -99,4 +101,49 @@ class NetworkEngine:
 
     def call_later(self, delay: float, callback) -> None:
         """Schedule ``callback()`` after ``delay`` seconds."""
+        raise NotImplementedError
+
+
+class ControlLoop:
+    """A step run every ``interval`` seconds on a network engine's timer.
+
+    The one control-loop driver: the autoscaler, the failure detector and
+    the telemetry collector all tick through it — a self-rescheduling
+    ``call_later`` chain, on the virtual clock in a simulation and on the
+    event loop live, so a live deployment stays one thread however many
+    controllers run.  Subclasses implement :meth:`_step`.  A step that
+    raises is recorded in :attr:`errors` and the chain keeps ticking: a
+    control loop must survive one bad tick.  Until :meth:`stop`, a
+    simulation never quiesces, so drive it with ``run_until``/``run_for``.
+    """
+
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+        #: Exceptions raised by steps (inspect after a run).
+        self.errors: List[BaseException] = []
+        self._network: Optional[NetworkEngine] = None
+        self._running = False
+
+    def start(self, network: NetworkEngine) -> None:
+        if self._running:
+            return
+        self._network = network
+        self._running = True
+        network.call_later(self.interval, self._tick)
+
+    def stop(self) -> None:
+        """Cease rescheduling; the pending tick (if any) becomes a no-op."""
+        self._running = False
+
+    def _tick(self) -> None:
+        if not self._running:
+            return
+        try:
+            self._step()
+        except Exception as exc:  # noqa: BLE001 - the control loop must survive
+            self.errors.append(exc)
+        if self._running:
+            self._network.call_later(self.interval, self._tick)
+
+    def _step(self) -> None:
         raise NotImplementedError

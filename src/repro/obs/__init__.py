@@ -34,7 +34,6 @@ from .recorder import (
 from .timeseries import (
     DEFAULT_WINDOW_CAPACITY,
     DEFAULT_WINDOW_SECONDS,
-    LiveMetricsCollector,
     MetricsCollector,
 )
 from .tracing import (
@@ -79,7 +78,6 @@ __all__ = [
     "EventJournal",
     "FlightRecorder",
     "LatencyHistogram",
-    "LiveMetricsCollector",
     "MetricsCollector",
     "MetricsEndpoint",
     "SpanRecorder",

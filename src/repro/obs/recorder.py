@@ -81,8 +81,8 @@ def _scrub(value: Any) -> Any:
 class EventJournal:
     """Bounded structured event log on the deployment timeline.
 
-    Thread-safe: the live health controller, fault injectors and the
-    control thread all append concurrently.  ``clock`` supplies the
+    Thread-safe: the controllers on the live loop, fault injectors and
+    the test driver's thread all append concurrently.  ``clock`` supplies the
     default timeline position; callers that already know *when* (a
     ``ScaleEvent.at``, a ``HealthAction.at``) pass ``at`` explicitly so
     journal entries and the source records agree exactly.

@@ -22,10 +22,12 @@ that periodically folds snapshots into fixed-size per-worker ring
 
 Clock domains follow the PR 7/PR 8 convention: window positions and
 elapsed times are on the **timeline clock** (virtual seconds on the
-simulated runtime — the collector is driven by ``network.call_later``
-timers — and the monotonic wall clock live, driven by a daemon control
-thread).  Quantile *values* are always ``perf_counter``-derived and thus
-nondeterministic even on the simulation; the flight recorder
+simulated runtime, the monotonic wall clock live).  Either way the
+collector is a :class:`~repro.network.engine.ControlLoop` driven by
+``network.call_later`` timers — on the live runtime that is the event
+loop itself, so collecting adds no thread.  Quantile *values* are always
+``perf_counter``-derived and thus nondeterministic even on the
+simulation; the flight recorder
 (:mod:`repro.obs.recorder`) strips them when a byte-stable bundle is
 required.
 
@@ -38,15 +40,15 @@ this to keep detector decisions bit-identical with telemetry on or off.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..network.engine import ControlLoop
 from .tracing import Tracer
 
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "DEFAULT_WINDOW_CAPACITY",
     "MetricsCollector",
-    "LiveMetricsCollector",
 ]
 
 #: Default collection cadence (timeline seconds between windows).  On the
@@ -68,7 +70,7 @@ _QUANTILES: Tuple[Tuple[str, float], ...] = (
 )
 
 
-class MetricsCollector:
+class MetricsCollector(ControlLoop):
     """Folds periodic ``ShardMetrics`` snapshots into windowed series.
 
     One collector per deployment.  ``runtime`` is duck-typed: anything
@@ -77,16 +79,12 @@ class MetricsCollector:
     works, so the module never imports :mod:`repro.runtime` (which
     imports this package).
 
-    Driving:
-
-    * **simulated** — :meth:`start` schedules a self-rescheduling
-      ``network.call_later`` chain, exactly like the PR 8
-      ``HealthController``; windows land on deterministic virtual
-      times;
-    * **live** — use :class:`LiveMetricsCollector`, which drives the
-      same :meth:`collect` from a daemon control thread;
-    * **manual** — call :meth:`collect` yourself (tests, one-shot
-      tables).
+    Driving: :meth:`start` schedules a self-rescheduling
+    ``network.call_later`` chain (the :class:`ControlLoop` every
+    controller shares) — windows land on deterministic virtual times on
+    the simulation and on the event loop live, where a collection that
+    raises is recorded in :attr:`errors` and the chain keeps going.  Or
+    call :meth:`collect` yourself (tests, one-shot tables).
     """
 
     def __init__(
@@ -100,8 +98,8 @@ class MetricsCollector:
             raise ValueError(f"collector window must be positive, got {window}")
         if capacity <= 0:
             raise ValueError(f"collector capacity must be positive, got {capacity}")
+        super().__init__(window)
         self.runtime = runtime
-        self.window = window
         self.capacity = capacity
         self.tracer: Optional[Tracer] = (
             tracer if tracer is not None else getattr(runtime, "tracer", None)
@@ -122,12 +120,15 @@ class MetricsCollector:
         self.samples = 0
         #: Windows skipped because the runtime was mid-rescale/undeployed.
         self.skipped = 0
-        self._running = False
-        self._network: Any = None
         #: Whether runtime.metrics() accepts include_latency=False (the
         #: lean snapshot); duck-typed runtimes without the keyword flip
         #: this off on the first collect and get the full snapshot.
         self._lean_metrics = True
+
+    @property
+    def window(self) -> float:
+        """Timeline seconds between windows (the control-loop interval)."""
+        return self.interval
 
     # -- one window ----------------------------------------------------
     def _snapshot(self) -> Any:
@@ -304,71 +305,5 @@ class MetricsCollector:
             signal[row["worker_id"]] = worst * 1e-6
         return signal
 
-    # -- simulated driving (engine-timer chain) ------------------------
-    def start(self, network: Any) -> None:
-        """Begin periodic collection on ``network``'s timer wheel.
-
-        Mirrors ``HealthController.start``: a self-rescheduling
-        ``call_later`` chain, so on the simulation every window closes
-        at a deterministic virtual time.
-        """
-        if self._running:
-            return
-        self._running = True
-        self._network = network
-        network.call_later(self.window, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
-        self._network = None
-
-    def _tick(self) -> None:
-        if not self._running or self._network is None:
-            return
+    def _step(self) -> None:
         self.collect()
-        if self._running and self._network is not None:
-            self._network.call_later(self.window, self._tick)
-
-
-class LiveMetricsCollector(MetricsCollector):
-    """The collector on the live runtime: a daemon control thread.
-
-    Same windows, same ring; the driver is a thread parked on an event
-    wait (exactly the ``LiveHealthController`` shape), so collection
-    keeps its cadence even when every worker loop is busy.  Exceptions
-    raised by a collection pass are recorded in :attr:`errors` and the
-    thread keeps going — telemetry must not die with one bad scrape.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.errors: List[BaseException] = []
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self, network: Any = None) -> None:  # noqa: ARG002 - signature parity
-        if self._thread is not None:
-            return
-        self._running = True
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="metrics-collector"
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._running = False
-        self._stop_event.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.window):
-            if not self._running:
-                return
-            try:
-                self.collect()
-            except Exception as exc:  # noqa: BLE001 - keep collecting
-                self.errors.append(exc)

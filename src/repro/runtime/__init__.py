@@ -22,10 +22,12 @@ and *elasticity*:
   not pull ``asyncio`` in for simulation-only users);
 * :mod:`~repro.runtime.metrics` — :class:`ShardMetrics` load snapshots
   (session tables, compute backlogs, queue depths, router dispatch cost);
-* :mod:`~repro.runtime.elastic` — the control plane: an
-  :class:`Autoscaler` policy consuming metrics snapshots, driven by engine
-  timers (:class:`ElasticController`) or a control thread
-  (:class:`LiveElasticController`).
+* :mod:`~repro.runtime.elastic` and :mod:`~repro.runtime.health` — the
+  control plane: an :class:`Autoscaler` policy and a
+  :class:`FailureDetector` consuming metrics snapshots, each driven by one
+  controller (:class:`ElasticController`, :class:`HealthController`) that
+  ticks on the network's timer on either runtime — live, that is the
+  event loop itself, so the control plane adds no thread.
 
 See docs/architecture.md and ROADMAP.md ("Concurrency model") for the
 invariants.
@@ -36,7 +38,6 @@ from .elastic import (
     AutoscaleDecision,
     AutoscalerPolicy,
     ElasticController,
-    LiveElasticController,
 )
 from .health import (
     FailureDetector,
@@ -44,7 +45,6 @@ from .health import (
     HealthController,
     HealthPolicy,
     HealthProbe,
-    LiveHealthController,
     wedge_simulated_worker,
 )
 from .metrics import RouterMetrics, ShardMetrics, WorkerMetrics
@@ -67,12 +67,10 @@ __all__ = [
     "AutoscaleDecision",
     "AutoscalerPolicy",
     "ElasticController",
-    "LiveElasticController",
     "HealthPolicy",
     "HealthProbe",
     "HealthAction",
     "FailureDetector",
     "HealthController",
-    "LiveHealthController",
     "wedge_simulated_worker",
 ]

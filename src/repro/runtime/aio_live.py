@@ -22,13 +22,16 @@ UDP/TCP datagrams on the loopback interface and time is the wall clock:
 * timers the engines set (eviction sweeps, delayed sends re-entering the
   engine) are re-routed onto the owning worker's queue by a per-worker
   **engine view**, so a worker's jobs stay serialised by its queue;
-* control-plane calls arriving from other threads (``metrics``,
-  ``set_workers``, drain bookkeeping, the loop registry) are **marshalled
-  onto the loop** and waited for.  ``deploy``/``undeploy``, loss-free
-  ``scale_to``/``replace_worker`` drains, ``post_to_worker`` and
-  ``ping_workers`` for the health controller, and the lean
-  ``metrics(include_latency=False)`` read for the telemetry collector are
-  all called from such threads.
+* **membership changes run on the loop too.**  ``scale_to`` /
+  ``remove_worker`` / ``replace_worker`` use the simulated runtime's own
+  drain — :meth:`~repro.runtime.runtime.ShardedRuntime._drain_step`, a
+  self-rescheduling timer — so the autoscaler, failure detector and
+  telemetry collector tick on the loop's timer as well, and a live
+  deployment is exactly one thread including its control plane.  Called
+  from another thread (a script, a test, the chaos harness), a change is
+  marshalled onto the loop once and the caller then waits for the drain
+  to finish; ``undeploy`` and off-loop ``metrics`` reads are marshalled
+  the same way.
 
 A worker job may return an awaitable, which the drain task awaits — this
 is how :meth:`AsyncLiveShardedRuntime.wedge_worker` stalls *one* worker
@@ -52,7 +55,7 @@ import threading
 import time
 from dataclasses import replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
 
 from ..core.engine.automata_engine import AutomataEngine
 from ..core.errors import ConfigurationError, EngineError
@@ -78,18 +81,35 @@ DEFAULT_WORKER_PORT_STRIDE = 16
 #: task to drain and exit before recording the straggler as an error.
 UNDEPLOY_JOIN_TIMEOUT = 5.0
 
-#: Wall seconds a live drain waits between completion checks (the worker
-#: loops also notify after every job, so this is only the fallback).
-LIVE_DRAIN_POLL_INTERVAL = 0.02
-
-#: Default wall-clock bound on a live drain before :meth:`scale_to` gives
-#: up and restores full ring membership.  Generous: idle-session eviction
-#: (default 30 s) guarantees progress well inside it.
-DEFAULT_LIVE_DRAIN_TIMEOUT = 60.0
-
-#: Seconds a control-plane call waits for the event loop before falling
-#: back (reads) or concluding the loop is gone (mutations).
+#: Seconds a control-plane call waits for the event loop before running
+#: directly (a wedged loop must not blind the control plane).
 CONTROL_MARSHAL_TIMEOUT = 5.0
+
+_T = TypeVar("_T")
+
+
+def _on_loop(network: AsyncSocketNetwork, fn: Callable[[], _T]) -> _T:
+    """Run ``fn`` on ``network``'s event-loop thread and return its result.
+
+    Calls already on the loop (or after it stopped) run inline.  If the
+    loop fails to pick the call up in time (a foreign blocking job has
+    wedged it), the call falls back to executing directly — a racy
+    snapshot beats a blind control plane exactly when a failure detector
+    needs one.
+    """
+    if network.on_loop_thread() or not network._thread.is_alive():
+        return fn()
+
+    async def _call() -> _T:
+        return fn()
+
+    future = asyncio.run_coroutine_threadsafe(_call(), network.loop)
+    try:
+        return future.result(timeout=CONTROL_MARSHAL_TIMEOUT)
+    except concurrent.futures.TimeoutError:
+        if future.cancel():
+            return fn()
+        return future.result(timeout=CONTROL_MARSHAL_TIMEOUT)
 
 
 class _WorkerEngineView(NetworkEngine):
@@ -155,9 +175,11 @@ class _LoopForwarder(NetworkNode):
     """Owner of a worker's late-bound (ephemeral) sockets: every datagram
     received on them is posted onto the worker's queue."""
 
+    _SUFFIX = "ephemeral"
+
     def __init__(self, loop: "AsyncWorkerLoop") -> None:
         self._loop = loop
-        self.name = f"{loop.worker.name}.ephemeral"
+        self.name = f"{loop.worker.name}.{self._SUFFIX}"
 
     def on_datagram(
         self,
@@ -179,8 +201,8 @@ class AsyncWorkerLoop:
     Keyed deliveries, upstream datagrams and engine timers for the worker
     execute as queue jobs on the shared loop thread, serialised per worker
     by the queue and globally by the loop.  The loop runs no thread of its
-    own; the runtime, router, health controller and metrics plane post to
-    it and read its counters from theirs.
+    own; the router, the runtime and its controllers post to it, and
+    off-loop readers (the metrics plane's worker rows) read its counters.
     """
 
     def __init__(self, worker: AutomataEngine, network: NetworkEngine) -> None:
@@ -205,9 +227,6 @@ class AsyncWorkerLoop:
         #: from any: a wedged worker cannot be asked politely, so the
         #: liveness signal must not need its cooperation.
         self.heartbeat_at = time.monotonic()
-        #: Notified after every job, so a drain waiter observes session
-        #: completions promptly instead of polling blind.
-        self._progress = threading.Condition()
         self._task: Optional["asyncio.Task"] = None
         self._finished = threading.Event()
         self._started = False
@@ -270,16 +289,6 @@ class AsyncWorkerLoop:
         """Jobs waiting in the queue (approximate; a metrics signal)."""
         return self._queue.qsize()
 
-    def wait_progress(self, timeout: float) -> None:
-        """Block up to ``timeout`` seconds for the loop to finish a job.
-
-        Drain waiters use this instead of sleeping: a completing session
-        wakes them immediately, the timeout is only the fallback for
-        progress made outside the queue (inline fan-out dispatch).
-        """
-        with self._progress:
-            self._progress.wait(timeout)
-
     async def _run(self) -> None:
         try:
             while True:
@@ -304,25 +313,20 @@ class AsyncWorkerLoop:
                 finally:
                     self.jobs_executed += 1
                 self.heartbeat_at = time.monotonic()
-                with self._progress:
-                    self._progress.notify_all()
         finally:
             self._finished.set()
-            with self._progress:
-                self._progress.notify_all()
 
 
-class _WorkerShell(NetworkNode):
+class _WorkerShell(_LoopForwarder):
     """The node actually attached to the socket engine for one worker.
 
     It owns the worker's unicast endpoints (so upstream replies land on
-    real sockets) but forwards every datagram onto the worker's queue; the
-    worker engine itself never runs inside the socket reader.
+    real sockets) but forwards every datagram onto the worker's queue, as
+    its ephemeral sockets' forwarder does; the worker engine itself never
+    runs inside the socket reader.
     """
 
-    def __init__(self, loop: AsyncWorkerLoop) -> None:
-        self._loop = loop
-        self.name = f"{loop.worker.name}.shell"
+    _SUFFIX = "shell"
 
     def unicast_endpoints(self) -> List[Endpoint]:
         return self._loop.worker.unicast_endpoints()
@@ -333,18 +337,6 @@ class _WorkerShell(NetworkNode):
 
     def on_attached(self, engine: NetworkEngine) -> None:
         self._loop.worker.on_attached(self._loop.view)
-
-    def on_datagram(
-        self,
-        engine: NetworkEngine,
-        data: bytes,
-        source: Endpoint,
-        destination: Endpoint,
-    ) -> None:
-        loop = self._loop
-        loop.post(
-            lambda: loop.worker.on_datagram(loop.view, data, source, destination)
-        )
 
 
 class AsyncShardRouter(ShardRouter):
@@ -357,11 +349,10 @@ class AsyncShardRouter(ShardRouter):
     routed inline; keyed deliveries are posts to the owning worker's
     :class:`AsyncWorkerLoop` queue (the live analogue of the simulation's
     fresh ``call_later`` event per hand-off), fan-out runs inline — all on
-    one thread, so routing state needs no lock.  Control-plane entry
-    points called from other threads (``metrics``, ``set_workers``, drain
-    bookkeeping, loop registry) are **marshalled onto the loop** and waited
-    for, so they observe and mutate routing state with the same
-    exclusivity.
+    one thread, so routing state needs no lock.  Membership calls
+    (``set_workers``, drain bookkeeping, the loop registry) come from the
+    runtime's drain, which runs on the loop as well; only :meth:`metrics`
+    still has off-loop callers, so only it is marshalled.
     """
 
     def __init__(
@@ -398,60 +389,17 @@ class AsyncShardRouter(ShardRouter):
                 f"worker '{worker.name}' has no live worker loop"
             ) from None
 
-    # -- control plane: marshalled onto the loop -------------------------
-    def _on_loop(self, fn: Callable[[], "object"]) -> "object":
-        """Run ``fn`` on the event-loop thread and return its result.
-
-        Calls already on the loop run inline.  If the loop fails to pick
-        the call up in time (a foreign blocking job has wedged it), the
-        call falls back to executing directly — a racy snapshot beats a
-        blind control plane exactly when a failure detector needs one.
-        """
-        if self._aio.on_loop_thread() or not self._aio._thread.is_alive():
-            return fn()
-
-        async def _call() -> "object":
-            return fn()
-
-        future = asyncio.run_coroutine_threadsafe(_call(), self._aio.loop)
-        try:
-            return future.result(timeout=CONTROL_MARSHAL_TIMEOUT)
-        except concurrent.futures.TimeoutError:
-            if future.cancel():
-                return fn()
-            return future.result(timeout=CONTROL_MARSHAL_TIMEOUT)
-
-    def set_workers(self, workers, worker_ids=None) -> None:
-        def install() -> None:
-            for worker in workers:
-                self._loop_for(worker)
-            ShardRouter.set_workers(self, workers, worker_ids)
-
-        self._on_loop(install)
-
+    # -- control plane ---------------------------------------------------
     def add_loop(self, loop: AsyncWorkerLoop) -> None:
         """Register a freshly-started worker loop (live scale-up)."""
-
-        def register() -> None:
-            self._loops[id(loop.worker)] = loop
-
-        self._on_loop(register)
+        self._loops[id(loop.worker)] = loop
 
     def remove_loop(self, loop: AsyncWorkerLoop) -> None:
         """Forget a drained worker's loop (live scale-down)."""
-        self._on_loop(lambda: self._loops.pop(id(loop.worker), None))
-
-    def begin_drain(self, worker_ids) -> None:
-        self._on_loop(lambda: ShardRouter.begin_drain(self, worker_ids))
-
-    def cancel_drain(self) -> None:
-        self._on_loop(lambda: ShardRouter.cancel_drain(self))
-
-    def drain_pending(self, worker_id) -> bool:
-        return bool(self._on_loop(lambda: ShardRouter.drain_pending(self, worker_id)))
+        self._loops.pop(id(loop.worker), None)
 
     def metrics(self):
-        return self._on_loop(lambda: ShardRouter.metrics(self))
+        return _on_loop(self._aio, lambda: ShardRouter.metrics(self))
 
     # -- hot path: loop-thread only ---------------------------------------
     def _hand_off(
@@ -540,6 +488,8 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
 
     :meth:`deploy` starts one :class:`AsyncWorkerLoop` task per worker and
     attaches an :class:`AsyncShardRouter`; :meth:`undeploy` stops them.
+    Resizing is the simulated runtime's, on the loop (see
+    :meth:`_membership_change` for the calling convention).
     Deploys exclusively on an :class:`~repro.network.aio.AsyncSocketNetwork`
     (see ``examples/live_sharded_bridge.py`` for a complete run)::
 
@@ -570,13 +520,10 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
             )
         self._loops: List[AsyncWorkerLoop] = []
         self._shells: List[_WorkerShell] = []
-        #: Worker-loop exceptions from undeployed generations, preserved so
-        #: post-run inspection survives the teardown in scenario drivers.
+        #: Worker-loop exceptions from retired loops and undeployed
+        #: generations, preserved so post-run inspection survives the
+        #: teardown in scenario drivers.
         self._worker_error_log: List[BaseException] = []
-        #: Serialises rescale attempts: a second ``scale_to`` while one is
-        #: in flight is rejected, never queued.
-        self._scale_lock = threading.Lock()
-        self._scaling = False
 
     @classmethod
     def from_bridge(cls, bridge, workers: int = DEFAULT_WORKERS, **overrides):
@@ -653,27 +600,37 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
     def undeploy(self) -> None:
         """Detach from the network and stop the worker tasks.
 
-        Each worker task is joined (bounded by
-        :data:`UNDEPLOY_JOIN_TIMEOUT`) after the stop sentinel is queued,
-        so jobs still draining finish — and their exceptions land in
-        :attr:`worker_errors` — before the runtime reports itself torn
-        down.  A loop that fails to exit in time is surfaced as a
-        ``RuntimeError`` in the error log rather than silently abandoned.
+        The detach runs on the loop, in one step: a controller tick sees
+        either the whole deployment or none of it.  Each worker task is
+        then joined (bounded by :data:`UNDEPLOY_JOIN_TIMEOUT`) after the
+        stop sentinel is queued, so jobs still draining finish — and their
+        exceptions land in :attr:`worker_errors` — before the runtime
+        reports itself torn down.  A loop that fails to exit in time is
+        surfaced as a ``RuntimeError`` in the error log rather than
+        silently abandoned.
         """
-        if self._network is not None:
-            if self._router is not None:
-                self._network.detach(self._router)
-            for shell in self._shells:
-                self._network.detach(shell)
-        for worker in self._workers:
-            worker.session_close_listener = None
-        self._shutdown_loops(self._loops)
-        if self._router is not None:
-            self._retire_router(self._router)
-        self._loops = []
-        self._shells = []
-        self._router = None
-        self._network = None
+
+        def detach() -> List[AsyncWorkerLoop]:
+            network, router, loops = self._network, self._router, self._loops
+            if network is not None:
+                if router is not None:
+                    network.detach(router)
+                for shell in self._shells:
+                    network.detach(shell)
+            for worker in self._workers:
+                worker.session_close_listener = None
+            if router is not None:
+                self._retire_router(router)
+            self._loops = []
+            self._shells = []
+            self._router = None
+            self._network = None
+            self._drain_victims = None
+            return loops
+
+        network = self._network
+        loops = detach() if network is None else _on_loop(network, detach)
+        self._shutdown_loops(loops)
 
     def _shutdown_loops(self, loops: Sequence[AsyncWorkerLoop]) -> None:
         """Stop, join and harvest ``loops`` into the worker error log.
@@ -694,188 +651,84 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
                 )
             self._worker_error_log.extend(loop.errors)
 
-    def scale_to(
-        self,
-        workers: int,
-        drain_timeout: float = DEFAULT_LIVE_DRAIN_TIMEOUT,
-        victims: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Resize a deployed live runtime in place, loss-free.
+    # -- membership: the simulated runtime's, run on the loop -----------
+    def _membership_change(self, change: Callable[[], _T]) -> _T:
+        """Run a membership change on the loop, where every one runs.
 
-        Growing starts fresh worker loops, attaches their shells, registers
-        the loops with the router and extends the ring — all before any new
-        key routes to them.  Shrinking **drains**: the ring stops handing
-        new correlation keys to the victim workers immediately (``victims``
-        names arbitrary worker ids; default: the pool suffix), then this
-        call *blocks* until their session tables and sticky pins empty
-        (worker loops signal progress after every job; idle-session
-        eviction bounds the wait), detaches them and compacts the pool.
-
-        Unlike the simulated runtime this is synchronous: when it returns,
-        the resize is complete — so it must be called from a control
-        thread, never from the event loop it would be waiting on.  A
-        concurrent ``scale_to`` is rejected with
-        :class:`~repro.core.errors.ConfigurationError`; a drain that
-        exceeds ``drain_timeout`` restores full ring membership (no
-        session is ever abandoned) and raises
-        :class:`~repro.core.errors.EngineError`.
+        Called on the loop thread (a controller tick), it returns once
+        the change has *started*, exactly like the simulated runtime.
+        Called from any other thread (a script, a test, the chaos
+        harness), it marshals the change onto the loop once, then waits
+        off-loop until the drain it started has finished, raising
+        :class:`~repro.core.errors.EngineError` if that drain was
+        cancelled at :attr:`drain_timeout` (full ring membership is
+        restored and no session is abandoned either way).
         """
-        if workers <= 0:
-            raise ConfigurationError(
-                f"a sharded runtime needs at least one worker, got {workers}"
+        network = self._network
+        if network is None or network.on_loop_thread():
+            return change()
+
+        def start():
+            return len(self.scale_events), change()
+
+        marker, result = _on_loop(network, start)
+        while self.scaling_in_progress and network._thread.is_alive():
+            time.sleep(self.drain_poll_interval)
+        if any(e.kind == "drain-cancelled" for e in self.scale_events[marker:]):
+            raise EngineError(
+                f"drain did not complete within {self.drain_timeout}s; ring "
+                "membership restored, no session was abandoned"
             )
-        with self._scale_lock:
-            if self._scaling:
-                raise ConfigurationError(
-                    "a live rescale is already in progress; wait for it to "
-                    "complete before rescaling again"
-                )
-            if self._router is None or self._network is None:
-                raise ConfigurationError("scale_to requires a deployed runtime")
-            self._scaling = True
-        try:
-            current = len(self._workers)
-            if workers >= current and victims is not None:
-                # Mirror the simulated runtime: naming victims without a
-                # shrink is an error, never a silent no-op.
-                raise ConfigurationError(
-                    f"victims only apply when shrinking the pool "
-                    f"(target {workers}, current {current})"
-                )
-            if workers == current:
-                return
-            if workers > current:
-                self._grow_live(workers)
-            else:
-                self._shrink_live(
-                    self._check_victims(workers, victims), workers, drain_timeout
-                )
-        finally:
-            self._scaling = False
+        return result
 
-    @property
-    def scaling_in_progress(self) -> bool:
-        return self._scaling
+    def scale_to(self, workers: int, victims: Optional[Sequence[int]] = None) -> None:
+        self._membership_change(lambda: ShardedRuntime.scale_to(self, workers, victims))
 
-    def _grow_live(self, target: int) -> None:
-        assert self._router is not None and self._network is not None
-        router: AsyncShardRouter = self._router  # type: ignore[assignment]
-        before = len(self._workers)
-        added_loops: List[AsyncWorkerLoop] = []
-        added_shells: List[_WorkerShell] = []
-        try:
-            while len(self._workers) < target:
-                worker_id = self._allocate_worker_id()
-                worker = self._build_worker(worker_id)
-                loop = AsyncWorkerLoop(worker, self._network)
-                shell = _WorkerShell(loop)
-                loop.start()
-                self._network.attach(shell)
-                router.add_loop(loop)
-                worker.session_close_listener = router.note_session_closed
-                self._workers.append(worker)
-                self._worker_ids.append(worker_id)
-                self._loops.append(loop)
-                self._shells.append(shell)
-                added_loops.append(loop)
-                added_shells.append(shell)
-            router.set_workers(self._workers, self._worker_ids)
-        except BaseException:
-            # Unwind the partial additions so the runtime stays consistent
-            # at its previous size and a retry starts clean.
-            for shell in added_shells:
-                self._network.detach(shell)
-            for loop in added_loops:
-                router.remove_loop(loop)
-                loop.worker.session_close_listener = None
-                if loop.worker in self._workers:
-                    index = self._workers.index(loop.worker)
-                    del self._workers[index]
-                    del self._worker_ids[index]
-                    del self._loops[index]
-                    del self._shells[index]
-            self._shutdown_loops(added_loops)
-            router.set_workers(self._workers, self._worker_ids)
-            raise
-        self._record_scale("grow", before, target)
+    def remove_worker(self, worker_id: int) -> None:
+        self._membership_change(lambda: ShardedRuntime.remove_worker(self, worker_id))
 
-    def _shrink_live(
-        self, victims: List[int], target: int, drain_timeout: float
-    ) -> None:
-        assert self._router is not None and self._network is not None
-        router: AsyncShardRouter = self._router  # type: ignore[assignment]
-        before = len(self._workers)
-        router.begin_drain(victims)
-        self._record_scale("drain-start", before, target)
-        deadline = time.monotonic() + drain_timeout
-        for worker_id in victims:
-            position = self._worker_ids.index(worker_id)
-            worker = self._workers[position]
-            loop = self._loops[position]
-            while True:
-                # Order matters: once no sticky entry pins a key to this
-                # worker, no *new* keyed delivery can be routed to it, so a
-                # subsequent observation of "no sessions, no queued jobs"
-                # is stable — a delivery posted before the unpin would
-                # still be visible in the queue depth.
-                if not router.drain_pending(worker_id):
-                    if self._worker_empty(loop, worker):
-                        break
-                if time.monotonic() >= deadline:
-                    router.cancel_drain()
-                    self._record_scale("drain-cancelled", before, before)
-                    raise EngineError(
-                        f"drain of worker '{worker.name}' did not complete "
-                        f"within {drain_timeout}s; ring membership restored, "
-                        "no session was abandoned"
-                    )
-                loop.wait_progress(LIVE_DRAIN_POLL_INTERVAL)
-        # Every victim is empty.  Rebuild the router's membership over the
-        # survivors FIRST: from this point no fan-out pass can capture a
-        # victim, so removing the victims' loops below can never abort a
-        # pass mid-flight.
-        survivor_ids = [wid for wid in self._worker_ids if wid not in victims]
-        survivors = [
-            self._workers[self._worker_ids.index(wid)] for wid in survivor_ids
-        ]
-        router.set_workers(survivors, survivor_ids)
-        # Now tear the victims down (identity membership means popping
-        # mid-list positions never disturbs the survivors).
-        for worker_id in victims:
-            position = self._worker_ids.index(worker_id)
-            shell = self._shells.pop(position)
-            self._network.detach(shell)
-            loop = self._loops.pop(position)
-            worker = self._pop_worker(worker_id)
-            self._shutdown_loops([loop])
-            self._retire_worker(worker)
-            router.remove_loop(loop)
-        self._record_scale("drain-complete", before, target)
+    def replace_worker(self, worker_id: int) -> int:
+        return self._membership_change(
+            lambda: ShardedRuntime.replace_worker(self, worker_id)
+        )
 
-    def _worker_empty(self, loop: AsyncWorkerLoop, worker: AutomataEngine) -> bool:
-        """Whether a draining worker has no sessions and no queued jobs.
+    def _attach_worker(self, worker: AutomataEngine) -> None:
+        """Start the newcomer's loop, register it with the router, then
+        attach its shell — all before any new key routes to it."""
+        assert self._network is not None and self._router is not None
+        loop = AsyncWorkerLoop(worker, self._network)
+        self._loops.append(loop)
+        self._shells.append(_WorkerShell(loop))
+        loop.start()
+        self._router.add_loop(loop)
+        self._network.attach(self._shells[-1])
 
-        Evaluated *on* the event loop: there no job is ever mid-flight
-        (jobs are synchronous calls of the drain task), so "no sessions
-        and an empty queue" is exact — a job dequeued but not yet done
-        creating its session cannot slip between the two reads.
+    def _detach_worker(self, worker_id: int) -> None:
+        """Detach a drained worker's shell and stop its loop.
+
+        Runs on the loop, where the drained worker's queue is known empty:
+        the task exits at the stop sentinel without a join, and its
+        :attr:`AsyncWorkerLoop.errors` are already complete.
         """
-        def check() -> bool:
-            return not worker.active_sessions and loop.queue_depth == 0
+        assert self._network is not None and self._router is not None
+        position = self._worker_ids.index(worker_id)
+        loop = self._loops.pop(position)
+        self._network.detach(self._shells.pop(position))
+        super()._detach_worker(worker_id)
+        self._router.remove_loop(loop)  # type: ignore[attr-defined]
+        loop.stop()
+        self._worker_error_log.extend(loop.errors)
 
-        network = loop.network
-        if network.on_loop_thread():
-            return check()
+    def _worker_drained(self, worker_id: int) -> bool:
+        """No sessions, no sticky pins and no queued jobs.
 
-        async def _call() -> bool:
-            return check()
-
-        future = asyncio.run_coroutine_threadsafe(_call(), network.loop)
-        try:
-            return bool(future.result(timeout=CONTROL_MARSHAL_TIMEOUT))
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            return False  # loop busy: not observably empty, keep waiting
+        Evaluated on the event loop, where no job is ever mid-flight (jobs
+        are synchronous calls of the drain task), so the three reads are
+        exact together: a job dequeued but not yet done creating its
+        session cannot slip between them.
+        """
+        loop = self._loops[self._worker_ids.index(worker_id)]
+        return super()._worker_drained(worker_id) and loop.queue_depth == 0
 
     # ------------------------------------------------------------------
     def post_to_worker(self, worker_id: int, job: Callable[[], None]) -> None:
@@ -885,14 +738,15 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
             raise ConfigurationError(f"no worker with id {worker_id!r}")
         self._loops[self._worker_ids.index(worker_id)].post(job)
 
-    def ping_workers(self) -> None:
+    def ping_workers(self, skew: Optional[Mapping[int, float]] = None) -> None:
         """Post a no-op job to every worker loop.
 
         The loops stamp :attr:`AsyncWorkerLoop.heartbeat_at` after *every*
         job, so pinging turns "has this loop made progress lately?" into a
         question idle loops also answer — without pings an idle-but-fine
         loop would look exactly like a wedged one.  The health controller
-        calls this once per probe tick.
+        calls this once per probe tick.  ``skew`` (a simulated timer
+        fault) has nothing to delay here: the loop stamps its own time.
         """
         for loop in list(self._loops):
             loop.post(lambda: None)

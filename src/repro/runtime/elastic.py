@@ -15,13 +15,12 @@ loss-free.  This module closes the loop:
   :class:`~repro.runtime.metrics.ShardMetrics` snapshots, it answers with
   a desired worker count or ``None``.  No network, no threads — directly
   unit-testable (the flapping tests exercise exactly this object);
-* :class:`ElasticController` — drives the loop on the **simulated**
-  runtime with engine timers (a ``call_later`` chain on the virtual
-  clock);
-* :class:`LiveElasticController` — the same loop as a control thread
-  polling the **live** runtime on the wall clock.
+* :class:`ElasticController` — drives the loop as a
+  :class:`~repro.network.engine.ControlLoop` on the network's timer: the
+  virtual clock on the **simulated** runtime, the event loop on the
+  **live** one (no thread of its own either way).
 
-Dataflow: metrics → policy → ``scale_to``.  The controllers never scale
+Dataflow: metrics → policy → ``scale_to``.  The controller never scales
 while a drain is in progress (``scaling_in_progress``), so decisions are
 always made against a settled pool.
 """
@@ -29,12 +28,11 @@ always made against a settled pool.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from ..core.errors import ConfigurationError
-from ..network.engine import NetworkEngine
+from ..network.engine import ControlLoop
 from .metrics import ShardMetrics
 from .runtime import VICTIM_STRATEGIES, ShardedRuntime
 
@@ -43,7 +41,6 @@ __all__ = [
     "Autoscaler",
     "AutoscaleDecision",
     "ElasticController",
-    "LiveElasticController",
 ]
 
 #: Default seconds between controller ticks (virtual on the simulation,
@@ -140,8 +137,8 @@ class Autoscaler:
 
     Stateful only in what hysteresis needs (last action time, low-load
     streak); everything else comes from the snapshot, so the object can be
-    driven by either controller — or by a test feeding synthetic
-    snapshots.
+    driven by the controller on either runtime — or by a test feeding
+    synthetic snapshots.
     """
 
     def __init__(self, policy: Optional[AutoscalerPolicy] = None) -> None:
@@ -209,15 +206,14 @@ class Autoscaler:
         return desired
 
 
-class ElasticController:
-    """Drives an :class:`Autoscaler` on the *simulated* runtime.
+class ElasticController(ControlLoop):
+    """Drives an :class:`Autoscaler` against a deployed runtime.
 
-    Ticks are engine timers: :meth:`start` schedules a ``call_later``
-    chain on the network's virtual clock, each tick snapshots
-    ``runtime.metrics()``, asks the autoscaler, and issues ``scale_to``.
-    The chain reschedules itself until :meth:`stop`, so drive the
-    simulation with ``run_until`` (a bare ``run()`` would never quiesce
-    under a running controller).
+    Each tick (a :class:`~repro.network.engine.ControlLoop` timer, on
+    either runtime) snapshots ``runtime.metrics()``, asks the autoscaler,
+    and issues ``scale_to``.  A shrink only *starts* a drain — the tick
+    returns at once, live as on the simulation — and later ticks hold
+    while ``scaling_in_progress``.
     """
 
     def __init__(
@@ -227,13 +223,13 @@ class ElasticController:
         interval: float = DEFAULT_TICK_INTERVAL,
         victim_strategy: Optional[str] = None,
     ) -> None:
+        super().__init__(interval)
         self.runtime = runtime
         self.autoscaler = autoscaler if autoscaler is not None else Autoscaler()
-        self.interval = interval
         if victim_strategy is not None and victim_strategy not in VICTIM_STRATEGIES:
-            # Fail at construction, not at the first scale-down tick — on
-            # the live controller that tick's error would be swallowed
-            # into `errors` and the pool would silently never shrink.
+            # Fail at construction, not at the first scale-down tick —
+            # that tick's error would land in `errors` and the pool would
+            # silently never shrink.
             raise ConfigurationError(
                 f"unknown victim strategy {victim_strategy!r}; "
                 f"choose one of {VICTIM_STRATEGIES}"
@@ -243,28 +239,9 @@ class ElasticController:
         #: historical pool-suffix choice; ``"least-loaded"`` retires the
         #: emptiest workers (fastest drain) wherever they sit in the pool.
         self.victim_strategy = victim_strategy
-        self._network: Optional[NetworkEngine] = None
-        self._running = False
-
-    def start(self, network: NetworkEngine) -> None:
-        if self._running:
-            return
-        self._network = network
-        self._running = True
-        network.call_later(self.interval, self._tick)
-
-    def stop(self) -> None:
-        """Cease rescheduling; the pending tick (if any) becomes a no-op."""
-        self._running = False
-
-    def _tick(self) -> None:
-        if not self._running or self._network is None:
-            return
-        self._step()
-        self._network.call_later(self.interval, self._tick)
 
     def _step(self) -> None:
-        """One observe-decide-act cycle (shared with the live controller)."""
+        """One observe-decide-act cycle."""
         runtime = self.runtime
         if runtime.scaling_in_progress or runtime.router is None:
             return
@@ -281,53 +258,3 @@ class ElasticController:
     @property
     def decisions(self) -> List[AutoscaleDecision]:
         return list(self.autoscaler.decisions)
-
-
-class LiveElasticController(ElasticController):
-    """The control loop as a thread, for the live runtime
-    (:class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`).
-
-    Same observe-decide-act cycle, but paced by the wall clock: a daemon
-    thread wakes every ``interval`` seconds while started.  ``scale_to``
-    on the live runtime blocks through drains, which is fine here — the
-    controller skips decision-making while one is in flight anyway, and a
-    blocked control thread never blocks the data path.
-    """
-
-    def __init__(
-        self,
-        runtime: ShardedRuntime,
-        autoscaler: Optional[Autoscaler] = None,
-        interval: float = 0.2,
-        victim_strategy: Optional[str] = None,
-    ) -> None:
-        super().__init__(runtime, autoscaler, interval, victim_strategy)
-        #: Exceptions the control thread swallowed (inspect after a run).
-        self.errors: List[BaseException] = []
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self, network: Optional[NetworkEngine] = None) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop_event.clear()
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="elastic-controller"
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop the control thread and join it (bounded by ``timeout``)."""
-        self._running = False
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            try:
-                self._step()
-            except Exception as exc:  # noqa: BLE001 - control loop must survive
-                self.errors.append(exc)

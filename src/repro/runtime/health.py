@@ -16,16 +16,16 @@ closes the loop the way the elastic control plane closed the sizing loop:
   in each input), tracks per-worker bad-probe streaks, and answers with
   ``quarantine`` / ``release`` / ``replace`` actions.  No network, no
   threads — directly unit-testable, like the :class:`Autoscaler`;
-* :class:`HealthController` — drives the loop on the **simulated**
-  runtime with engine timers.  Its heartbeat pulses are scheduled
-  *through each worker's busy clock* (``call_later(busy_backlog, ...)``),
-  so a stalled compute clock delays the pulse and the heartbeat goes
-  stale — the virtual-time analogue of a loop that stopped draining;
-* :class:`LiveHealthController` — the same loop as a control thread over
-  the **live** runtime.  Live heartbeats are the worker loops' own
-  ``heartbeat_at`` stamps (``time.monotonic()``, the same clock as
-  ``AsyncSocketNetwork.now()``); the controller posts a no-op ping per loop
-  per tick so an *idle* loop stays distinguishable from a *wedged* one.
+* :class:`HealthController` — drives the loop as a
+  :class:`~repro.network.engine.ControlLoop` on the network's timer, on
+  either runtime.  Each tick asks the runtime to probe its workers'
+  heartbeats (``ping_workers``): the simulated runtime schedules one
+  pulse per worker *through its busy clock* (``call_later(busy_backlog,
+  ...)``), so a stalled compute clock delays the pulse and the heartbeat
+  goes stale; the live runtime posts a no-op job per worker loop, whose
+  own ``heartbeat_at`` stamp (``time.monotonic()``, the
+  ``AsyncSocketNetwork.now()`` clock) keeps an *idle* loop
+  distinguishable from a *wedged* one.
 
 Escalation: ``suspect_after`` consecutive bad probes **quarantines** the
 worker (``router.begin_drain([id])`` — new keys route elsewhere, pinned
@@ -51,13 +51,11 @@ lives with the socket engine.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
-from ..network.engine import NetworkEngine
+from ..network.engine import ControlLoop, NetworkEngine
 from .metrics import ShardMetrics
 from .runtime import ShardedRuntime
 
@@ -67,7 +65,6 @@ __all__ = [
     "HealthAction",
     "FailureDetector",
     "HealthController",
-    "LiveHealthController",
     "wedge_simulated_worker",
     "HEALTHY",
     "SUSPECT",
@@ -203,8 +200,8 @@ class FailureDetector:
     bad-probe streaks and states, previous error counters (the probes
     score *deltas*, not lifetime totals), the last replacement time, and
     a probe ledger.  Everything else comes from the snapshot, so the
-    object can be driven by either controller — or by a test feeding
-    synthetic snapshots.
+    object can be driven by the controller on either runtime — or by a
+    test feeding synthetic snapshots.
 
     The probe ledger is **conserved across replacement**: when a worker
     id disappears from the snapshot (drained away by ``replace_worker``),
@@ -365,29 +362,20 @@ class FailureDetector:
         return actions
 
 
-class HealthController:
-    """Drives a :class:`FailureDetector` on the *simulated* runtime.
+class HealthController(ControlLoop):
+    """Drives a :class:`FailureDetector` against a deployed runtime.
 
-    Ticks are engine timers (a ``call_later`` chain on the virtual clock,
-    like the :class:`~repro.runtime.elastic.ElasticController`): each tick
-    re-asserts quarantine marks, pulses heartbeats, snapshots
-    ``runtime.metrics()`` and executes the detector's actions.  The chain
-    reschedules itself until :meth:`stop`, so drive the simulation with
-    ``run_until`` / ``run_for`` (a bare ``run()`` would never quiesce
-    under a running controller).
-
-    Heartbeat pulses are scheduled **through each worker's busy clock**:
-    ``call_later(worker.busy_backlog(now), note_heartbeat)``.  A healthy
-    worker's pulse lands almost immediately, so its heartbeat age hovers
-    around one probe interval; a wedged worker's pulse queues behind the
-    stalled compute clock and its heartbeat goes stale — the same
-    signature a live loop that stopped draining shows.
+    Each tick (a :class:`~repro.network.engine.ControlLoop` timer, on
+    either runtime) re-asserts quarantine marks, probes heartbeats
+    (``runtime.ping_workers``), snapshots ``runtime.metrics()`` and
+    executes the detector's actions.  A replacement only *starts* the
+    victim's drain; later ticks hold while ``scaling_in_progress``.
 
     :meth:`skew_probes` is the matching time-fault injector: it delays a
-    worker's next N pulses by a fixed skew, modelling a clock-skewed
-    timer.  A skew below ``fail_after`` consecutive probes must never
-    cause a replacement — that is exactly what the hysteresis is for, and
-    the chaos schedules exercise it.
+    worker's next N simulated heartbeat pulses by a fixed skew, modelling
+    a clock-skewed timer.  A skew below ``fail_after`` consecutive probes
+    must never cause a replacement — that is exactly what the hysteresis
+    is for, and the chaos schedules exercise it.
     """
 
     def __init__(
@@ -399,9 +387,9 @@ class HealthController:
         journal: Optional[object] = None,
         flight_recorder: Optional[object] = None,
     ) -> None:
+        super().__init__(interval)
         self.runtime = runtime
         self.detector = detector if detector is not None else FailureDetector()
-        self.interval = interval
         #: Optional telemetry hookups (duck-typed so ``repro.runtime``
         #: never needs more of :mod:`repro.obs` than it already imports):
         #: a ``MetricsCollector`` whose ``latency_signal()`` feeds the
@@ -416,19 +404,6 @@ class HealthController:
         #: Worker ids this controller currently holds in quarantine.
         self.quarantined: Set[int] = set()
         self._skew: Dict[int, Tuple[float, int]] = {}
-        self._network: Optional[NetworkEngine] = None
-        self._running = False
-
-    def start(self, network: NetworkEngine) -> None:
-        if self._running:
-            return
-        self._network = network
-        self._running = True
-        network.call_later(self.interval, self._tick)
-
-    def stop(self) -> None:
-        """Cease rescheduling; the pending tick (if any) becomes a no-op."""
-        self._running = False
 
     def skew_probes(self, worker_id: int, delay: float, probes: int = 1) -> None:
         """Fault injection: delay ``worker_id``'s next ``probes`` heartbeat
@@ -439,20 +414,13 @@ class HealthController:
             )
         self._skew[worker_id] = (delay, probes)
 
-    def _tick(self) -> None:
-        if not self._running or self._network is None:
-            return
-        self._step()
-        if self._running and self._network is not None:
-            self._network.call_later(self.interval, self._tick)
-
     def _step(self) -> None:
-        """One probe-score-act cycle (shared with the live controller)."""
+        """One probe-score-act cycle."""
         runtime = self.runtime
         if runtime.router is None or runtime.scaling_in_progress:
             return
         self._reassert_quarantine()
-        self._pulse()
+        runtime.ping_workers(self._take_skews())
         latency = (
             self.collector.latency_signal() if self.collector is not None else None
         )
@@ -481,24 +449,21 @@ class HealthController:
             # containment is denied, replacement will still fire.
             self.quarantined &= router.draining_ids
 
-    def _pulse(self) -> None:
-        """Schedule one heartbeat pulse per worker, through its busy clock."""
-        network = self._network
-        if network is None:
-            return
-        runtime = self.runtime
-        now = network.now()
-        for worker_id, worker in zip(runtime.worker_ids, runtime.workers):
-            delay = worker.busy_backlog(now)
+    def _take_skews(self) -> Dict[int, float]:
+        """This tick's extra pulse delay per worker id, consuming one
+        skewed probe of each pooled worker."""
+        skews: Dict[int, float] = {}
+        for worker_id in self.runtime.worker_ids:
             skew = self._skew.get(worker_id)
-            if skew is not None:
-                extra, remaining = skew
-                delay += extra
-                if remaining <= 1:
-                    del self._skew[worker_id]
-                else:
-                    self._skew[worker_id] = (extra, remaining - 1)
-            network.call_later(delay, partial(runtime.note_heartbeat, worker_id))
+            if skew is None:
+                continue
+            extra, remaining = skew
+            skews[worker_id] = extra
+            if remaining <= 1:
+                del self._skew[worker_id]
+            else:
+                self._skew[worker_id] = (extra, remaining - 1)
+        return skews
 
     def _execute(self, action: HealthAction) -> None:
         runtime = self.runtime
@@ -555,74 +520,6 @@ class HealthController:
     def replaced_ids(self) -> List[int]:
         """Worker ids this controller has replaced, in order."""
         return [a.worker_id for a in self.actions if a.kind == "replace"]
-
-
-class LiveHealthController(HealthController):
-    """The health loop as a thread, for the live runtime.
-
-    Same probe-score-act cycle, paced by the wall clock (a daemon thread,
-    like the :class:`~repro.runtime.elastic.LiveElasticController`).  Two
-    live-specific differences:
-
-    * heartbeats are not scheduled pulses — every worker loop stamps
-      ``heartbeat_at`` (``time.monotonic()``, the
-      ``AsyncSocketNetwork.now()`` clock) after each job, and the
-      controller posts a no-op **ping** per loop per tick so idle loops
-      keep proving liveness;
-    * ``replace_worker`` on the live runtime blocks through the victim's
-      drain.  That blocks only this control thread — the data path keeps
-      running — and the next tick resumes against the settled pool.
-    """
-
-    def __init__(
-        self,
-        runtime: ShardedRuntime,
-        detector: Optional[FailureDetector] = None,
-        interval: float = DEFAULT_PROBE_INTERVAL,
-        collector: Optional[object] = None,
-        journal: Optional[object] = None,
-        flight_recorder: Optional[object] = None,
-    ) -> None:
-        super().__init__(
-            runtime,
-            detector,
-            interval,
-            collector=collector,
-            journal=journal,
-            flight_recorder=flight_recorder,
-        )
-        #: Exceptions the control thread swallowed (inspect after a run).
-        self.errors: List[BaseException] = []
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self, network: Optional[NetworkEngine] = None) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop_event.clear()
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="health-controller"
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop the control thread and join it (bounded by ``timeout``)."""
-        self._running = False
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            try:
-                self._step()
-            except Exception as exc:  # noqa: BLE001 - control loop must survive
-                self.errors.append(exc)
-
-    def _pulse(self) -> None:
-        self.runtime.ping_workers()
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ is a queue-draining task on the socket engine's one event loop.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ..core.automata.merge import MergedAutomaton
@@ -71,8 +72,13 @@ __all__ = ["ShardedRuntime", "ScaleEvent", "VICTIM_STRATEGIES"]
 #: calibrated workload (beyond it the legacy service latency dominates).
 DEFAULT_WORKERS = 4
 
-#: Seconds between drain-completion checks on the simulated clock.
+#: Seconds between drain-completion checks (network clock).
 DEFAULT_DRAIN_POLL_INTERVAL = 0.05
+
+#: Seconds a drain may take before it is cancelled and full ring
+#: membership restored.  Generous: idle-session eviction (default 30 s)
+#: guarantees progress well inside it.
+DEFAULT_DRAIN_TIMEOUT = 60.0
 
 #: Victim-selection strategies for :meth:`ShardedRuntime.select_victims`.
 VICTIM_STRATEGIES = ("suffix", "least-loaded", "most-loaded")
@@ -180,15 +186,23 @@ class ShardedRuntime:
         self._network: Optional[NetworkEngine] = None
         #: Worker ids of the drain in progress, ``None`` when idle.
         self._drain_victims: Optional[List[int]] = None
+        #: Network-clock time the drain in progress is cancelled at.
+        self._drain_deadline = 0.0
+        #: The newcomer a ``replace_worker`` drain retires again if the
+        #: victim's drain is cancelled (``None`` for a plain shrink).
+        self._drain_unwind: Optional[int] = None
         #: Last heartbeat per worker id, in network-clock seconds.  Fed by
-        #: :meth:`note_heartbeat` (the health controller's probe pulses on
-        #: the simulation; the live runtime reads its loops' own
-        #: timestamps instead) — empty until a controller probes, so plain
+        #: :meth:`note_heartbeat` (the pulses :meth:`ping_workers`
+        #: schedules; the live runtime reads its loops' own timestamps
+        #: instead) — empty until a controller probes, so plain
         #: deployments schedule nothing and quiesce as before.
         self._worker_heartbeats: Dict[int, float] = {}
-        #: Seconds between drain-completion checks (virtual clock).
+        #: Seconds between drain-completion checks (network clock).
         self.drain_poll_interval = DEFAULT_DRAIN_POLL_INTERVAL
-        #: The scaling timeline (grow / drain-start / drain-complete).
+        #: Seconds after which a drain is cancelled (see :meth:`scale_to`).
+        self.drain_timeout = DEFAULT_DRAIN_TIMEOUT
+        #: The scaling timeline (grow / drain-start / drain-complete /
+        #: drain-cancelled).
         self.scale_events: List[ScaleEvent] = []
         #: Optional :class:`repro.obs.recorder.EventJournal` (duck-typed:
         #: anything with ``append(kind, at=..., **fields)``).  When set,
@@ -362,8 +376,8 @@ class ShardedRuntime:
           :meth:`replace_worker`).
 
         Ties prefer the highest pool position, so a uniformly-loaded pool
-        selects exactly the suffix.  On the live runtime the session
-        counts are sampled off the loop thread — victim choice is a
+        selects exactly the suffix.  Called off the live runtime's loop
+        thread, the session counts are a racy sample — victim choice is a
         heuristic, not a correctness decision.
         """
         if strategy not in VICTIM_STRATEGIES:
@@ -405,9 +419,12 @@ class ShardedRuntime:
         session is ever abandoned.  ``victims`` names the worker ids to
         retire (any subset, see :meth:`select_victims`); by default the
         suffix of the pool drains, matching the historical behaviour.  The
-        drain completes *asynchronously* on the network's event clock;
-        observe it via :attr:`scaling_in_progress` / :attr:`worker_count`.
-        A second ``scale_to`` while a drain is in progress is rejected.
+        drain completes *asynchronously* on the network's clock; observe
+        it via :attr:`scaling_in_progress` / :attr:`worker_count`.  A drain
+        still unfinished after :attr:`drain_timeout` seconds is cancelled:
+        full ring membership comes back (no session is abandoned) and a
+        ``drain-cancelled`` event is recorded.  A second ``scale_to``
+        while a drain is in progress is rejected.
         """
         if workers <= 0:
             raise ConfigurationError(
@@ -434,17 +451,39 @@ class ShardedRuntime:
         if workers == current:
             return
         if workers > current:
-            while len(self._workers) < workers:
-                worker_id = self._allocate_worker_id()
-                worker = self._build_worker(worker_id)
-                self._network.attach(worker)
-                worker.session_close_listener = self._router.note_session_closed
-                self._workers.append(worker)
-                self._worker_ids.append(worker_id)
+            added: List[int] = []
+            try:
+                while len(self._workers) < workers:
+                    worker_id = self._allocate_worker_id()
+                    worker = self._build_worker(worker_id)
+                    self._workers.append(worker)
+                    self._worker_ids.append(worker_id)
+                    added.append(worker_id)
+                    self._attach_worker(worker)
+                    worker.session_close_listener = self._router.note_session_closed
+            except BaseException:
+                # Unwind the partial additions so the runtime stays at its
+                # previous size and a retry starts clean.
+                for worker_id in added:
+                    self._detach_worker(worker_id)
+                raise
             self._router.set_workers(self._workers, self._worker_ids)
             self._record_scale("grow", current, workers)
             return
         self._start_drain(self._check_victims(workers, victims), current, workers)
+
+    def _attach_worker(self, worker: AutomataEngine) -> None:
+        """Put a freshly-built pool member on the network."""
+        assert self._network is not None
+        self._network.attach(worker)
+
+    def _detach_worker(self, worker_id: int) -> None:
+        """Take a pool member off the network, folding its measurements
+        into the runtime aggregate."""
+        assert self._network is not None
+        worker = self._pop_worker(worker_id)
+        self._retire_worker(worker)
+        self._network.detach(worker)
 
     def _check_victims(
         self, target: int, victims: Optional[Sequence[int]]
@@ -469,14 +508,16 @@ class ShardedRuntime:
         return victims
 
     def _start_drain(self, victims: List[int], before: int, target: int) -> None:
-        """Begin the asynchronous drain of ``victims`` (simulated clock)."""
+        """Begin the asynchronous drain of ``victims``."""
         assert self._router is not None and self._network is not None
         self._drain_victims = victims
+        self._drain_deadline = self._network.now() + self.drain_timeout
+        self._drain_unwind = None
         self._router.begin_drain(victims)
         self._record_scale("drain-start", before, target)
         self._network.call_later(self.drain_poll_interval, self._drain_step)
 
-    def remove_worker(self, worker_id: int, **scale_options: Any) -> None:
+    def remove_worker(self, worker_id: int) -> None:
         """Drain and retire one **arbitrary** worker, loss-free.
 
         Sugar for ``scale_to(worker_count - 1, victims=[worker_id])``: the
@@ -490,26 +531,19 @@ class ShardedRuntime:
             raise ConfigurationError(
                 f"no worker with id {worker_id!r} to remove"
             )
-        self.scale_to(len(self._workers) - 1, victims=[worker_id], **scale_options)
+        self.scale_to(len(self._workers) - 1, victims=[worker_id])
 
-    def replace_worker(self, worker_id: int, **scale_options: Any) -> int:
+    def replace_worker(self, worker_id: int) -> int:
         """Swap one worker for a fresh engine, loss-free; returns the new id.
 
         Grows the pool by one (the newcomer starts taking new keys at
-        once), then drains exactly ``worker_id`` — so capacity never dips
-        below the original pool size while the old worker finishes its
-        pinned sessions.  On the simulated runtime the drain completes
-        asynchronously (``scaling_in_progress``); the live runtime blocks,
-        as its ``scale_to`` does.  If the victim's drain fails (a live
-        drain timeout, say), the committed grow is unwound by draining the
-        *newcomer* back out before the error propagates — a wedged victim
-        must not inflate the pool by one worker per retry.
-
-        Not atomic against a concurrently *running* controller: a control
-        tick that resizes the pool between the grow and the drain makes
-        the shrink step fail loudly with
-        :class:`~repro.core.errors.ConfigurationError` (never a silent
-        skip of the victim) — stop the controller, or accept the retry.
+        once), then starts draining exactly ``worker_id`` — so capacity
+        never dips below the original pool size while the old worker
+        finishes its pinned sessions.  The drain completes asynchronously
+        (``scaling_in_progress``).  If it is cancelled (the victim is
+        still busy after :attr:`drain_timeout`), the drain step retires
+        the *newcomer* again — a wedged victim must not inflate the pool
+        by one worker per retry.
         """
         if self._router is None or self._network is None:
             raise ConfigurationError("replace_worker requires a deployed runtime")
@@ -521,18 +555,8 @@ class ShardedRuntime:
         before = set(self._worker_ids)
         self.scale_to(current + 1)
         (new_id,) = set(self._worker_ids) - before
-        try:
-            self.scale_to(current, victims=[worker_id], **scale_options)
-        except Exception:
-            # Best-effort unwind: retire the (nearly empty) newcomer to
-            # restore the original pool size, then surface the original
-            # failure.  If this drain wedges too, the pool stays one
-            # worker large — still bounded, never compounding.
-            try:
-                self.scale_to(current, victims=[new_id], **scale_options)
-            except Exception:
-                pass
-            raise
+        self.scale_to(current, victims=[worker_id])
+        self._drain_unwind = new_id
         return new_id
 
     @property
@@ -582,9 +606,12 @@ class ShardedRuntime:
     def _drain_step(self) -> None:
         """One drain-completion check, rescheduling itself until done.
 
-        Victims are retired *as they empty* (identity membership means
-        compacting the list never disturbs the survivors' sticky entries);
-        the chain stops once every victim is gone, so simulations quiesce.
+        The only drain loop, on either runtime.  Victims are retired *as
+        they empty* (identity membership means compacting the list never
+        disturbs the survivors' sticky entries); the chain stops once
+        every victim is gone, so simulations quiesce — or at the
+        deadline, which cancels the drain: the ring takes every remaining
+        worker back, and a replacement's newcomer is drained out again.
         """
         victims = self._drain_victims
         if victims is None or self._network is None or self._router is None:
@@ -593,18 +620,25 @@ class ShardedRuntime:
         remaining: List[int] = []
         for worker_id in victims:
             if self._worker_drained(worker_id):
-                worker = self._pop_worker(worker_id)
-                self._retire_worker(worker)
-                self._network.detach(worker)
+                self._detach_worker(worker_id)
             else:
                 remaining.append(worker_id)
-        if remaining:
+        if remaining and self._network.now() < self._drain_deadline:
             self._drain_victims = remaining
             self._network.call_later(self.drain_poll_interval, self._drain_step)
             return
-        self._drain_victims = None
+        unwind = self._drain_unwind
+        self._drain_victims = self._drain_unwind = None
+        # Settles the retired victims out of the membership and, for a
+        # cancelled drain, clears the drain marks (a ``cancel_drain``).
         self._router.set_workers(self._workers, self._worker_ids)
-        self._record_scale("drain-complete", before, len(self._workers))
+        if not remaining:
+            self._record_scale("drain-complete", before, len(self._workers))
+            return
+        self._record_scale("drain-cancelled", before, len(self._workers))
+        if unwind in self._worker_ids:
+            count = len(self._workers)
+            self._start_drain([unwind], count, count - 1)
 
     # ------------------------------------------------------------------
     # introspection / aggregated statistics
@@ -736,8 +770,8 @@ class ShardedRuntime:
     def note_heartbeat(self, worker_id: int) -> None:
         """Record that ``worker_id`` proved liveness *now*.
 
-        Called by the health controller's probe pulses (scheduled through
-        the worker's busy clock, so a stalled compute clock delays them —
+        Called by the pulses :meth:`ping_workers` schedules (through the
+        worker's busy clock, so a stalled compute clock delays them —
         exactly the wedge signature).  A pulse for a worker that has since
         been retired, or arriving after undeploy, is ignored: heartbeat
         timers race drains by design.
@@ -745,6 +779,28 @@ class ShardedRuntime:
         if self._network is None or worker_id not in self._worker_ids:
             return
         self._worker_heartbeats[worker_id] = self._network.now()
+
+    def ping_workers(self, skew: Optional[Mapping[int, float]] = None) -> None:
+        """Probe every worker's liveness once (the health controller's
+        heartbeat probe).
+
+        Each pulse is a timer scheduled **through the worker's busy
+        clock** (``call_later(busy_backlog, note_heartbeat)``): a healthy
+        worker's pulse lands almost immediately, so its heartbeat age
+        hovers around one probe interval; a wedged worker's pulse queues
+        behind the stalled compute clock and its heartbeat goes stale.
+        ``skew`` adds extra seconds to the pulses of the given worker ids
+        (a clock-skewed timer).
+        """
+        network = self._network
+        if network is None:
+            return
+        now = network.now()
+        for worker_id, worker in zip(self._worker_ids, self._workers):
+            delay = worker.busy_backlog(now)
+            if skew and worker_id in skew:
+                delay += skew[worker_id]
+            network.call_later(delay, partial(self.note_heartbeat, worker_id))
 
     def heartbeat_age(self, worker_id: int, now: float) -> float:
         """Seconds since ``worker_id``'s last heartbeat; 0.0 if never probed.

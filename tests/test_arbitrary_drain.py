@@ -32,7 +32,14 @@ from repro.network.aio import AsyncSocketNetwork
 from repro.network.latency import LatencyModel
 from repro.network.sockets import loopback_available
 from repro.protocols.mdns import BonjourResponder
-from repro.runtime import Autoscaler, AutoscalerPolicy, ElasticController
+from repro.runtime import (
+    Autoscaler,
+    AutoscalerPolicy,
+    ElasticController,
+    FailureDetector,
+    HealthController,
+    HealthPolicy,
+)
 from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 live_only = pytest.mark.skipif(
@@ -252,6 +259,14 @@ class TestArbitraryDrainSimulated:
             ElasticController(runtime, victim_strategy="least_loaded")  # typo
 
 
+def _await_settled(runtime, timeout: float = 5.0) -> bool:
+    """Wait (off the loop) until no drain is in flight."""
+    deadline = _time.monotonic() + timeout
+    while runtime.scaling_in_progress and _time.monotonic() < deadline:
+        _time.sleep(0.005)
+    return not runtime.scaling_in_progress
+
+
 @live_only
 class TestArbitraryDrainLive:
     def _await(self, predicate, timeout=10.0):
@@ -361,8 +376,9 @@ class TestArbitraryDrainLive:
                 if worker.active_sessions
             )
             router = runtime.router
+            runtime.drain_timeout = 0.2
             with pytest.raises(EngineError):
-                runtime.scale_to(1, victims=[victim], drain_timeout=0.2)
+                runtime.scale_to(1, victims=[victim])
             # Membership restored, nothing abandoned, the pin still there.
             assert runtime.worker_count == 2
             assert router.active_worker_count == 2
@@ -382,7 +398,8 @@ class TestArbitraryDrainLive:
             )
             assert not router.drain_pending(victim)
             assert router.sticky_sessions == {}
-            runtime.scale_to(1, victims=[victim], drain_timeout=10.0)
+            runtime.drain_timeout = 10.0
+            runtime.scale_to(1, victims=[victim])
             assert runtime.worker_count == 1
             assert victim not in runtime.worker_ids
             assert runtime.worker_errors == []
@@ -416,12 +433,71 @@ class TestArbitraryDrainLive:
                 if worker.active_sessions
             )
             before_ids = set(runtime.worker_ids)
+            runtime.drain_timeout = 0.2
             for _ in range(2):  # a retry must not compound either
                 with pytest.raises(EngineError):
-                    runtime.replace_worker(victim, drain_timeout=0.2)
+                    runtime.replace_worker(victim)
                 assert runtime.worker_count == 2
                 assert set(runtime.worker_ids) == before_ids
             assert runtime.evicted_sessions == []  # nothing abandoned
         finally:
             runtime.undeploy()
             network.close()
+
+    def test_on_loop_replace_of_wedged_worker_unwinds_grow_when_drain_times_out(
+        self,
+    ):
+        """The on-loop twin of the test above: the health controller,
+        ticking on the event loop, replaces a wedged worker whose session
+        never completes.  Each replacement only starts the drain; the
+        drain step cancels it at ``drain_timeout`` and drains the newcomer
+        back out, so two attempts later the pool is the same size with the
+        same ids and nothing was abandoned."""
+        from repro.evaluation.workloads import _live_bridge, _live_case_parts
+
+        clients, _, target, _ = _live_case_parts(2, 1)
+        runtime = AsyncLiveShardedRuntime.from_bridge(
+            _live_bridge(2, 0.0), workers=2, session_timeout=30.0
+        )
+        runtime.drain_timeout = 0.2
+        policy = HealthPolicy(
+            heartbeat_wedge_threshold=0.15, suspect_after=1, fail_after=2, cooldown=0.1
+        )
+        controller = HealthController(runtime, FailureDetector(policy), interval=0.03)
+        network = AsyncSocketNetwork()
+        try:
+            runtime.deploy(network)
+            (client,) = clients
+            network.attach(client)
+            client.start_lookup(network, target)  # no service: it never completes
+            assert self._await(
+                lambda: any(worker.active_sessions for worker in runtime.workers),
+                timeout=5.0,
+            )
+            victim = next(
+                wid
+                for wid, worker in zip(runtime.worker_ids, runtime.workers)
+                if worker.active_sessions
+            )
+            before_ids = runtime.worker_ids
+            runtime.wedge_worker(victim, 3.0)
+            controller.start(network)
+            assert self._await(
+                lambda: controller.replaced_ids.count(victim) >= 2
+                and not runtime.scaling_in_progress,
+                timeout=10.0,
+            )
+            controller.stop()
+            assert _await_settled(runtime)
+            assert runtime.worker_count == 2
+            assert runtime.worker_ids == before_ids
+            kinds = [event.kind for event in runtime.scale_events]
+            assert kinds.count("drain-cancelled") >= 2
+            assert "drain-complete" in kinds  # the newcomer drained back out
+            assert runtime.evicted_sessions == []  # nothing abandoned
+            assert controller.errors == []
+        finally:
+            controller.stop()
+            runtime.undeploy()
+            network.close()
+        assert runtime.worker_errors == []

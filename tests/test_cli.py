@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.evaluation.cli import build_parser, main
@@ -66,6 +68,24 @@ class TestExecution:
         assert artifact.exists()
         payload = artifact.read_text()
         assert '"seeds": [' in payload and "13" in payload
+
+    def test_table_artifacts_default_to_a_scratch_dir_not_the_cwd(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """With ``REPRO_BENCH_RESULTS_DIR`` unset, a ``--table`` run
+        leaves the working directory untouched: the artifact lands in
+        ``repro-results`` under the temporary directory instead."""
+        workdir = tmp_path / "checkout"
+        scratch = tmp_path / "tmp"
+        workdir.mkdir()
+        scratch.mkdir()
+        monkeypatch.delenv("REPRO_BENCH_RESULTS_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(workdir)
+        assert main(["--table", "chaos", "--seed", "13"]) == 0
+        capsys.readouterr()
+        assert list(workdir.iterdir()) == []
+        assert (scratch / "repro-results" / "BENCH_chaos.json").exists()
 
     def test_chaos_table_reports_bad_case_as_config_error(self, capsys):
         assert main(["--table", "chaos", "--concurrency-case", "9"]) == 2

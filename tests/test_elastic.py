@@ -599,16 +599,15 @@ def test_live_scale_to_both_directions_byte_identical():
 
 @live_only
 def test_live_elastic_controller_runs_and_stops_cleanly():
-    """The live control thread ticks against a deployed runtime without
-    errors; unreachable watermarks mean it observes but never scales."""
+    """The controller ticks on the live loop's timer without errors;
+    unreachable watermarks mean it observes but never scales."""
     from repro.evaluation.workloads import _live_bridge, _live_case_parts
-    from repro.runtime import LiveElasticController
     from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
     clients, service, target, _ = _live_case_parts(2, 4)
     runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
     network = AsyncSocketNetwork()
-    controller = LiveElasticController(
+    controller = ElasticController(
         runtime,
         Autoscaler(AutoscalerPolicy(scale_up_at=1e9, scale_down_at=0.0)),
         interval=0.02,
@@ -618,7 +617,7 @@ def test_live_elastic_controller_runs_and_stops_cleanly():
         network.attach(service)
         for client in clients:
             network.attach(client)
-        controller.start()
+        controller.start(network)
         pairs = [(c, c.start_lookup(network, target)) for c in clients]
         assert _await_results(pairs)
         _time.sleep(0.1)  # let a few control ticks observe the metrics

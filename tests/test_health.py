@@ -44,7 +44,6 @@ from repro.runtime import (
     FailureDetector,
     HealthController,
     HealthPolicy,
-    LiveHealthController,
     ShardedRuntime,
     wedge_simulated_worker,
 )
@@ -391,8 +390,9 @@ class TestSimulatedController:
 class TestLiveController:
     def test_wedged_live_loop_detected_and_replaced_within_probe_budget(self):
         """The same regression over real sockets: a worker loop blocked in
-        a job stops stamping heartbeats; the control thread notices and
-        replaces it while the data path keeps running."""
+        a job stops stamping heartbeats; the controller, ticking on the
+        same event loop, notices and replaces it while the data path
+        keeps running."""
         policy = HealthPolicy(
             heartbeat_wedge_threshold=0.25,
             suspect_after=2,
@@ -402,20 +402,20 @@ class TestLiveController:
         runtime = AsyncLiveShardedRuntime.from_bridge(
             BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=30200), workers=2
         )
-        controller = LiveHealthController(
+        controller = HealthController(
             runtime, FailureDetector(policy), interval=0.05
         )
         with AsyncSocketNetwork() as network:
             runtime.deploy(network)
             try:
-                controller.start()
+                controller.start(network)
                 victim = runtime.worker_ids[0]
                 wedge_at = time.monotonic()
                 runtime.wedge_worker(victim, 0.8)
                 deadline = time.monotonic() + 15.0
-                while (
-                    time.monotonic() < deadline
-                    and victim not in controller.replaced_ids
+                while time.monotonic() < deadline and (
+                    victim not in controller.replaced_ids
+                    or runtime.scaling_in_progress
                 ):
                     time.sleep(0.01)
                 assert victim in controller.replaced_ids

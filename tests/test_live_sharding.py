@@ -24,6 +24,13 @@ from repro.evaluation.workloads import (
 )
 from repro.network.aio import AsyncSocketNetwork
 from repro.network.sockets import loopback_available
+from repro.obs import MetricsCollector
+from repro.runtime import (
+    Autoscaler,
+    AutoscalerPolicy,
+    ElasticController,
+    HealthController,
+)
 from repro.runtime.aio_live import AsyncLiveShardedRuntime
 
 pytestmark = pytest.mark.skipif(
@@ -294,9 +301,11 @@ def test_the_thread_budget_is_one_loop_thread():
 
     Eight workers, fifty completed lookups on the SSDP case (each binds a
     per-session ephemeral UDP socket and dials one TCP connection) and
-    thirty eviction-sweep ticks later, the process runs exactly one thread
-    more than before: the network's loop.  A thread per socket, per timer
-    or per worker — any of them would show here.
+    thirty eviction-sweep ticks later — with an autoscaler, a failure
+    detector and a telemetry collector ticking all along — the process
+    runs exactly one thread more than before: the network's loop.  A
+    thread per socket, per timer, per worker or per controller — any of
+    them would show here.
     """
     before = threading.active_count()
     clients, service, target, _ = _live_case_parts(1, 50)
@@ -315,9 +324,23 @@ def test_the_thread_budget_is_one_loop_thread():
     for worker in runtime.workers:
         worker.sweep_interval = 0.01
         worker._sweep = counted(worker._sweep)
+    # Unreachable watermarks: the autoscaler observes every tick but never
+    # resizes, so the lookups below run against a fixed pool.
+    controllers = [
+        ElasticController(
+            runtime,
+            Autoscaler(AutoscalerPolicy(scale_up_at=1e9, scale_down_at=0.0)),
+            interval=0.02,
+        ),
+        HealthController(runtime, interval=0.02),
+        MetricsCollector(runtime, window=0.02),
+    ]
+    elastic, health, collector = controllers
     network = AsyncSocketNetwork()
     try:
         runtime.deploy(network)
+        for controller in controllers:
+            controller.start(network)
         network.attach(service)
         for client in clients:
             network.attach(client)
@@ -333,8 +356,13 @@ def test_the_thread_budget_is_one_loop_thread():
         assert _wait(lambda: len(runtime.evicted_sessions) == 1)
         assert len(sweeps) >= 30
         assert runtime.worker_errors == []
+        assert health.detector.probes > 0 and collector.samples > 0
         assert threading.active_count() == before + 1
     finally:
+        for controller in controllers:
+            controller.stop()
         runtime.undeploy()
         network.close()
+    assert [c.errors for c in controllers] == [[], [], []]
+    assert elastic.decisions == [] and runtime.worker_count == 8
     assert threading.active_count() == before

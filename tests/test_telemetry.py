@@ -44,7 +44,6 @@ from repro.network.sockets import loopback_available
 from repro.obs import (
     EventJournal,
     FlightRecorder,
-    LiveMetricsCollector,
     MetricsCollector,
     MetricsEndpoint,
     render_prometheus,
@@ -259,12 +258,12 @@ class TestMetricsCollector:
             MetricsCollector(runtime, capacity=0)
 
     @live_only
-    def test_live_collector_thread_samples_the_deployment(self):
+    def test_live_collector_ticks_on_the_loop(self):
         scenario = live_sharded_scenario(2, clients=8, workers=2)
         network, runtime = scenario.network, scenario.runtime
-        collector = LiveMetricsCollector(runtime, window=0.02)
+        collector = MetricsCollector(runtime, window=0.02)
         try:
-            collector.start()
+            collector.start(network)
             started = [
                 (client, client.start_lookup(network, scenario.target))
                 for client in scenario.clients
