@@ -8,7 +8,6 @@ from .automata_engine import (
     binding_plan,
 )
 from .bridge import StarlinkBridge
-from .core import EngineCore
 from .session import (
     EndpointCorrelator,
     FieldCorrelator,
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_SESSION_TIMEOUT",
     "ProtocolBinding",
     "binding_plan",
-    "EngineCore",
     "SessionRecord",
     "SessionContext",
     "SessionCorrelator",

@@ -26,8 +26,8 @@ datagram from a second client arriving while the first session is
 mid-flight simply opens (or resumes) another session instead of being
 dropped.
 
-Demultiplexing is split into the :class:`~repro.core.engine.core.EngineCore`
-steps so the sharded runtime can drive them separately:
+Demultiplexing is split into steps the sharded runtime can drive
+separately (see :class:`AutomataEngine` for the contract):
 
 1. :meth:`AutomataEngine.classify` — the destination endpoint selects the
    component automaton (any automaton whose colour matches a multicast
@@ -112,7 +112,6 @@ from ...obs.tracing import (
     Tracer,
 )
 from .actions import ActionRegistry, default_action_registry
-from .core import EngineCore
 from .session import (
     EndpointCorrelator,
     FieldCorrelator,
@@ -173,8 +172,20 @@ class ProtocolBinding:
     forced_destination: Optional[Endpoint] = None
 
 
-class AutomataEngine(NetworkNode, EngineCore):
-    """Executes one merged automaton, multiplexing concurrent sessions."""
+class AutomataEngine(NetworkNode):
+    """Executes one merged automaton, multiplexing concurrent sessions.
+
+    ``on_datagram`` is :meth:`classify` + :meth:`dispatch`; a shard
+    router calls the steps separately (classify once at the edge, place
+    by :meth:`routing_key`, dispatch on the owning worker, prune sticky
+    entries by :meth:`has_session`), so the standalone engine and the
+    sharded workers execute the same code.  :meth:`classify` and
+    :meth:`routing_key` are pure with respect to session state and safe
+    from any thread; :meth:`dispatch` and :meth:`has_session` touch the
+    session table and must be serialised per engine — the simulation's
+    event queue does this implicitly, the live runtime runs every
+    worker's jobs on the socket engine's one event-loop thread.
+    """
 
     def __init__(
         self,
@@ -428,6 +439,7 @@ class AutomataEngine(NetworkNode, EngineCore):
         return list(self._sessions.values())
 
     def has_session(self, key: Any) -> bool:
+        """Whether a session under ``key`` is currently in flight."""
         return key in self._sessions
 
     def busy_backlog(self, now: float) -> float:
@@ -568,7 +580,7 @@ class AutomataEngine(NetworkNode, EngineCore):
             binding.forced_destination = None
 
     # ------------------------------------------------------------------
-    # datagram handling (EngineCore pipeline)
+    # datagram handling (classify + dispatch pipeline)
     # ------------------------------------------------------------------
     def on_datagram(
         self,
@@ -723,7 +735,12 @@ class AutomataEngine(NetworkNode, EngineCore):
         strict: bool = False,
         trace: int = 0,
     ) -> bool:
-        """Route an already-parsed message to its session and advance it."""
+        """Route an already-parsed message to its session and advance it;
+        True when a session consumed it.  ``strict`` accepts upstream
+        replies only on exact evidence (reply token, client host) — a
+        router's first fan-out pass, so no worker steals another shard's
+        response; ``count_unrouted=False`` leaves the drop count to the
+        caller; ``trace`` is the datagram's :mod:`repro.obs` trace id."""
         self._engine = engine
         recorder = self._recorder
         if recorder is None:

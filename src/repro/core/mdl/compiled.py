@@ -16,7 +16,7 @@ field.  This module lowers a specification *once* into:
 * a **first-bytes discriminator** (:class:`SpecDiscriminator`) — a dict
   probe over the bytes that carry the message ``<Rule>`` (the rule field of
   a binary header, the first delimited token of a text header), used by
-  ``EngineCore.classify`` to skip trial parses: ``REJECT`` is *sound* (the
+  ``AutomataEngine.classify`` to skip trial parses: ``REJECT`` is *sound* (the
   interpreted parser is guaranteed to raise :class:`ParseError` on these
   bytes), ``MATCH`` is a definite candidate whose full parse may still
   fail, and ``UNKNOWN`` falls back to a trial parse.

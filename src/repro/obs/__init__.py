@@ -4,7 +4,7 @@ The evaluation tables say *how much* throughput the bridge sustains; this
 package says *where a single datagram's time went*.  A :class:`Tracer`
 stamps every inbound datagram with a trace id at the edge (router or
 engine ingress), and the existing seams of the data path — router
-classify/place/fan-out, live worker-queue wait, ``EngineCore.dispatch``,
+classify/place/fan-out, live worker-queue wait, ``AutomataEngine.dispatch``,
 MDL parse/compose, automaton transition, translation — record spans into
 per-component fixed-size ring buffers plus always-on power-of-two-bucket
 latency histograms.

@@ -21,14 +21,16 @@ Three artifacts on one timeline:
   from a ``ShardMetrics`` snapshot plus the tracer's stage histograms,
   served as an HTTP response over the socket engine's existing TCP
   reply channel (the same path the bridges' HTTP legs already use), and
-  equally scrapeable on the simulated network for tests.
+  equally scrapeable on the simulated network for tests.  No counter or
+  gauge is named here: the families come from the declarations in
+  :mod:`repro.runtime.metrics`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..network.addressing import Endpoint
 from ..network.engine import NetworkEngine, NetworkNode
@@ -220,43 +222,6 @@ class FlightRecorder:
 
 # -- Prometheus text exposition ---------------------------------------------
 
-#: Worker-row gauges: (metric suffix, help text, row attribute).
-_WORKER_GAUGES: Tuple[Tuple[str, str, str], ...] = (
-    ("worker_active_sessions", "Sessions currently open on the worker.", "active_sessions"),
-    ("worker_queue_depth", "Deliveries waiting in the worker's queue.", "queue_depth"),
-    ("worker_busy_backlog_seconds", "Seconds of compute queued on the worker's busy clock.", "busy_backlog"),
-    ("worker_heartbeat_age_seconds", "Seconds since the worker's last heartbeat.", "heartbeat_age"),
-    ("worker_draining", "1 while the worker is draining, else 0.", "draining"),
-    ("worker_span_seq_high", "Highest trace sequence number seen by the worker's span ring.", "span_seq_high"),
-)
-
-#: Worker-row counters (cumulative; worker ids are never reused, so each
-#: labelled series is monotone for its lifetime).
-_WORKER_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
-    ("worker_completed_sessions_total", "Sessions completed by the worker.", "completed_sessions"),
-    ("worker_evicted_sessions_total", "Idle sessions evicted by the worker.", "evicted_sessions"),
-    ("worker_errors_total", "Exceptions raised on the worker's loop.", "errors"),
-    ("worker_discriminator_misses_total", "Classify discriminator misses on the worker.", "discriminator_misses"),
-    ("worker_garbage_rejects_total", "Unparseable datagrams rejected by the worker.", "garbage_rejects"),
-    ("worker_spans_dropped_total", "Spans overwritten in the worker's trace ring.", "spans_dropped"),
-)
-
-#: Router counters (cumulative across the deployment's lifetime).
-_ROUTER_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
-    ("router_routed_datagrams_total", "Datagrams routed to a worker.", "routed_datagrams"),
-    ("router_unrouted_datagrams_total", "Datagrams no worker accepted.", "unrouted_datagrams"),
-    ("router_echoes_dropped_total", "Worker echoes dropped at the router.", "echoes_dropped"),
-    ("router_classify_total", "Edge classify passes at the router.", "classify_count"),
-    ("router_discriminator_misses_total", "Classify discriminator misses at the router.", "discriminator_misses"),
-    ("router_garbage_rejects_total", "Unparseable datagrams rejected at the router.", "garbage_rejects"),
-    ("router_network_errors_total", "Socket-substrate errors observed by the deployment.", "network_errors"),
-    ("router_tcp_replies_dropped_total", "TCP replies whose client connection had gone away.", "tcp_replies_dropped"),
-    ("router_udp_wakeups_total", "UDP reader wake-ups on the asyncio substrate.", "udp_wakeups"),
-    ("router_udp_datagrams_total", "Datagrams the UDP reader wake-ups drained.", "udp_datagrams"),
-    ("router_tcp_accepts_total", "TCP connections accepted on the asyncio substrate.", "tcp_accepts"),
-    ("router_tcp_dials_total", "TCP exchanges dialled on the asyncio substrate.", "tcp_dials"),
-)
-
 
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
@@ -290,10 +255,12 @@ def render_prometheus(
     """Render one ``ShardMetrics`` snapshot as Prometheus text (v0.0.4).
 
     Every metric gets a ``# HELP``/``# TYPE`` pair; worker rows are
-    labelled by worker name, histogram series by stage.  Counters are
-    the deployment's cumulative counters, so consecutive scrapes are
-    monotone — the lint test in ``tests/test_telemetry.py`` checks the
-    grammar and the monotonicity.
+    labelled by worker name, histogram series by stage; the rest come
+    from ``snapshot.families()``.  Counters are the deployment's
+    cumulative counters, so consecutive scrapes are monotone (a reused
+    worker label reads as a counter reset, which Prometheus handles) —
+    the lint test in ``tests/test_telemetry.py`` checks the grammar and
+    the monotonicity.
     """
     lines: List[str] = []
 
@@ -305,22 +272,10 @@ def render_prometheus(
 
     name = header("workers", "gauge", "Workers serving the ring (not draining).")
     _sample(lines, name, None, snapshot.active_workers)
-    name = header("router_sticky_entries", "gauge", "Live sticky-routing table entries.")
-    _sample(lines, name, None, snapshot.router.sticky_entries)
-
-    for suffix, help_text, attribute in _WORKER_GAUGES:
-        name = header(suffix, "gauge", help_text)
-        for row in snapshot.workers:
-            value = getattr(row, attribute, 0)
-            _sample(lines, name, {"worker": row.name}, value)
-    for suffix, help_text, attribute in _WORKER_COUNTERS:
-        name = header(suffix, "counter", help_text)
-        for row in snapshot.workers:
-            value = getattr(row, attribute, 0)
-            _sample(lines, name, {"worker": row.name}, value)
-    for suffix, help_text, attribute in _ROUTER_COUNTERS:
-        name = header(suffix, "counter", help_text)
-        _sample(lines, name, None, getattr(snapshot.router, attribute, 0))
+    for suffix, mtype, help_text, samples in snapshot.families():
+        name = header(suffix, mtype, help_text)
+        for labels, value in samples:
+            _sample(lines, name, labels, value)
 
     if histograms:
         name = header(

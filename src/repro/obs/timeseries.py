@@ -10,7 +10,7 @@ that periodically folds snapshots into fixed-size per-worker ring
 **time-series windows**:
 
 * **counters** are stored as windowed deltas (and rates over the window
-  elapsed time) — ``completed_sessions`` jumping by 40 in one window is
+  elapsed time) — completed sessions jumping by 40 in one window is
   load; the same cumulative total sitting still is a stall;
 * **gauges** (queue depth, busy backlog, heartbeat age, active sessions)
   are point-in-time samples on the window boundary;
@@ -19,6 +19,11 @@ that periodically folds snapshots into fixed-size per-worker ring
   stage and publishes p50/p95/p99 of the **delta** since the previous
   window, so warmup never pollutes steady state (the footgun the
   cumulative ``stage_latency()`` table had since PR 7).
+
+Which row fields are counters and which are gauges is declared once, in
+:mod:`repro.runtime.metrics`: a window carries ``<field>_delta`` and
+``<field>_rate`` per declared counter and ``<field>`` per declared gauge.
+A counter below its mark is a reset (:func:`counter_delta`).
 
 Clock domains follow the PR 7/PR 8 convention: window positions and
 elapsed times are on the **timeline clock** (virtual seconds on the
@@ -40,6 +45,8 @@ this to keep detector decisions bit-identical with telemetry on or off.
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..network.engine import ControlLoop
@@ -49,6 +56,7 @@ __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "DEFAULT_WINDOW_CAPACITY",
     "MetricsCollector",
+    "counter_delta",
 ]
 
 #: Default collection cadence (timeline seconds between windows).  On the
@@ -68,6 +76,36 @@ _QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p95_us", 0.95),
     ("p99_us", 0.99),
 )
+
+
+def counter_delta(value: int, mark: int) -> int:
+    """A counter's growth since ``mark``; a value below its mark is a
+    reset (a reused worker id, a redeployed router): all of it is new."""
+    return value - mark if value >= mark else value
+
+
+@lru_cache(maxsize=None)
+def _layout(row_type: type) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str, str], ...]]:
+    """A row type's declared gauges, and its counters with their keys."""
+    kinds = [(item.name, item.metadata.get("kind")) for item in fields(row_type)]
+    gauges = tuple(name for name, kind in kinds if kind == "gauge")
+    counters = tuple((n, f"{n}_delta", f"{n}_rate") for n, kind in kinds if kind == "counter")
+    return gauges, counters
+
+
+def _series(row: Any, marks: Dict[str, int], elapsed: float) -> dict:
+    """One metrics row's window: each declared gauge as sampled, each
+    declared counter as ``<field>_delta`` and ``<field>_rate`` since its
+    mark in ``marks`` (which advances)."""
+    gauges, counters = _layout(type(row))
+    window = {name: getattr(row, name) for name in gauges}
+    for name, delta_key, rate_key in counters:
+        value = getattr(row, name)
+        delta = counter_delta(value, marks.get(name, 0))
+        marks[name] = value
+        window[delta_key] = delta
+        window[rate_key] = (delta / elapsed) if elapsed > 0.0 else 0.0
+    return window
 
 
 class MetricsCollector(ControlLoop):
@@ -110,8 +148,8 @@ class MetricsCollector(ControlLoop):
         #: Previous window's closing position on the timeline (None until
         #: the first window closes).
         self._last_at: Optional[float] = None
-        #: Per-worker-id counter baselines: (completed, evicted, errors).
-        self._worker_marks: Dict[int, Tuple[int, int, int]] = {}
+        #: Per-worker-id counter baselines, keyed by field name.
+        self._worker_marks: Dict[int, Dict[str, int]] = {}
         #: Router counter baselines, keyed by field name.
         self._router_marks: Dict[str, int] = {}
         #: Per-recorder per-stage histogram snapshots for windowed deltas.
@@ -160,7 +198,7 @@ class MetricsCollector(ControlLoop):
             "at": at,
             "elapsed": elapsed,
             "workers": [self._worker_window(row, elapsed) for row in snapshot.workers],
-            "router": self._router_window(snapshot.router, elapsed),
+            "router": _series(snapshot.router, self._router_marks, elapsed),
         }
         with self._ring_lock:
             self._ring[self._head % self.capacity] = window
@@ -169,35 +207,13 @@ class MetricsCollector(ControlLoop):
         return window
 
     def _worker_window(self, row: Any, elapsed: float) -> dict:
-        completed = row.completed_sessions
-        evicted = row.evicted_sessions
-        errors = row.errors
-        mark = self._worker_marks.get(row.worker_id, (0, 0, 0))
-        self._worker_marks[row.worker_id] = (completed, evicted, errors)
-        deltas = (
-            max(0, completed - mark[0]),
-            max(0, evicted - mark[1]),
-            max(0, errors - mark[2]),
-        )
-        window = {
+        marks = self._worker_marks.setdefault(row.worker_id, {})
+        return {
             "worker_id": row.worker_id,
             "name": row.name,
-            # gauges: point-in-time on the window boundary
-            "active_sessions": row.active_sessions,
-            "queue_depth": row.queue_depth,
-            "busy_backlog": row.busy_backlog,
-            "heartbeat_age": row.heartbeat_age,
-            "draining": row.draining,
-            "spans_dropped": getattr(row, "spans_dropped", 0),
-            "span_seq_high": getattr(row, "span_seq_high", 0),
-            # counters: windowed deltas (+ a rate when the window has width)
-            "completed_delta": deltas[0],
-            "evicted_delta": deltas[1],
-            "errors_delta": deltas[2],
-            "completed_rate": (deltas[0] / elapsed) if elapsed > 0.0 else 0.0,
+            **_series(row, marks, elapsed),
             "stages": self._stage_quantiles(row.name),
         }
-        return window
 
     def _stage_quantiles(self, recorder_name: str) -> List[dict]:
         """Windowed per-stage quantiles for one worker's recorder.
@@ -229,31 +245,6 @@ class MetricsCollector(ControlLoop):
             stages.append(entry)
         stages.sort(key=lambda entry: entry["stage"])
         return stages
-
-    def _router_window(self, router: Any, elapsed: float) -> dict:
-        fields = (
-            "routed_datagrams",
-            "unrouted_datagrams",
-            "echoes_dropped",
-            "classify_count",
-            "discriminator_misses",
-            "garbage_rejects",
-            "network_errors",
-            "tcp_replies_dropped",
-            "udp_wakeups",
-            "udp_datagrams",
-            "tcp_accepts",
-            "tcp_dials",
-        )
-        window: dict = {"sticky_entries": router.sticky_entries}
-        for field in fields:
-            value = getattr(router, field)
-            delta = max(0, value - self._router_marks.get(field, 0))
-            self._router_marks[field] = value
-            window[f"{field}_delta"] = delta
-        routed = window["routed_datagrams_delta"]
-        window["routed_rate"] = (routed / elapsed) if elapsed > 0.0 else 0.0
-        return window
 
     # -- series reads --------------------------------------------------
     def windows(self, last: Optional[int] = None) -> List[dict]:

@@ -63,7 +63,7 @@ from ..network.addressing import Endpoint
 from ..network.aio import AsyncSocketNetwork
 from ..network.engine import NetworkEngine, NetworkNode
 from ..obs.tracing import STAGE_QUEUE_WAIT, Tracer
-from .metrics import WorkerMetrics
+from .metrics import NETWORK, sourced
 from .router import ShardRouter
 from .runtime import DEFAULT_WORKERS, ShardedRuntime
 
@@ -399,7 +399,17 @@ class AsyncShardRouter(ShardRouter):
         self._loops.pop(id(loop.worker), None)
 
     def metrics(self):
-        return _on_loop(self._aio, lambda: ShardRouter.metrics(self))
+        """The router row plus the socket substrate's counters, which
+        belong to no one worker: ``network_errors`` is
+        ``len(AsyncSocketNetwork.errors)`` and every field declared with
+        source ``NETWORK`` is copied off the network."""
+
+        def snapshot():
+            network = self._aio
+            extra = sourced(NETWORK, network)
+            return replace(ShardRouter.metrics(self), network_errors=len(network.errors), **extra)
+
+        return _on_loop(self._aio, snapshot)
 
     # -- hot path: loop-thread only ---------------------------------------
     def _hand_off(
@@ -611,21 +621,14 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
         """
 
         def detach() -> List[AsyncWorkerLoop]:
-            network, router, loops = self._network, self._router, self._loops
+            # The simulated teardown (its worker detaches are no-ops here:
+            # the shells are what is attached), then the shells.
+            network, loops, shells = self._network, self._loops, self._shells
+            ShardedRuntime.undeploy(self)
             if network is not None:
-                if router is not None:
-                    network.detach(router)
-                for shell in self._shells:
+                for shell in shells:
                     network.detach(shell)
-            for worker in self._workers:
-                worker.session_close_listener = None
-            if router is not None:
-                self._retire_router(router)
-            self._loops = []
-            self._shells = []
-            self._router = None
-            self._network = None
-            self._drain_victims = None
+            self._loops, self._shells = [], []
             return loops
 
         network = self._network
@@ -774,52 +777,15 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
         would go blind exactly when it matters.  Every field is a single
         attribute or ``len`` read of state only the loop thread writes.
         """
-        loop = self._loops[index] if index < len(self._loops) else None
-        if loop is None:
-            return super()._worker_metrics(index, worker, now, draining, worker_id)
-        recorder = self.tracer.find(worker.name)
-        return WorkerMetrics(
-            index=index,
-            name=worker.name,
-            active_sessions=len(worker.active_sessions),
-            completed_sessions=len(worker.sessions),
-            evicted_sessions=len(worker.evicted_sessions),
-            busy_backlog=worker.busy_backlog(now),
-            draining=draining,
+        row = super()._worker_metrics(index, worker, now, draining, worker_id)
+        if index >= len(self._loops):
+            return row
+        loop = self._loops[index]
+        return replace(
+            row,
             queue_depth=loop.queue_depth,
-            worker_id=worker_id,
-            discriminator_misses=worker.discriminator_misses,
-            garbage_rejects=worker.garbage_rejects,
             errors=len(loop.errors),
             heartbeat_age=max(0.0, now - loop.heartbeat_at),
-            spans_dropped=recorder.dropped if recorder is not None else 0,
-            span_seq_high=recorder.seq_high if recorder is not None else 0,
-        )
-
-    def metrics(self, include_latency: bool = True):
-        """The shard snapshot plus the socket substrate's counters.
-
-        ``network_errors`` is the length of ``AsyncSocketNetwork.errors``
-        (handler and timer exceptions, send failures);
-        ``tcp_replies_dropped`` counts replies whose client connection had
-        already gone away; ``udp_wakeups`` / ``udp_datagrams`` are the UDP
-        reader's counters, ``tcp_accepts`` / ``tcp_dials`` the TCP state
-        machines'.  All land on the router row — they are
-        properties of the shared substrate, not of any one worker.
-        """
-        snapshot = super().metrics(include_latency=include_latency)
-        network = self._network
-        return replace(
-            snapshot,
-            router=replace(
-                snapshot.router,
-                network_errors=len(network.errors),
-                tcp_replies_dropped=network.tcp_replies_dropped,
-                udp_wakeups=network.udp_wakeups,
-                udp_datagrams=network.udp_datagrams,
-                tcp_accepts=network.tcp_accepts,
-                tcp_dials=network.tcp_dials,
-            ),
         )
 
     @property

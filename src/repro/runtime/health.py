@@ -56,6 +56,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from ..network.engine import ControlLoop, NetworkEngine
+from ..obs.timeseries import counter_delta
 from .metrics import ShardMetrics
 from .runtime import ShardedRuntime
 
@@ -277,12 +278,8 @@ class FailureDetector:
         """
         policy = self.policy
         now = snapshot.at
-        net_delta = max(
-            0, snapshot.router.network_errors - self._network_errors_seen
-        )
-        self._network_errors_seen = max(
-            self._network_errors_seen, snapshot.router.network_errors
-        )
+        net_delta = counter_delta(snapshot.router.network_errors, self._network_errors_seen)
+        self._network_errors_seen = snapshot.router.network_errors
         in_cooldown = (
             self._last_replace_at is not None
             and now - self._last_replace_at < policy.cooldown
@@ -294,9 +291,8 @@ class FailureDetector:
         for row in snapshot.workers:
             worker_id = row.worker_id
             seen.add(worker_id)
-            previous_errors = self._errors_seen.get(worker_id, 0)
-            error_delta = max(0, row.errors - previous_errors)
-            self._errors_seen[worker_id] = max(previous_errors, row.errors)
+            error_delta = counter_delta(row.errors, self._errors_seen.get(worker_id, 0))
+            self._errors_seen[worker_id] = row.errors
             score = policy.score(
                 row.heartbeat_age,
                 row.queue_depth,

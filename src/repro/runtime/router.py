@@ -3,8 +3,9 @@
 The :class:`ShardRouter` is the only node that binds the bridge's
 advertised unicast endpoints and joins its multicast colour groups.  Every
 datagram the outside world addresses to the bridge lands here first; the
-router classifies it once (parse + component-automaton selection, via the
-:class:`~repro.core.engine.core.EngineCore` API of its workers) and hands
+router classifies it once (parse + component-automaton selection, via
+:meth:`~repro.core.engine.automata_engine.AutomataEngine.classify` on its
+workers' shared read-only model) and hands
 the parsed message to the worker engine that owns the session:
 
 * **client-facing traffic** (the merged automaton's initial leg) carries a
@@ -71,7 +72,7 @@ from ..obs.tracing import (
     STAGE_QUEUE_WAIT,
     Tracer,
 )
-from .metrics import RouterMetrics
+from .metrics import ROUTER, RouterMetrics, sourced
 from .sharding import HashRing
 
 __all__ = ["ShardRouter"]
@@ -408,7 +409,7 @@ class ShardRouter(NetworkNode):
         strict: bool = False,
         trace: int = 0,
     ) -> bool:
-        """Invoke one worker's :meth:`~repro.core.engine.core.EngineCore.dispatch`."""
+        """Invoke one worker's :meth:`~repro.core.engine.automata_engine.AutomataEngine.dispatch`."""
         return worker.dispatch(
             engine,
             automaton_name,
@@ -550,15 +551,10 @@ class ShardRouter(NetworkNode):
     def metrics(self) -> RouterMetrics:
         """The router's counters as an immutable snapshot."""
         return RouterMetrics(
-            routed_datagrams=self.routed_datagrams,
-            unrouted_datagrams=self.unrouted_datagrams,
-            echoes_dropped=self.echoes_dropped,
             sticky_entries=len(self._sticky),
-            classify_count=self.classify_count,
             classify_seconds=self.classify_seconds,
             charged_routing_seconds=self.charged_routing_seconds,
-            discriminator_misses=self.discriminator_misses,
-            garbage_rejects=self.garbage_rejects,
+            **sourced(ROUTER, self),
         )
 
     def __repr__(self) -> str:

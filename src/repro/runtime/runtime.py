@@ -42,6 +42,7 @@ is a queue-draining task on the socket engine's one event loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
@@ -63,7 +64,7 @@ from ..obs.tracing import (
     Tracer,
     export_traces,
 )
-from .metrics import ShardMetrics, StageLatency, WorkerMetrics
+from .metrics import ENGINE, ROUTER, ShardMetrics, StageLatency, WorkerMetrics, sourced
 from .router import ShardRouter
 
 __all__ = ["ShardedRuntime", "ScaleEvent", "VICTIM_STRATEGIES"]
@@ -210,23 +211,13 @@ class ShardedRuntime:
         #: membership changes interleave with spans and health actions in
         #: postmortem bundles.  ``None`` (the default) costs nothing.
         self.journal: Optional[Any] = None
-        #: Measurements inherited from workers retired by a drain: their
-        #: completed/evicted records and drop counters keep contributing to
-        #: the aggregate views below after the worker itself is detached.
+        #: Measurements inherited from workers retired by a drain and
+        #: routers discarded at undeploy, keyed as in :meth:`total`: they
+        #: keep contributing to the aggregate views below.
         self._retired_sessions: List[SessionRecord] = []
         self._retired_evicted: List[SessionRecord] = []
         self._retired_parse_failures: List = []
-        self._retired_unrouted = 0
-        self._retired_ignored = 0
-        self._retired_discriminator_hits = 0
-        self._retired_discriminator_misses = 0
-        self._retired_garbage_rejects = 0
-        #: Same idea for routers discarded at undeploy: edge classify
-        #: outcomes are charged to the router (never to a worker), so a
-        #: redeploy must not forget the previous router's counts.
-        self._retired_router_discriminator_hits = 0
-        self._retired_router_discriminator_misses = 0
-        self._retired_router_garbage_rejects = 0
+        self._retired: Counter = Counter()
 
     @classmethod
     def from_bridge(
@@ -357,9 +348,8 @@ class ShardedRuntime:
         post-teardown views stay complete.
         """
         self._retired_parse_failures.extend(router.parse_failures)
-        self._retired_router_discriminator_hits += router.discriminator_hits
-        self._retired_router_discriminator_misses += router.discriminator_misses
-        self._retired_router_garbage_rejects += router.garbage_rejects
+        counters = sourced(ROUTER, router)
+        self._retired.update({f"router_{name}": value for name, value in counters.items()})
 
     # ------------------------------------------------------------------
     # scaling (grow / drain / arbitrary removal)
@@ -590,11 +580,7 @@ class ShardedRuntime:
         self._retired_sessions.extend(worker.sessions)
         self._retired_evicted.extend(worker.evicted_sessions)
         self._retired_parse_failures.extend(worker.parse_failures)
-        self._retired_unrouted += worker.unrouted_datagrams
-        self._retired_ignored += worker.ignored_datagrams
-        self._retired_discriminator_hits += worker.discriminator_hits
-        self._retired_discriminator_misses += worker.discriminator_misses
-        self._retired_garbage_rejects += worker.garbage_rejects
+        self._retired.update(sourced(ENGINE, worker))
 
     def _pop_worker(self, worker_id: int) -> AutomataEngine:
         """Remove ``worker_id`` from the pool lists, returning its engine."""
@@ -682,21 +668,25 @@ class ShardedRuntime:
     def active_session_count(self) -> int:
         return sum(len(worker.active_sessions) for worker in self._workers)
 
+    def total(self, key: str) -> int:
+        """Lifetime total of an ``ENGINE``-sourced worker counter, or of
+        ``router_`` + a ``ROUTER``-sourced router counter — conserved
+        through drains, replacements and undeploy (retirees included)."""
+        if key.startswith("router_"):
+            router = self._router
+            live = getattr(router, key[len("router_"):]) if router is not None else 0
+        else:
+            live = sum(getattr(worker, key) for worker in self._workers)
+        return self._retired[key] + live
+
     @property
     def unrouted_datagrams(self) -> int:
         """Datagrams neither the router nor any worker could place."""
-        router_unrouted = self._router.unrouted_datagrams if self._router else 0
-        return (
-            router_unrouted
-            + self._retired_unrouted
-            + sum(worker.unrouted_datagrams for worker in self._workers)
-        )
+        return self.total("router_unrouted_datagrams") + self.total("unrouted_datagrams")
 
     @property
     def ignored_datagrams(self) -> int:
-        return self._retired_ignored + sum(
-            worker.ignored_datagrams for worker in self._workers
-        )
+        return self.total("ignored_datagrams")
 
     @property
     def parse_failures(self) -> List:
@@ -717,36 +707,28 @@ class ShardedRuntime:
     @property
     def discriminator_hits(self) -> int:
         """Worker-side one-probe classifications (drain-retired included)."""
-        return self._retired_discriminator_hits + sum(
-            worker.discriminator_hits for worker in self._workers
-        )
+        return self.total("discriminator_hits")
 
     @property
     def discriminator_misses(self) -> int:
         """Worker-side trial-parse fallbacks (drain-retired included);
         edge classifies are counted on the router, never here."""
-        return self._retired_discriminator_misses + sum(
-            worker.discriminator_misses for worker in self._workers
-        )
+        return self.total("discriminator_misses")
 
     @property
     def garbage_rejects(self) -> int:
         """Worker-side discriminator-only rejects (drain-retired included)."""
-        return self._retired_garbage_rejects + sum(
-            worker.garbage_rejects for worker in self._workers
-        )
+        return self.total("garbage_rejects")
 
     @property
     def router_discriminator_hits(self) -> int:
         """Router-edge one-probe classifications (undeploy-retired included)."""
-        live = self._router.discriminator_hits if self._router is not None else 0
-        return self._retired_router_discriminator_hits + live
+        return self.total("router_discriminator_hits")
 
     @property
     def router_discriminator_misses(self) -> int:
         """Router-edge trial-parse fallbacks (undeploy-retired included)."""
-        live = self._router.discriminator_misses if self._router is not None else 0
-        return self._retired_router_discriminator_misses + live
+        return self.total("router_discriminator_misses")
 
     @property
     def router_garbage_rejects(self) -> int:
@@ -757,8 +739,7 @@ class ShardedRuntime:
         in exactly one of router/worker x hits/misses/rejects, through
         drains, replacements and full teardown.
         """
-        live = self._router.garbage_rejects if self._router is not None else 0
-        return self._retired_router_garbage_rejects + live
+        return self.total("router_garbage_rejects")
 
     def worker_session_counts(self) -> List[int]:
         """Completed sessions per worker (the shard-balance view)."""
@@ -834,11 +815,10 @@ class ShardedRuntime:
             busy_backlog=worker.busy_backlog(now),
             draining=draining,
             worker_id=worker_id,
-            discriminator_misses=worker.discriminator_misses,
-            garbage_rejects=worker.garbage_rejects,
             heartbeat_age=self.heartbeat_age(worker_id, now),
             spans_dropped=recorder.dropped if recorder is not None else 0,
             span_seq_high=recorder.seq_high if recorder is not None else 0,
+            **sourced(ENGINE, worker),
         )
 
     def latency_baseline(self) -> Dict[str, tuple]:

@@ -47,8 +47,9 @@ def attach_clients(network, count, xid_base=1000):
     return clients
 
 
-def mdns_answer(network, xid):
-    """Inject a multicast mDNS response for ``xid`` into the colour group."""
+def mdns_answer(network, xid, destination=None):
+    """Inject an mDNS response for ``xid`` into the colour group (or to
+    ``destination``)."""
     response = AbstractMessage(DNS_RESPONSE, protocol="mDNS")
     response.set("ID", xid, type_name="Integer")
     response.set("Flags", DNS_RESPONSE_FLAGS, type_name="Integer")
@@ -61,5 +62,5 @@ def mdns_answer(network, xid):
     network.send(
         create_composer(mdns_mdl()).compose(response),
         source=Endpoint("adhoc-responder.local", 5353, Transport.UDP),
-        destination=Endpoint("224.0.0.251", 5353, Transport.UDP),
+        destination=destination or Endpoint("224.0.0.251", 5353, Transport.UDP),
     )

@@ -5,6 +5,10 @@ every non-external target exists relative to the file containing it.  CI
 runs this, so a renamed file or example breaks the build instead of
 silently breaking the docs.  (PAPERS.md / SNIPPETS.md are retrieved
 reference material, not maintained docs, and are not checked.)
+
+The counter table in docs/observability.md is checked the same way
+against the declarations in ``repro.runtime.metrics``, so a counter
+declared without a docs row (or a stale row) breaks the build too.
 """
 
 from __future__ import annotations
@@ -63,3 +67,32 @@ def test_internal_links_resolve(document):
         if not os.path.exists(resolved):
             broken.append(target)
     assert not broken, f"broken links in {os.path.relpath(document, _ROOT)}: {broken}"
+
+
+def _declared_table_rows():
+    """The observability.md counter table, as the declarations render it."""
+    from repro.runtime.metrics import COUNTER, RouterMetrics, WorkerMetrics, declared
+
+    rows = []
+    for cls in (WorkerMetrics, RouterMetrics):
+        for metric in declared(cls):
+            if metric.kind == COUNTER:
+                window = f"`{metric.field}_delta` / `{metric.field}_rate`"
+            else:
+                window = f"`{metric.field}`"
+            rows.append(
+                f"| `{metric.row_key}` | {window} | `repro_{metric.family}` "
+                f"| {metric.kind} | {metric.source} | {metric.help} |"
+            )
+    return rows
+
+
+def test_the_counter_table_matches_the_declarations():
+    """docs/observability.md lists every declared counter and gauge, one
+    row each, exactly as ``repro.runtime.metrics`` declares them."""
+    path = os.path.join(_ROOT, "docs", "observability.md")
+    with open(path, encoding="utf-8") as handle:
+        documented = [
+            line for line in handle.read().splitlines() if "| `repro_" in line
+        ]
+    assert documented == _declared_table_rows()

@@ -244,6 +244,17 @@ class TestFailureDetector:
         assert detector.bad_probes == 1  # ...but it is not re-counted
         assert detector.state_of(1) == HEALTHY
 
+    def test_errors_after_a_counter_reset_score_in_full(self):
+        """A worker id reused by a fresh engine restarts its error count:
+        a value below the previous mark is a reset, so all of it is new
+        (a high-water mark would hide these errors until they passed it)."""
+        detector = FailureDetector()
+        detector.observe(_snapshot(0.0, [_row(1, errors=10)]))
+        detector.observe(_snapshot(0.1, [_row(1, errors=10)]))
+        assert detector.bad_probes == 1
+        detector.observe(_snapshot(0.2, [_row(1, errors=4)]))
+        assert detector.bad_probes == 2
+
     def test_network_errors_raise_every_workers_score(self):
         policy = HealthPolicy()
         detector = FailureDetector(policy)

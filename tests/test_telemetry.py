@@ -48,6 +48,7 @@ from repro.obs import (
     MetricsEndpoint,
     render_prometheus,
 )
+from repro.obs.timeseries import counter_delta
 from repro.obs.tracing import LatencyHistogram
 from repro.runtime.health import FailureDetector, HealthPolicy
 from repro.runtime.metrics import RouterMetrics, ShardMetrics, WorkerMetrics
@@ -152,7 +153,7 @@ class TestMetricsCollector:
         snapshot = runtime.metrics()
         completed = sum(row.completed_sessions for row in snapshot.workers)
         assert (
-            sum(row["completed_delta"] for row in first["workers"]) == completed
+            sum(row["completed_sessions_delta"] for row in first["workers"]) == completed
         )
         routed = first["router"]["routed_datagrams_delta"]
         assert routed == snapshot.router.routed_datagrams
@@ -167,9 +168,58 @@ class TestMetricsCollector:
         # A second window with no traffic in between: all deltas zero,
         # idle stages omitted entirely.
         second = collector.collect()
-        assert all(row["completed_delta"] == 0 for row in second["workers"])
+        assert all(row["completed_sessions_delta"] == 0 for row in second["workers"])
         assert all(row["stages"] == [] for row in second["workers"])
         assert collector.samples == 2
+
+    def test_counter_delta_reads_a_drop_as_a_reset(self):
+        assert counter_delta(7, 5) == 2
+        assert counter_delta(5, 5) == 0
+        assert counter_delta(3, 5) == 3  # a fresh counter below the mark
+
+    def test_reused_worker_id_window_reports_the_newcomers_growth(self):
+        # Worker ids are allocated lowest-free: drain worker 1 away, grow
+        # back, and the newcomer is worker 1 again with a fresh engine.
+        scenario = _run_scenario(clients=40, workers=2)
+        runtime, network = scenario.bridge, scenario.network
+        collector = MetricsCollector(runtime)
+        collector.collect()
+        runtime.scale_to(1, victims=[1])
+        network.run()
+        collector.collect()
+        runtime.scale_to(2)
+        assert runtime.worker_ids == [0, 1]
+        started = [
+            (client, client.start_lookup(network, scenario.target))
+            for client in scenario.clients[:6]
+        ]
+        network.run()
+        assert all(client.lookup_result(key).found for client, key in started)
+        window = collector.collect()
+        rows = {row.worker_id: row for row in runtime.metrics().workers}
+        deltas = {
+            row["worker_id"]: row["completed_sessions_delta"]
+            for row in window["workers"]
+        }
+        assert rows[1].completed_sessions > 0
+        assert deltas[1] == rows[1].completed_sessions
+
+    def test_redeployed_router_window_reports_the_new_routers_growth(self):
+        scenario = _run_scenario(clients=12)
+        runtime, network = scenario.bridge, scenario.network
+        collector = MetricsCollector(runtime)
+        collector.collect()
+        runtime.undeploy()
+        runtime.deploy(network)
+        started = [
+            (client, client.start_lookup(network, scenario.target))
+            for client in scenario.clients[:2]
+        ]
+        network.run()
+        assert all(client.lookup_result(key).found for client, key in started)
+        routed = runtime.metrics().router.routed_datagrams
+        assert routed > 0
+        assert collector.collect()["router"]["routed_datagrams_delta"] == routed
 
     def test_latency_signal_is_worst_stage_p99_per_worker(self):
         scenario = _run_scenario(trace_sample=1.0)
@@ -292,7 +342,7 @@ class TestMetricsCollector:
         assert latest is not None
         for row in latest["workers"]:
             assert row["heartbeat_age"] >= 0.0
-            assert row["completed_delta"] >= 0
+            assert row["completed_sessions_delta"] >= 0
 
 
 # ---------------------------------------------------------------------------
