@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Live sharded bridge: real sockets, worker tasks, a TCP leg and all.
+"""Live sharded bridge: real sockets, sharded workers, a TCP leg and all.
 
 The other examples run on the deterministic simulation.  This one deploys
 the *same* bridge models on :class:`AsyncSocketNetwork` — real UDP and TCP
@@ -8,8 +8,8 @@ sockets on the loopback interface, all on one asyncio event loop — as an
 
 * a shard router owns the bridge's public endpoints and (emulated)
   multicast groups;
-* two worker Automata Engines run behind it, each a queue-draining task
-  on the network's loop, sharing one read-only merged automaton;
+* two worker Automata Engines run behind it, their records all on the
+  network's loop, sharing one read-only merged automaton;
 * two legacy UPnP control points discover a legacy SLP service through it
   (the paper's case 3), including the control points' HTTP GET — a real
   TCP exchange that the bridge answers after its processing delay on the

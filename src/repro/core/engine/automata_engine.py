@@ -53,14 +53,12 @@ seconds of inactivity by a **single periodic sweep** per engine (one
 lookups cannot accumulate state in a long-running bridge and high session
 rates do not flood the event queue with eviction timers.
 
-When ``serialize_processing`` is enabled the engine additionally models its
-own compute as a serial resource: each translated send occupies the
-engine's virtual CPU for ``processing_delay`` seconds and overlapping
-sessions queue behind one another (a busy-until clock).  The standalone
-engine keeps the historical default (translation cost as a fixed latency,
-infinitely parallel); the sharded runtime turns serialisation on so that
-adding workers buys genuine parallel capacity in the simulation, exactly
-as adding processes would on real hardware.
+The engine keeps no clock of its own.  ``processing_delay`` is a fixed
+per-send latency, and when the send departs is the network engine's
+answer (:meth:`~repro.network.engine.NetworkEngine.departure`): a plain
+engine charges the fixed delay, infinitely parallel, for the modelled
+Fig. 12 tables; a sharded worker's engine view queues each send behind
+the worker's earlier ones (:mod:`repro.runtime.worker`).
 
 The engine remains a reactive :class:`~repro.network.engine.NetworkNode`,
 so the same code runs unchanged on the discrete-event simulation and on
@@ -182,9 +180,9 @@ class AutomataEngine(NetworkNode):
     sharded workers execute the same code.  :meth:`classify` and
     :meth:`routing_key` are pure with respect to session state and safe
     from any thread; :meth:`dispatch` and :meth:`has_session` touch the
-    session table and must be serialised per engine — the simulation's
-    event queue does this implicitly, the live runtime runs every
-    worker's jobs on the socket engine's one event-loop thread.
+    session table and must be serialised per engine — a sharded worker's
+    loop (:mod:`repro.runtime.worker`) runs them as its records, in order,
+    on the one thread that delivers the substrate's events.
     """
 
     def __init__(
@@ -199,7 +197,6 @@ class AutomataEngine(NetworkNode):
         correlator: Optional[SessionCorrelator] = None,
         session_timeout: Optional[float] = DEFAULT_SESSION_TIMEOUT,
         sweep_interval: Optional[float] = None,
-        serialize_processing: bool = False,
         public_endpoints: Optional[Mapping[str, Endpoint]] = None,
         join_groups: bool = True,
         ephemeral_ports: bool = True,
@@ -212,9 +209,7 @@ class AutomataEngine(NetworkNode):
         specification of its protocol (used to build the parser and
         composer).  ``processing_delay`` adds a fixed delay (seconds) to
         every outgoing send, modelling the framework's own translation cost
-        on the virtual clock of a simulation; it defaults to zero, and with
-        ``serialize_processing`` the cost additionally occupies the
-        engine's serial compute (overlapping sessions queue).
+        on the virtual clock of a simulation; it defaults to zero.
         ``correlator`` decides which session an incoming datagram belongs
         to (source endpoint by default); ``session_timeout`` evicts
         sessions idle for that many seconds (``None``/``0`` disables) via a
@@ -246,7 +241,6 @@ class AutomataEngine(NetworkNode):
         if sweep_interval is None and session_timeout:
             sweep_interval = session_timeout / 2.0
         self.sweep_interval = sweep_interval
-        self.serialize_processing = serialize_processing
         self.join_groups = join_groups
         self.ephemeral_ports = ephemeral_ports
         self.interpreted = interpreted
@@ -354,8 +348,6 @@ class AutomataEngine(NetworkNode):
         self._active_session: Optional[SessionContext] = None
         #: True while a sweep event is pending on the network engine.
         self._sweep_scheduled = False
-        #: Virtual time the serialised compute resource frees up.
-        self._busy_until = 0.0
         #: Completed sessions, in order of completion.
         self.sessions: List[SessionRecord] = []
         #: Sessions abandoned by the idle-timeout sweeper.
@@ -441,41 +433,6 @@ class AutomataEngine(NetworkNode):
     def has_session(self, key: Any) -> bool:
         """Whether a session under ``key`` is currently in flight."""
         return key in self._sessions
-
-    def busy_backlog(self, now: float) -> float:
-        """Seconds of serialised translation compute committed beyond ``now``.
-
-        How far this worker's busy-until clock is ahead of the clock — the
-        queueing delay the *next* translated send would suffer.  Zero when
-        processing is not serialised (the engine is then infinitely
-        parallel by construction).  A control-plane load signal.
-        """
-        if not self.serialize_processing:
-            return 0.0
-        return max(0.0, self._busy_until - now)
-
-    def stall_processing(self, now: float, seconds: float) -> None:
-        """Fault injection: wedge this engine's serialised-compute clock.
-
-        Pushes the busy-until clock ``seconds`` beyond wherever it stands
-        (at least ``seconds`` beyond ``now``), so every subsequent
-        translated send — and anything else scheduled through the busy
-        clock, such as health-probe heartbeats — queues behind a stall, as
-        if the worker's compute thread stopped making progress.  Delivered
-        messages are still processed eventually (correctness is
-        preserved); only their timing degrades, which is exactly the
-        signature a failure detector must pick up.  Requires
-        ``serialize_processing``: without a serial compute resource there
-        is no clock to stall.
-        """
-        if not self.serialize_processing:
-            raise ConfigurationError(
-                f"engine '{self.name}' does not serialise processing; "
-                "there is no busy clock to stall"
-            )
-        if seconds < 0:
-            raise ConfigurationError(f"cannot stall for {seconds!r} seconds")
-        self._busy_until = max(now, self._busy_until) + seconds
 
     def owns_endpoint(self, endpoint: Endpoint) -> bool:
         """Whether ``endpoint`` is one of this engine's source addresses.
@@ -1057,21 +1014,6 @@ class AutomataEngine(NetworkNode):
                 values.append(instance.get(argument.field))
             self.actions.execute(action.name, self, delta, values)
 
-    def _charge_processing(self, now: float) -> float:
-        """Seconds until the translated output leaves the engine.
-
-        Plain mode: the fixed ``processing_delay``.  Serialised mode: the
-        engine's compute is a serial resource — the send waits for the
-        busy-until clock, then occupies it for ``processing_delay``, so
-        overlapping sessions queue behind each other and a sharded runtime
-        gains real capacity from additional workers.
-        """
-        if not self.serialize_processing:
-            return self.processing_delay
-        start = max(now, self._busy_until)
-        self._busy_until = start + self.processing_delay
-        return self._busy_until - now
-
     def _send(
         self,
         engine: NetworkEngine,
@@ -1111,7 +1053,7 @@ class AutomataEngine(NetworkNode):
                 # No transaction identifier to correlate the reply by: give
                 # the request its own return address instead.
                 source = self._ephemeral_source(session, automaton_name, binding) or source
-        delay = self._charge_processing(engine.now())
+        delay = engine.departure(self.processing_delay)
         engine.send(
             data,
             source=source,

@@ -12,7 +12,7 @@ harness checks the whole loss-free contract at once:
 * every client lookup is answered (zero dropped sessions);
 * no session was evicted by the idle sweeper (zero abandoned sessions);
 * nothing was unrouted (garbage never parses, so it never counts);
-* no worker loop raised (live runtime);
+* no worker record raised;
 * the raw bytes every client received are **identical to a fixed-shard
   twin** of the same workload — chaos may change timings, never outputs.
 
@@ -49,7 +49,6 @@ from ..runtime import (
     HealthPolicy,
     ScaleEvent,
     ShardedRuntime,
-    wedge_simulated_worker,
 )
 from ..runtime.aio_live import AsyncLiveShardedRuntime
 from .workloads import (
@@ -361,7 +360,6 @@ def _deploy_simulated(
         runtime = ShardedRuntime.from_bridge(
             _live_bridge(case, 0.0),
             workers=workers,
-            serialize_processing=True,
             ephemeral_ports=False,
             worker_port_stride=16,
             **overrides,
@@ -370,9 +368,7 @@ def _deploy_simulated(
         network = SimulatedNetwork(latencies=_elastic_calibration(), seed=seed)
         bridge = BRIDGE_BUILDERS[case](processing_delay=SIM_PROCESSING_DELAY)
         bridge.validate()
-        runtime = ShardedRuntime.from_bridge(
-            bridge, workers=workers, serialize_processing=True, **overrides
-        )
+        runtime = ShardedRuntime.from_bridge(bridge, workers=workers, **overrides)
     runtime.deploy(network)
     network.attach(service)
     for client in clients:
@@ -504,6 +500,7 @@ def run_chaos_simulated(
     result.datagrams_dropped = network.dropped - dropped_before
     result.abandoned_sessions = len(runtime.evicted_sessions)
     result.unrouted = runtime.unrouted_datagrams
+    result.worker_errors = len(runtime.worker_errors)
     result.final_workers = runtime.worker_count
     result.scale_events = list(runtime.scale_events)
     result.stage_latency = [row.as_row() for row in runtime.stage_latency()]
@@ -1050,7 +1047,7 @@ def run_heal_simulated(
             victim = rng.choice(list(runtime.worker_ids))
             duration = rng.uniform(0.5, 0.9)
             wedge_at = network.now()
-            wedge_simulated_worker(runtime, network, victim, duration)
+            runtime.wedge_worker(victim, duration)
             result.wedges += 1
             journal.append(
                 "fault",
@@ -1138,6 +1135,7 @@ def run_heal_simulated(
     result.datagrams_dropped = network.dropped - dropped_before
     result.abandoned_sessions = len(runtime.evicted_sessions)
     result.unrouted = runtime.unrouted_datagrams
+    result.worker_errors = len(runtime.worker_errors)
     result.final_workers = runtime.worker_count
     result.scale_events = list(runtime.scale_events)
     _harvest_controller(result, controller, collector)
@@ -1165,15 +1163,15 @@ def run_heal_live(
     The network itself is the fault injector: an
     :class:`~repro.network.aio.AsyncFaultyNetwork` whose seeded loss
     windows drop / duplicate / reorder real UDP datagrams.  Round 0
-    wedges a worker loop mid-wave (an awaited ``asyncio.sleep`` posted to
-    its queue, so only the victim stalls) and polls until the
+    wedges a worker mid-wave (``runtime.wedge_worker``: its records queue
+    behind a pause, so only the victim stalls) and polls until the
     :class:`HealthController`, ticking on the loop, has replaced it and
     the victim's drain has finished; the last round
     opens a loss window over a garbage burst — only after its wave
     settled, so loss can only eat garbage and the zero-drop contract
     stays meaningful.  Detection times are wall-clock
-    (``AsyncSocketNetwork.now()``, the same monotonic clock the worker
-    loops stamp their heartbeats with).
+    (``AsyncSocketNetwork.now()``, the same monotonic clock the workers
+    stamp their heartbeats with).
     """
     import time as _time
 

@@ -10,7 +10,7 @@ published numbers.  This is the same code path the benchmarks use; the
 CLI exists so the headline result can be reproduced without pytest.
 
 ``--table live-sharding`` runs the sweep over **real loopback sockets**
-(worker tasks on one event loop, wall-clock timings, a *modelled*
+(workers on one event loop, wall-clock timings, a *modelled*
 5 ms ``processing_delay`` — a scheduling demo, labelled as such) and
 writes the rows to ``BENCH_live_sharding.json`` (in
 ``REPRO_BENCH_RESULTS_DIR``, by default ``repro-results`` under the

@@ -322,7 +322,6 @@ def measure_sharded_sessions(
     seed: int = 7,
     spacing: float = 0.002,
     baseline_throughput: Optional[float] = None,
-    routing_delay: float = 0.0,
 ) -> ShardingSummary:
     """Run ``clients`` overlapping lookups across ``workers`` shards."""
     scenario = sharded_scenario(
@@ -332,7 +331,6 @@ def measure_sharded_sessions(
         spacing=spacing,
         latencies=latencies,
         seed=seed,
-        routing_delay=routing_delay,
     )
     result = scenario.run()
     if not result.all_found:
@@ -363,17 +361,12 @@ def run_sharding(
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     latencies: Optional[CalibratedLatencies] = None,
     seed: int = 7,
-    routing_delay: float = 0.0,
 ) -> List[ShardingSummary]:
     """The sharding sweep: the same client load over growing worker pools.
 
     Speedups are relative to the sweep's first (usually 1-shard) row, which
-    runs the identical serialised-compute worker model — the gain measured
-    is parallelism, not a change of cost model.  A non-zero
-    ``routing_delay`` charges the router's classify-and-place cost on the
-    virtual clock (one serial busy-until clock at the edge), so the sweep
-    can exhibit router saturation: the speedup curve flattens once the
-    edge, not the worker pool, bounds throughput.
+    runs the identical serial-send-clock worker model — the gain measured
+    is parallelism, not a change of cost model.
     """
     rows: List[ShardingSummary] = []
     baseline: Optional[float] = None
@@ -385,7 +378,6 @@ def run_sharding(
             latencies=latencies,
             seed=seed,
             baseline_throughput=baseline,
-            routing_delay=routing_delay,
         )
         if baseline is None:
             baseline = row.throughput
@@ -396,7 +388,7 @@ def run_sharding(
 # ----------------------------------------------------------------------
 # live sharded runtime: the same sweep over real loopback sockets
 # ----------------------------------------------------------------------
-#: Shard counts of the live sweep (each shard is a worker task on the loop).
+#: Shard counts of the live sweep (every shard's records run on the one loop).
 DEFAULT_LIVE_WORKER_COUNTS = (1, 2, 4)
 
 #: Concurrent OS-socket clients held constant across the live sweep.

@@ -223,16 +223,10 @@ def format_elastic(result: ElasticResult) -> str:
     )
     if result.final_metrics is not None:
         router = result.final_metrics.router
-        router_line = (
+        lines.append(
             f"Router: {router.classify_count} datagrams classified, "
             f"{router.classify_cost_avg_us:.1f} us/classify"
         )
-        if router.charged_routing_seconds > 0.0:
-            router_line += (
-                f", {router.charged_routing_seconds * 1000.0:.1f} ms "
-                "modelled routing charged on the virtual clock"
-            )
-        lines.append(router_line)
     return "\n".join(lines)
 
 

@@ -419,8 +419,6 @@ def sharded_scenario(
     latencies: Optional[CalibratedLatencies] = None,
     seed: int = 7,
     processing_delay: Optional[float] = None,
-    serialize_processing: bool = True,
-    routing_delay: float = 0.0,
     trace_sample: Optional[float] = None,
 ) -> ConcurrentScenario:
     """``clients`` overlapping lookups through a ``workers``-shard runtime.
@@ -428,14 +426,10 @@ def sharded_scenario(
     Same clients and legacy service as :func:`concurrent_scenario`, but the
     bridge is deployed as a :class:`~repro.runtime.runtime.ShardedRuntime`:
     a shard router owns the public endpoints and partitions the sessions
-    across ``workers`` engines.  Workers model their translation compute as
-    a serial resource (``serialize_processing``), so the sweep over worker
-    counts measures genuine parallel capacity — run with ``workers=1`` for
-    the like-for-like single-shard baseline.  ``routing_delay`` charges the
-    router's classify-and-place cost on the virtual clock too (serial, one
-    busy-until clock for the whole edge), which is how a sweep exhibits
-    *router* saturation: with it set high enough, adding workers stops
-    helping because the edge, not the pool, is the bottleneck.
+    across ``workers`` engines.  Each worker's translated sends queue on
+    its serial send clock, so the sweep over worker counts measures
+    genuine parallel capacity — run with ``workers=1`` for the
+    like-for-like single-shard baseline.
     """
     if case not in BRIDGE_BUILDERS:
         raise ValueError(f"unknown case {case}; valid cases are 1..6")
@@ -455,13 +449,7 @@ def sharded_scenario(
     overrides: Dict[str, object] = {}
     if trace_sample is not None:
         overrides["trace_sample"] = trace_sample
-    runtime = ShardedRuntime.from_bridge(
-        bridge,
-        workers=workers,
-        serialize_processing=serialize_processing,
-        routing_delay=routing_delay,
-        **overrides,
-    )
+    runtime = ShardedRuntime.from_bridge(bridge, workers=workers, **overrides)
     runtime.deploy(network)
 
     network.attach(service)
@@ -642,7 +630,7 @@ def live_sharded_scenario(
     """``clients`` real-socket lookups through a ``workers``-shard runtime.
 
     Deploys an :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime`
-    (router + worker tasks on one event loop) on a fresh socket engine,
+    (router and workers on one event loop) on a fresh socket engine,
     with the legacy service and N OS-socket clients of the case attached
     alongside.  Time here is the wall clock; with ``processing_delay > 0``
     the throughput is *modelled*: that many seconds of serialised
@@ -706,7 +694,6 @@ def live_twin_scenario(
     runtime = ShardedRuntime.from_bridge(
         _live_bridge(case, processing_delay),
         workers=workers,
-        serialize_processing=True,
         ephemeral_ports=False,
         worker_port_stride=16,
     )
@@ -932,7 +919,6 @@ def elastic_scenario(
     processing_delay: float = 0.004,
     policy: Optional[AutoscalerPolicy] = None,
     tick_interval: float = 0.05,
-    routing_delay: float = 0.0,
 ) -> ElasticScenario:
     """The bursty elastic workload: trickle, burst, trickle.
 
@@ -969,12 +955,7 @@ def elastic_scenario(
 
     bridge = BRIDGE_BUILDERS[case](processing_delay=processing_delay)
     bridge.validate()
-    runtime = ShardedRuntime.from_bridge(
-        bridge,
-        workers=min_workers,
-        serialize_processing=True,
-        routing_delay=routing_delay,
-    )
+    runtime = ShardedRuntime.from_bridge(bridge, workers=min_workers)
     runtime.deploy(network)
     if policy is None:
         policy = AutoscalerPolicy(min_workers=min_workers, max_workers=max_workers)

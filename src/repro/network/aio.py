@@ -412,8 +412,8 @@ class AsyncSocketNetwork(NetworkEngine):
         self._tcp_replies: Dict[Tuple[str, int], _TcpConnection] = {}
         #: Open accepted connections and dials — closed on close.
         self._tcp_live: Set[_TcpStream] = set()
-        #: Live ``loop.call_later`` handles; pruned on fire.
-        self._timers: Set[asyncio.TimerHandle] = set()
+        #: Live timer handles; pruned on fire.
+        self._timers: Set[asyncio.Handle] = set()
         self.tcp_replies_dropped = 0
         #: Connections accepted and exchanges dialled.
         self.tcp_accepts = 0
@@ -422,7 +422,7 @@ class AsyncSocketNetwork(NetworkEngine):
         self.udp_wakeups = 0
         self.udp_datagrams = 0
         #: Exceptions on the loop with no caller to raise to (handlers,
-        #: timers, fire-and-forget sends), like ``AsyncWorkerLoop.errors``.
+        #: timers, fire-and-forget sends), like ``ShardWorker.errors``.
         self.errors: List[BaseException] = []
         self._lock = threading.Lock()
         self._dispatch_owner = threading.local()
@@ -447,7 +447,7 @@ class AsyncSocketNetwork(NetworkEngine):
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
-        """The engine's event loop (the runtime schedules worker tasks on it)."""
+        """The engine's event loop (every handler, timer and worker record runs on it)."""
         return self._loop
 
     def on_loop_thread(self) -> bool:
@@ -521,7 +521,13 @@ class AsyncSocketNetwork(NetworkEngine):
             except Exception as exc:  # noqa: BLE001 - timers have no caller
                 self.errors.append(exc)
 
-        handle = self._loop.call_later(delay, run)
+        # A zero delay runs on the loop's next pass, ahead of the I/O that
+        # pass reads, as a plain callback would (a router's hand-off is
+        # one): the heap orders it after that I/O instead.
+        if delay > 0:
+            handle = self._loop.call_later(delay, run)
+        else:
+            handle = self._loop.call_soon(run)
         handle_box.append(handle)
         self._timers.add(handle)
 
@@ -652,11 +658,10 @@ class AsyncSocketNetwork(NetworkEngine):
         """Drain up to :data:`_DRAIN_BOUND` datagrams and dispatch each.
 
         Runs on the loop thread whenever the socket is readable.  The
-        bound is what keeps one flooded socket from starving the others
-        and the worker queues from growing without limit: whatever is left
-        stays in the kernel buffer, the (level-triggered) reader fires
-        again on the next loop iteration, and in between every other ready
-        socket, timer and worker task gets its turn.
+        bound is what keeps one flooded socket from starving the others:
+        whatever is left stays in the kernel buffer, the (level-triggered)
+        reader fires again on the next loop iteration, and in between
+        every other ready socket and timer gets its turn.
 
         ``node.on_datagram`` is looked up per datagram (instances may be
         wrapped after attach), a raising handler is recorded and the drain

@@ -103,6 +103,12 @@ class NetworkEngine:
         """Schedule ``callback()`` after ``delay`` seconds."""
         raise NotImplementedError
 
+    def departure(self, delay: float) -> float:
+        """Seconds from now until a send costing its node ``delay`` seconds
+        leaves: here the fixed ``delay``; a sharded worker's engine view
+        queues it behind the worker's earlier sends."""
+        return delay
+
 
 class ControlLoop:
     """A step run every ``interval`` seconds on a network engine's timer.

@@ -62,7 +62,6 @@ _NONDETERMINISTIC_KEYS = frozenset(
         "mean_us",
         "total_seconds",
         "classify_seconds",
-        "charged_routing_seconds",
     }
 )
 

@@ -10,18 +10,20 @@ and *elasticity*:
 * :class:`~repro.runtime.router.ShardRouter` — the network node owning the
   bridge's public endpoints and multicast groups, routing each datagram to
   the worker that owns its session (sticky, rebalance-safe);
+* :class:`~repro.runtime.worker.ShardWorker` — one worker loop on either
+  runtime: a worker engine's shell, engine view (with its serial send
+  clock) and ordered records, pausable by the one wedge;
 * :class:`~repro.runtime.runtime.ShardedRuntime` — builds and deploys the
   N worker engines around one read-only behaviour model, aggregates their
   sessions and statistics, and resizes the pool loss-free (shrinking
   *drains*: no new keys, wait for the session table to empty, detach);
 * :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` — the same
-  deployment on real loopback sockets: every worker a queue-draining task
-  on the socket engine's one asyncio loop, behind an
-  :class:`~repro.runtime.aio_live.AsyncShardRouter`; rebalances in place
-  too (import it from :mod:`repro.runtime.aio_live` — this package does
-  not pull ``asyncio`` in for simulation-only users);
+  deployment on real loopback sockets, every record on the socket
+  engine's one asyncio loop; only its defaults, deploy check and
+  off-loop calls differ (import it from :mod:`repro.runtime.aio_live` —
+  this package does not pull ``asyncio`` in for simulation-only users);
 * :mod:`~repro.runtime.metrics` — :class:`ShardMetrics` load snapshots
-  (session tables, compute backlogs, queue depths, router dispatch cost);
+  (session tables, busy backlogs, queue depths, router dispatch cost);
 * :mod:`~repro.runtime.elastic` and :mod:`~repro.runtime.health` — the
   control plane: an :class:`Autoscaler` policy and a
   :class:`FailureDetector` consuming metrics snapshots, each driven by one
@@ -45,12 +47,12 @@ from .health import (
     HealthController,
     HealthPolicy,
     HealthProbe,
-    wedge_simulated_worker,
 )
 from .metrics import RouterMetrics, ShardMetrics, WorkerMetrics
 from .router import ShardRouter
 from .runtime import DEFAULT_WORKERS, VICTIM_STRATEGIES, ScaleEvent, ShardedRuntime
 from .sharding import HashRing, stable_hash
+from .worker import ShardWorker
 
 __all__ = [
     "HashRing",
@@ -72,5 +74,5 @@ __all__ = [
     "HealthAction",
     "FailureDetector",
     "HealthController",
-    "wedge_simulated_worker",
+    "ShardWorker",
 ]

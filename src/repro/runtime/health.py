@@ -19,13 +19,9 @@ closes the loop the way the elastic control plane closed the sizing loop:
 * :class:`HealthController` — drives the loop as a
   :class:`~repro.network.engine.ControlLoop` on the network's timer, on
   either runtime.  Each tick asks the runtime to probe its workers'
-  heartbeats (``ping_workers``): the simulated runtime schedules one
-  pulse per worker *through its busy clock* (``call_later(busy_backlog,
-  ...)``), so a stalled compute clock delays the pulse and the heartbeat
-  goes stale; the live runtime posts a no-op job per worker loop, whose
-  own ``heartbeat_at`` stamp (``time.monotonic()``, the
-  ``AsyncSocketNetwork.now()`` clock) keeps an *idle* loop
-  distinguishable from a *wedged* one.
+  heartbeats (``ping_workers``): one ping record per worker, stamped
+  when it runs — at once on a healthy worker, idle or busy, and only
+  after the pause on a wedged one, whose heartbeat goes stale.
 
 Escalation: ``suspect_after`` consecutive bad probes **quarantines** the
 worker (``router.begin_drain([id])`` — new keys route elsewhere, pinned
@@ -38,15 +34,13 @@ drain is in progress, so decisions are always made against a settled
 pool; a grow inside ``replace_worker`` transiently clears the router's
 drain marks, which the controller re-asserts on its next tick.
 
-The fault injectors the detector is tested against live here too:
-:func:`wedge_simulated_worker` (inflate the victim's busy-until clock —
-deliveries still process, just late, so correctness is preserved while
-every probe signal degrades); its live counterpart is
-:meth:`~repro.runtime.aio_live.AsyncLiveShardedRuntime.wedge_worker` (an
-awaited sleep posted to the victim's loop: its queue backs up and its
-heartbeat goes stale while posted jobs survive to run after the stall).  The
-network-side injector (:class:`~repro.network.aio.AsyncFaultyNetwork`)
-lives with the socket engine.
+The detector is tested against one wedge on either runtime,
+:meth:`~repro.runtime.runtime.ShardedRuntime.wedge_worker`: the victim's
+records queue behind a pause and its heartbeat goes stale, while the
+queued records survive to run after it, so correctness is preserved
+while every probe signal degrades.  The network-side injector
+(:class:`~repro.network.aio.AsyncFaultyNetwork`) lives with the socket
+engine.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
-from ..network.engine import ControlLoop, NetworkEngine
+from ..network.engine import ControlLoop
 from ..obs.timeseries import counter_delta
 from .metrics import ShardMetrics
 from .runtime import ShardedRuntime
@@ -66,7 +60,6 @@ __all__ = [
     "HealthAction",
     "FailureDetector",
     "HealthController",
-    "wedge_simulated_worker",
     "HEALTHY",
     "SUSPECT",
     "FAILED",
@@ -368,8 +361,8 @@ class HealthController(ControlLoop):
     victim's drain; later ticks hold while ``scaling_in_progress``.
 
     :meth:`skew_probes` is the matching time-fault injector: it delays a
-    worker's next N simulated heartbeat pulses by a fixed skew, modelling
-    a clock-skewed timer.  A skew below ``fail_after`` consecutive probes
+    worker's next N heartbeat pings by a fixed skew, modelling a
+    clock-skewed timer.  A skew below ``fail_after`` consecutive probes
     must never cause a replacement — that is exactly what the hysteresis
     is for, and the chaos schedules exercise it.
     """
@@ -403,7 +396,7 @@ class HealthController(ControlLoop):
 
     def skew_probes(self, worker_id: int, delay: float, probes: int = 1) -> None:
         """Fault injection: delay ``worker_id``'s next ``probes`` heartbeat
-        pulses by ``delay`` seconds (a clock-skewed timer)."""
+        pings by ``delay`` seconds (a clock-skewed timer)."""
         if delay < 0 or probes < 1:
             raise ConfigurationError(
                 f"invalid skew (delay={delay!r}, probes={probes!r})"
@@ -446,7 +439,7 @@ class HealthController(ControlLoop):
             self.quarantined &= router.draining_ids
 
     def _take_skews(self) -> Dict[int, float]:
-        """This tick's extra pulse delay per worker id, consuming one
+        """This tick's extra ping delay per worker id, consuming one
         skewed probe of each pooled worker."""
         skews: Dict[int, float] = {}
         for worker_id in self.runtime.worker_ids:
@@ -516,29 +509,3 @@ class HealthController(ControlLoop):
     def replaced_ids(self) -> List[int]:
         """Worker ids this controller has replaced, in order."""
         return [a.worker_id for a in self.actions if a.kind == "replace"]
-
-
-# ----------------------------------------------------------------------
-# fault injector (time faults on the simulation; live it is
-# AsyncLiveShardedRuntime.wedge_worker, and the network fault injector is
-# repro.network.aio.AsyncFaultyNetwork)
-# ----------------------------------------------------------------------
-def wedge_simulated_worker(
-    runtime: ShardedRuntime,
-    network: NetworkEngine,
-    worker_id: int,
-    seconds: float,
-) -> None:
-    """Wedge one simulated worker for ``seconds`` of virtual time.
-
-    Inflates the victim's serialised-compute (busy-until) clock: every
-    delivery it owns still processes — nothing is lost — but everything
-    queues behind the stall, heartbeat pulses included.  The detector
-    must notice via the busy-backlog and heartbeat-age probes and replace
-    the worker; the sessions pinned to it complete during the drain.
-    """
-    if worker_id not in runtime.worker_ids:
-        raise ConfigurationError(f"no worker with id {worker_id!r} to wedge")
-    worker = runtime.workers[runtime.worker_ids.index(worker_id)]
-    worker.stall_processing(network.now(), seconds)
-

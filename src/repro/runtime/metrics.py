@@ -4,9 +4,9 @@ Scaling decisions need numbers.  This module defines the immutable
 snapshot types the control plane consumes:
 
 * :class:`WorkerMetrics` — one worker engine's load at a point in time:
-  session-table size, completed/evicted counts, the serialised-compute
-  backlog (how far the busy-until clock is ahead of *now*), and — on the
-  live runtime — the worker loop's queue depth;
+  session-table size, completed/evicted counts, the busy backlog (a
+  wedge's remaining pause plus how far the worker's send clock is ahead
+  of *now*), its queued records and its heartbeat age;
 * :class:`RouterMetrics` — the shard router's own counters: routed /
   unrouted / echo totals, sticky-table size, and the measured wall-clock
   cost of its classify-and-place step, which is what makes the "router is
@@ -152,15 +152,14 @@ class WorkerMetrics:
     #: Sessions completed (respectively evicted) since deployment.
     completed_sessions: int = counter("Sessions completed by the worker.")
     evicted_sessions: int = counter("Idle sessions evicted by the worker.")
-    #: Seconds of serialised translation compute already committed beyond
-    #: *now* (the busy-until clock's backlog); 0.0 when the worker does not
-    #: serialise processing.
-    busy_backlog: float = gauge("Seconds of compute queued on the worker's busy clock.",
+    #: Seconds the worker is committed beyond *now*: a wedge's remaining
+    #: pause plus the translated sends queued on its serial send clock.
+    busy_backlog: float = gauge("Seconds of wedge pause and queued sends ahead of the worker.",
                                 default=0.0, row="busy_backlog_s", family="busy_backlog_seconds")
     #: Whether the worker is draining (pinned sessions only, no new keys).
     draining: bool = gauge("1 while the worker is draining, else 0.", default=False)
-    #: Live runtime only: jobs waiting in the worker loop's queue.
-    queue_depth: int = gauge("Deliveries waiting in the worker's queue.")
+    #: Records waiting behind the running record or a wedge's pause.
+    queue_depth: int = gauge("Records waiting in the worker's loop.")
     #: The worker's stable membership id (survives pool compaction after
     #: an arbitrary-worker drain; ``index`` is just the list position).
     worker_id: int = -1
@@ -170,14 +169,13 @@ class WorkerMetrics:
     #: Datagrams rejected by the first-bytes discriminators alone, without
     #: running any parser (garbage floods become cheap rejects).
     garbage_rejects: int = counter("Unparseable datagrams rejected by the worker.", ENGINE)
-    #: Live runtime only: exceptions the worker loop caught while running
-    #: jobs (``AsyncWorkerLoop.errors``); always 0 on the simulation.
+    #: Exceptions the worker caught while running its records
+    #: (``ShardWorker.errors``).
     errors: int = counter("Exceptions raised on the worker's loop.")
-    #: Seconds since the worker last proved liveness: on the live runtime,
-    #: since its loop last finished a job; on the simulation, since the
-    #: health controller's last heartbeat pulse came back through the
-    #: worker's busy clock.  0.0 when no heartbeat has ever been recorded
-    #: (a fresh worker is presumed healthy until probed).
+    #: Seconds since the worker last proved liveness: since the health
+    #: controller's last heartbeat ping ran as one of its records.  0.0
+    #: when it was never pinged (a fresh worker, or a runtime without a
+    #: health controller, is presumed healthy until probed).
     heartbeat_age: float = gauge("Seconds since the worker's last heartbeat.",
                                  default=0.0, row="heartbeat_age_s", family="heartbeat_age_seconds")
     #: Spans overwritten in the worker's trace ring because it wrapped
@@ -217,13 +215,9 @@ class RouterMetrics:
     classify_count: int = counter("Edge classify passes at the router.", ROUTER, family="classify")
     #: Cumulative wall-clock seconds spent in classify-and-place.  Real
     #: seconds even on the simulation: the router's compute is what this
-    #: measures, not the virtual clock.  Not a declared metric, like
-    #: ``charged_routing_seconds``: both surface only in ``as_row``.
+    #: measures, not the virtual clock.  Not a declared metric: it
+    #: surfaces only in ``as_row``.
     classify_seconds: float = 0.0
-    #: Simulated router only: cumulative *virtual* seconds of modelled
-    #: router compute charged by the ``routing_delay`` busy-until clock
-    #: (0.0 when the router cost is measured but not modelled).
-    charged_routing_seconds: float = 0.0
     #: Router-edge classifications that fell back to trial parsing
     #: (accumulated from the classify core's discriminator counters).
     discriminator_misses: int = counter("Classify discriminator misses at the router.", ROUTER)
@@ -258,7 +252,6 @@ class RouterMetrics:
         return {
             **_declared_row(self),
             "classify_cost_avg_us": round(self.classify_cost_avg_us, 2),
-            "charged_routing_s": round(self.charged_routing_seconds, 6),
         }
 
 

@@ -36,29 +36,30 @@ sessions keep routing to them via the sticky table, and
 :meth:`set_workers` (once they are empty and detached) drops exactly the
 retired ids' bookkeeping and nothing else.
 
-Hand-off to a worker is scheduled as a fresh network event
-(``call_later``), so each worker drains its own queue of deliveries on the
-shared virtual clock — the simulated analogue of one event loop per worker
-process.  Completed sessions are unpinned from the sticky table
-*promptly*: workers report every close through
-:meth:`ShardRouter.note_session_closed` and the entries are dropped at the
-next routing operation, prune sweep or drain check (the periodic sweep
-remains as the backstop for entries whose close was never reported).
+Every hand-off is a fresh network event (``call_later`` after
+``hop_delay``) on either runtime.  A keyed delivery becomes a record of
+the owning worker's :class:`~repro.runtime.worker.ShardWorker`, so it
+runs in order with that worker's other records.  A fan-out delivery runs
+as the event itself and offers the datagram to each idle shard in turn;
+when none of them claims it strictly and a shard is paused, the whole
+delivery is retried as that shard's record once the pause ends, so a
+wedge holds fan-out too and a worker's code only ever runs idle or in
+one of its own records.  Completed
+sessions are unpinned from the sticky table *promptly*: workers report
+every close through :meth:`ShardRouter.note_session_closed`, which drops
+the entry at once on the event thread (the periodic sweep remains as the
+backstop for entries whose close was never reported).
 
 The router also serves the control plane: it measures its own
-classify-and-place cost per datagram (:meth:`ShardRouter.metrics`), and —
-with ``routing_delay`` set — additionally *models* that cost on the
-simulated virtual clock: a busy-until clock charges ``routing_delay``
-seconds of serial router compute per classified datagram (mirroring the
-workers' ``serialize_processing``), so a simulated sweep can exhibit
-router saturation instead of assuming an infinitely fast edge.
+classify-and-place cost per datagram in real seconds
+(:meth:`ShardRouter.metrics`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 from time import perf_counter
-from typing import Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from ..core.engine.automata_engine import AutomataEngine
 from ..core.errors import ConfigurationError
@@ -69,11 +70,11 @@ from ..obs.tracing import (
     STAGE_FANOUT,
     STAGE_INGRESS,
     STAGE_PLACE,
-    STAGE_QUEUE_WAIT,
     Tracer,
 )
 from .metrics import ROUTER, RouterMetrics, sourced
 from .sharding import HashRing
+from .worker import ShardWorker
 
 __all__ = ["ShardRouter"]
 
@@ -86,39 +87,28 @@ class ShardRouter(NetworkNode):
 
     def __init__(
         self,
-        workers: Sequence[AutomataEngine],
+        shards: Sequence[ShardWorker],
         public_endpoints: Dict[str, Endpoint],
         hop_delay: float = 0.0,
         prune_interval: float = DEFAULT_PRUNE_INTERVAL,
         name: str = "shard-router",
         worker_ids: Optional[Sequence[Hashable]] = None,
-        routing_delay: float = 0.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if not workers:
+        if not shards:
             raise ConfigurationError("a shard router needs at least one worker")
         self.name = name
         self.hop_delay = hop_delay
         self.prune_interval = prune_interval
-        #: Virtual seconds of serial router compute charged per classified
-        #: datagram (0.0 = unmodelled, the router is an infinitely fast
-        #: edge as before).  Mirrors the workers' ``serialize_processing``.
-        self.routing_delay = routing_delay
         self._public_endpoints = dict(public_endpoints)
-        self._workers: List[AutomataEngine] = []
+        self._shards: List[ShardWorker] = []
         self._ids: List[Hashable] = []
-        self._by_id: Dict[Hashable, AutomataEngine] = {}
+        self._by_id: Dict[Hashable, ShardWorker] = {}
         #: Worker ids excluded from the ring by an in-progress drain.
         self._draining: Set[Hashable] = set()
         self._ring: Optional[HashRing] = None
         #: Session key -> worker id, pinned for the session's lifetime.
         self._sticky: Dict[Hashable, Hashable] = {}
-        #: Keys whose session a worker reported closed, awaiting removal
-        #: from the sticky table.  Appended from worker engines and
-        #: consumed at the next routing operation, prune sweep or drain
-        #: check — so completed sessions unpin promptly instead of waiting
-        #: for the periodic sweep.
-        self._closed_keys: Deque[Hashable] = deque()
         #: Datagrams no shard claimed (aggregate of the fan-out passes).
         self.unrouted_datagrams = 0
         #: Datagrams routed (client-keyed plus fan-out claims).
@@ -130,12 +120,6 @@ class ShardRouter(NetworkNode):
         #: signal for "the router is the bottleneck".
         self.classify_count = 0
         self.classify_seconds = 0.0
-        #: Virtual seconds of modelled router compute charged so far (the
-        #: ``routing_delay`` busy-until clock; 0.0 when unmodelled).
-        self.charged_routing_seconds = 0.0
-        #: The modelled busy-until clock: hand-offs are delayed until the
-        #: router's serial compute would actually have finished.
-        self._route_busy_until = 0.0
         #: The router's *own* classify outcome counters: edge classifies
         #: run against worker 0's read-only model but are charged here via
         #: the classify ``counters=`` redirect, so router + worker counters
@@ -153,15 +137,14 @@ class ShardRouter(NetworkNode):
         self.tracer = tracer
         self._recorder = tracer.recorder(name) if tracer is not None else None
         self._prune_scheduled = False
-        self._engine: Optional[NetworkEngine] = None
-        self.set_workers(workers, worker_ids)
+        self.set_workers(shards, worker_ids)
 
     # ------------------------------------------------------------------
     # worker membership / rebalancing
     # ------------------------------------------------------------------
     def set_workers(
         self,
-        workers: Sequence[AutomataEngine],
+        shards: Sequence[ShardWorker],
         worker_ids: Optional[Sequence[Hashable]] = None,
     ) -> None:
         """Install the worker set, rebuilding the hash ring.
@@ -175,19 +158,19 @@ class ShardRouter(NetworkNode):
         ring on next arrival.  Any in-progress drain marks are cleared:
         this is the "membership settled" call.
         """
-        workers = list(workers)
-        if not workers:
+        shards = list(shards)
+        if not shards:
             raise ConfigurationError("a shard router needs at least one worker")
-        ids = list(worker_ids) if worker_ids is not None else list(range(len(workers)))
-        if len(ids) != len(workers):
+        ids = list(worker_ids) if worker_ids is not None else list(range(len(shards)))
+        if len(ids) != len(shards):
             raise ConfigurationError(
-                f"{len(workers)} workers but {len(ids)} worker ids"
+                f"{len(shards)} workers but {len(ids)} worker ids"
             )
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate worker ids {ids!r}")
-        self._workers = workers
+        self._shards = shards
         self._ids = ids
-        self._by_id = dict(zip(ids, workers))
+        self._by_id = dict(zip(ids, shards))
         self._draining = set()
         self._ring = HashRing(ids)
         self._sticky = {
@@ -227,17 +210,12 @@ class ShardRouter(NetworkNode):
         self._ring = HashRing(self._ids)
 
     def drain_pending(self, worker_id: Hashable) -> bool:
-        """Whether sticky entries still pin sessions to ``worker_id``.
-
-        Flushes the closed-key queue first, so a drain check observes
-        completions immediately instead of after the prune interval.
-        """
-        self._flush_closed_keys()
+        """Whether sticky entries still pin sessions to ``worker_id``."""
         return any(owner == worker_id for owner in self._sticky.values())
 
     @property
     def workers(self) -> List[AutomataEngine]:
-        return list(self._workers)
+        return [shard.engine for shard in self._shards]
 
     @property
     def worker_ids(self) -> List[Hashable]:
@@ -251,7 +229,7 @@ class ShardRouter(NetworkNode):
 
     @property
     def worker_count(self) -> int:
-        return len(self._workers)
+        return len(self._shards)
 
     @property
     def active_worker_count(self) -> int:
@@ -273,10 +251,7 @@ class ShardRouter(NetworkNode):
         return list(self._public_endpoints.values())
 
     def multicast_groups(self) -> List[Endpoint]:
-        return self._workers[0].group_endpoints
-
-    def on_attached(self, engine: NetworkEngine) -> None:
-        self._engine = engine
+        return self._shards[0].engine.group_endpoints
 
     def on_datagram(
         self,
@@ -285,14 +260,12 @@ class ShardRouter(NetworkNode):
         source: Endpoint,
         destination: Endpoint,
     ) -> None:
-        self._engine = engine
         tracer = self.tracer
         recorder = self._recorder
         trace = tracer.stamp() if tracer is not None else 0
         started = perf_counter()
         try:
-            self._flush_closed_keys()
-            if any(worker.owns_endpoint(source) for worker in self._workers):
+            if any(shard.engine.owns_endpoint(source) for shard in self._shards):
                 # A worker's own translated multicast looping back through
                 # the group membership; the bridge must not consume its own
                 # output.
@@ -302,7 +275,7 @@ class ShardRouter(NetworkNode):
             # but its outcome counters (and the parse span) are charged to
             # the router via the redirect — router + worker counters stay
             # a conserved sum.
-            core = self._workers[0]
+            core = self._shards[0].engine
             classified = core.classify(
                 data,
                 destination,
@@ -318,23 +291,14 @@ class ShardRouter(NetworkNode):
                 if recorder is not None
                 else 0.0
             )
-            # The modelled serial router compute: every classified datagram
-            # occupies the router for ``routing_delay`` virtual seconds, so
-            # its hand-off leaves only when the router would actually be
-            # done with it (and with everything queued before it).
-            charge = self._charge_routing(engine.now())
             automaton_name, message = classified
             key = core.routing_key(automaton_name, message, source)
             if key is not None:
-                self._route_keyed(
-                    engine, key, automaton_name, message, source, charge, trace
-                )
+                self._route_keyed(engine, key, automaton_name, message, source, trace)
                 if recorder is not None:
                     recorder.record(trace, STAGE_PLACE, marker)
             else:
-                self._fan_out(
-                    engine, automaton_name, message, source, charge, trace
-                )
+                self._fan_out(engine, automaton_name, message, source, trace)
         finally:
             # The classify-and-place cost in real seconds (hand-off
             # execution is deferred, so it is not included): the router's
@@ -348,70 +312,20 @@ class ShardRouter(NetworkNode):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    # The two overridable seams below are how the live router of
-    # :mod:`repro.runtime.aio_live` reuses this routing logic over real
-    # sockets: ``_hand_off`` decides *where* a delivery closure runs (a
-    # simulated event here, a worker's queue live), and ``_dispatch_to``
-    # decides *how* one worker's engine is invoked (bare here, through the
-    # worker's engine view live).
-
-    def _charge_routing(self, now: float) -> float:
-        """Occupy the modelled router clock; return the queueing delay.
-
-        Mirrors the workers' busy-until translation clock: the datagram
-        starts when the router frees up, holds it for ``routing_delay``
-        seconds, and its hand-off is deferred by the total wait.  Returns
-        0.0 when the cost is unmodelled.
-        """
-        if self.routing_delay <= 0.0:
-            return 0.0
-        start = max(now, self._route_busy_until)
-        self._route_busy_until = start + self.routing_delay
-        self.charged_routing_seconds += self.routing_delay
-        return self._route_busy_until - now
-
-    def _hand_off(
-        self,
-        engine: NetworkEngine,
-        worker,
-        deliver,
-        delay: float = 0.0,
-        trace: int = 0,
-    ) -> None:
-        """Run ``deliver`` as a fresh event owned by ``worker``.
-
-        On the simulation every hand-off is a ``call_later`` event on the
-        shared virtual clock — the analogue of posting to a worker process'
-        queue.  ``worker`` is ``None`` for fan-out deliveries, which touch
-        every shard; ``delay`` carries the modelled router compute charge,
-        recorded as the delivery's queue wait (virtual seconds between
-        hand-off and execution) into the owning worker's recorder.
-        """
-        recorder = getattr(worker, "_recorder", None) if worker is not None else None
-        if recorder is None:
-            engine.call_later(self.hop_delay + delay, deliver)
-            return
-        queued_at = engine.now()
-
-        def timed_deliver() -> None:
-            recorder.record_wait(trace, STAGE_QUEUE_WAIT, queued_at, engine.now())
-            deliver()
-
-        engine.call_later(self.hop_delay + delay, timed_deliver)
-
     def _dispatch_to(
         self,
-        worker,
-        engine: NetworkEngine,
+        shard: ShardWorker,
         automaton_name: str,
         message,
         source: Endpoint,
         strict: bool = False,
         trace: int = 0,
     ) -> bool:
-        """Invoke one worker's :meth:`~repro.core.engine.automata_engine.AutomataEngine.dispatch`."""
-        return worker.dispatch(
-            engine,
+        """Invoke one worker's
+        :meth:`~repro.core.engine.automata_engine.AutomataEngine.dispatch`
+        through its engine view."""
+        return shard.engine.dispatch(
+            shard.view,
             automaton_name,
             message,
             source,
@@ -434,22 +348,25 @@ class ShardRouter(NetworkNode):
         automaton_name: str,
         message,
         source: Endpoint,
-        delay: float = 0.0,
         trace: int = 0,
     ) -> None:
         worker_id = self.shard_for_key(key)
         self._sticky[key] = worker_id
-        worker = self._by_id[worker_id]
+        shard = self._by_id[worker_id]
         self._ensure_pruner(engine)
 
         def deliver() -> None:
             self._record_outcome(
-                self._dispatch_to(
-                    worker, engine, automaton_name, message, source, trace=trace
-                )
+                self._dispatch_to(shard, automaton_name, message, source, trace=trace)
             )
 
-        self._hand_off(engine, worker, deliver, delay, trace)
+        # The delivery is a record of the owning worker, so it runs in
+        # order with that worker's other records; its wait from here to
+        # running is the worker's queue-wait sample.
+        queued_at = self.tracer.clock() if self.tracer is not None else None
+        engine.call_later(
+            self.hop_delay, partial(shard.post, deliver, trace, queued_at)
+        )
 
     def _fan_out(
         self,
@@ -457,37 +374,50 @@ class ShardRouter(NetworkNode):
         automaton_name: str,
         message,
         source: Endpoint,
-        delay: float = 0.0,
         trace: int = 0,
     ) -> None:
-        workers = list(self._workers)
+        shards = list(self._shards)
         recorder = self._recorder
 
-        def deliver() -> None:
+        def deliver(host: Optional[ShardWorker] = None) -> None:
             # Strict first: only a shard with hard evidence (reply token or
             # matching client host) may claim the datagram; the lenient
-            # FIFO pass runs only when every shard declined.
+            # FIFO pass runs only when every shard declined.  The passes
+            # span every shard, so they run here, not as worker records:
+            # each shard is offered the datagram only while it is idle (a
+            # record of its own would run at once) or when this delivery
+            # is its record (``host``).  A worker that left the deployment
+            # since the pass was captured (a teardown race) declines.
             started = perf_counter() if recorder is not None else 0.0
             try:
-                for strict in (True, False):
-                    for worker in workers:
-                        if self._dispatch_to(
-                            worker,
-                            engine,
-                            automaton_name,
-                            message,
-                            source,
-                            strict=strict,
-                            trace=trace,
-                        ):
-                            self._record_outcome(True)
-                            return
+                held = None
+                for shard in shards:
+                    if shard.closed:
+                        continue
+                    if shard is not host and not shard.idle:
+                        held = held or shard
+                    elif self._dispatch_to(
+                        shard, automaton_name, message, source, strict=True, trace=trace
+                    ):
+                        self._record_outcome(True)
+                        return
+                if held is not None:
+                    # The paused shard may own the session this datagram
+                    # answers: ask again as its record, after the pause.
+                    held.post(partial(deliver, held), trace)
+                    return
+                for shard in shards:
+                    if not shard.closed and self._dispatch_to(
+                        shard, automaton_name, message, source, trace=trace
+                    ):
+                        self._record_outcome(True)
+                        return
                 self._record_outcome(False)
             finally:
                 if recorder is not None:
                     recorder.record(trace, STAGE_FANOUT, started)
 
-        self._hand_off(engine, None, deliver, delay, trace)
+        engine.call_later(self.hop_delay, deliver)
 
     # ------------------------------------------------------------------
     # sticky-table pruning
@@ -495,32 +425,12 @@ class ShardRouter(NetworkNode):
     def note_session_closed(self, key: Hashable) -> None:
         """A worker engine reports that the session under ``key`` ended.
 
-        Wired as the workers' ``session_close_listener``; may run on any
-        thread (the ``deque`` append is atomic), so the sticky entry is
-        only *queued* for removal here and actually dropped by
-        :meth:`_flush_closed_keys` — at the next datagram, prune sweep or
-        drain check.  This is what keeps drain latency bounded by session
-        lifetime instead of the prune interval.
+        Wired as the workers' ``session_close_listener``; it runs in a
+        worker record on the event thread, which is the routing thread,
+        so the sticky entry is dropped at once: drain latency tracks
+        session lifetime, and an idle bridge reports ``sticky_entries == 0``.
         """
-        self._closed_keys.append(key)
-
-    def _flush_closed_keys(self) -> None:
-        """Drop sticky entries whose session a worker reported closed.
-
-        An entry survives the flush when the worker *still* has a session
-        under the key — a retransmission may have reopened it on the same
-        shard between the close and the flush — mirroring the liveness
-        probe the periodic prune performs.
-        """
-        while self._closed_keys:
-            key = self._closed_keys.popleft()
-            worker_id = self._sticky.get(key)
-            if worker_id is None:
-                continue
-            worker = self._by_id.get(worker_id)
-            if worker is not None and worker.has_session(key):
-                continue
-            del self._sticky[key]
+        self._sticky.pop(key, None)
 
     def _ensure_pruner(self, engine: NetworkEngine) -> None:
         if self._prune_scheduled or self.prune_interval <= 0:
@@ -530,12 +440,11 @@ class ShardRouter(NetworkNode):
 
     def _prune(self, engine: NetworkEngine) -> None:
         self._prune_scheduled = False
-        self._flush_closed_keys()
         self._sticky = {
             key: worker_id
             for key, worker_id in self._sticky.items()
             if worker_id in self._by_id
-            and self._by_id[worker_id].has_session(key)
+            and self._by_id[worker_id].engine.has_session(key)
         }
         if self._sticky:
             self._ensure_pruner(engine)
@@ -553,12 +462,11 @@ class ShardRouter(NetworkNode):
         return RouterMetrics(
             sticky_entries=len(self._sticky),
             classify_seconds=self.classify_seconds,
-            charged_routing_seconds=self.charged_routing_seconds,
             **sourced(ROUTER, self),
         )
 
     def __repr__(self) -> str:
         return (
-            f"ShardRouter(workers={len(self._workers)}, "
+            f"ShardRouter(workers={len(self._shards)}, "
             f"sticky={len(self._sticky)}, routed={self.routed_datagrams})"
         )

@@ -6,7 +6,7 @@ automaton and its coloured automata read-only at runtime.  That is exactly
 the precondition for true parallelism: the :class:`ShardedRuntime` deploys
 *N* :class:`~repro.core.engine.automata_engine.AutomataEngine` workers that
 share the read-only behaviour model and nothing else — each worker has its
-own session table, its own statistics, its own serialised compute clock —
+own session table, its own statistics, its own serial send clock —
 behind a single :class:`~repro.runtime.router.ShardRouter` that owns the
 bridge's public endpoints and partitions sessions by consistent hash of
 the correlation key.
@@ -30,21 +30,22 @@ for a fresh engine (:meth:`ShardedRuntime.replace_worker`), which is what
 lets an autoscaler or failure detector retire the most loaded or least
 healthy worker instead of whichever happens to sit at the end of the list.
 
-On the simulated network the workers are independently-clocked event
-queues: each runs with ``serialize_processing`` so its translation compute
-is a serial resource, and the router hands datagrams over as fresh events.
-Throughput therefore scales with the worker count until the legacy
-protocol latencies dominate — the same shape a process-per-shard
+Every worker runs as a :class:`~repro.runtime.worker.ShardWorker` on
+either runtime: a shell attached in its place, an engine view whose send
+clock makes the worker's translation compute a serial resource, and one
+ordered stream of records (hand-offs, upstream datagrams, timers, pings,
+wedges).  Throughput therefore scales with the worker count until the
+legacy protocol latencies dominate — the same shape a process-per-shard
 deployment shows on real hardware.  The same objects deploy unchanged on
-real loopback sockets (:mod:`repro.runtime.aio_live`), where every worker
-is a queue-draining task on the socket engine's one event loop.
+real loopback sockets (:mod:`repro.runtime.aio_live`), where the records
+run on the socket engine's one event-loop thread.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from ..core.automata.merge import MergedAutomaton
 from ..core.engine.actions import ActionRegistry
@@ -66,6 +67,7 @@ from ..obs.tracing import (
 )
 from .metrics import ENGINE, ROUTER, ShardMetrics, StageLatency, WorkerMetrics, sourced
 from .router import ShardRouter
+from .worker import ShardWorker
 
 __all__ = ["ShardedRuntime", "ScaleEvent", "VICTIM_STRATEGIES"]
 
@@ -80,6 +82,8 @@ DEFAULT_DRAIN_POLL_INTERVAL = 0.05
 #: membership restored.  Generous: idle-session eviction (default 30 s)
 #: guarantees progress well inside it.
 DEFAULT_DRAIN_TIMEOUT = 60.0
+
+_T = TypeVar("_T")
 
 #: Victim-selection strategies for :meth:`ShardedRuntime.select_victims`.
 VICTIM_STRATEGIES = ("suffix", "least-loaded", "most-loaded")
@@ -105,9 +109,13 @@ class ShardedRuntime:
     evaluation scenarios drive either deployment interchangeably.  Build
     one from an undeployed bridge with :meth:`from_bridge`, or directly
     from the models.  For a deployment over real sockets use the
-    :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` subclass,
-    which runs each worker as a task on the socket engine's event loop.
+    :class:`~repro.runtime.aio_live.AsyncLiveShardedRuntime` subclass.
     """
+
+    #: Span timeline positions follow the network's clock — virtual
+    #: seconds on the simulation, so traces interleave with scale events
+    #: exactly.  The live runtime keeps the tracer's ``perf_counter``.
+    virtual_timeline = True
 
     def __init__(
         self,
@@ -120,11 +128,9 @@ class ShardedRuntime:
         actions: Optional[ActionRegistry] = None,
         correlator: Optional[SessionCorrelator] = None,
         session_timeout: Optional[float] = DEFAULT_SESSION_TIMEOUT,
-        serialize_processing: bool = True,
         hop_delay: float = 0.0,
         ephemeral_ports: bool = True,
         worker_port_stride: int = 0,
-        routing_delay: float = 0.0,
         interpreted: bool = False,
         trace_sample: float = DEFAULT_SAMPLE_RATE,
         trace_ring_size: int = DEFAULT_RING_SIZE,
@@ -141,7 +147,6 @@ class ShardedRuntime:
         self.actions = actions
         self.correlator = correlator
         self.session_timeout = session_timeout
-        self.serialize_processing = serialize_processing
         self.hop_delay = hop_delay
         self.ephemeral_ports = ephemeral_ports
         #: Select the interpreting MDL codecs instead of the compiled hot
@@ -156,10 +161,6 @@ class ShardedRuntime:
 
             for spec in self.mdl_specs.values():
                 compiled_artifacts(spec)
-        #: Virtual seconds of serial router compute charged per classified
-        #: datagram (see :class:`~repro.runtime.router.ShardRouter`); 0.0
-        #: keeps the router an unmodelled (measured-only) edge.
-        self.routing_delay = routing_delay
         #: With a stride, worker *id* shares the runtime's host and claims
         #: the port range ``base_port + (id+1) * stride`` — required on the
         #: socket engine, where hosts are real addresses (everything is
@@ -183,6 +184,9 @@ class ShardedRuntime:
         self._workers: List[AutomataEngine] = [
             self._build_worker(worker_id) for worker_id in self._worker_ids
         ]
+        #: The deployed workers' :class:`ShardWorker` s, parallel to the
+        #: worker list; empty while undeployed.
+        self._shards: List[ShardWorker] = []
         self._router: Optional[ShardRouter] = None
         self._network: Optional[NetworkEngine] = None
         #: Worker ids of the drain in progress, ``None`` when idle.
@@ -192,12 +196,6 @@ class ShardedRuntime:
         #: The newcomer a ``replace_worker`` drain retires again if the
         #: victim's drain is cancelled (``None`` for a plain shrink).
         self._drain_unwind: Optional[int] = None
-        #: Last heartbeat per worker id, in network-clock seconds.  Fed by
-        #: :meth:`note_heartbeat` (the pulses :meth:`ping_workers`
-        #: schedules; the live runtime reads its loops' own timestamps
-        #: instead) — empty until a controller probes, so plain
-        #: deployments schedule nothing and quiesce as before.
-        self._worker_heartbeats: Dict[int, float] = {}
         #: Seconds between drain-completion checks (network clock).
         self.drain_poll_interval = DEFAULT_DRAIN_POLL_INTERVAL
         #: Seconds after which a drain is cancelled (see :meth:`scale_to`).
@@ -218,6 +216,9 @@ class ShardedRuntime:
         self._retired_evicted: List[SessionRecord] = []
         self._retired_parse_failures: List = []
         self._retired: Counter = Counter()
+        #: Exceptions raised by records of retired workers and undeployed
+        #: generations, so post-run inspection survives the teardown.
+        self._worker_error_log: List[BaseException] = []
 
     @classmethod
     def from_bridge(
@@ -226,8 +227,8 @@ class ShardedRuntime:
         """Shard an (undeployed) :class:`StarlinkBridge` across workers.
 
         The bridge supplies the models and configuration; keyword
-        ``overrides`` adjust runtime-only knobs (``serialize_processing``,
-        ``hop_delay``, ``routing_delay``, ...).
+        ``overrides`` adjust runtime-only knobs (``hop_delay``,
+        ``worker_port_stride``, ...).
         """
         options: Dict[str, Any] = dict(
             host=bridge.host,
@@ -276,7 +277,6 @@ class ShardedRuntime:
             name=f"starlink:{self.merged.name}.w{worker_id}",
             correlator=self.correlator,
             session_timeout=self.session_timeout,
-            serialize_processing=self.serialize_processing,
             public_endpoints=self.public_endpoints,
             join_groups=False,
             ephemeral_ports=self.ephemeral_ports,
@@ -285,12 +285,15 @@ class ShardedRuntime:
         )
 
     def deploy(self, network: NetworkEngine) -> ShardRouter:
-        """Attach the workers and the router to ``network``.
+        """Attach every worker's shell and the router to ``network``.
 
-        The workers bind their own (per-worker) endpoints so upstream
-        replies reach them directly; the returned :class:`ShardRouter` is
-        the only node binding the bridge's *public* endpoints and joining
-        its multicast groups.  Deploying twice raises
+        The shells bind the workers' own (per-worker) endpoints so
+        upstream replies reach them directly; the returned
+        :class:`ShardRouter` is the only node binding the bridge's
+        *public* endpoints and joining its multicast groups.  All or
+        nothing: if an attach fails (an endpoint already bound, say), the
+        router and every shell are detached again before the error
+        propagates, so a retry starts clean.  Deploying twice raises
         :class:`~repro.core.errors.ConfigurationError`; :meth:`undeploy`
         makes a runtime deployable again.
         """
@@ -298,47 +301,69 @@ class ShardedRuntime:
             raise ConfigurationError(
                 f"sharded runtime '{self.merged.name}' is already deployed"
             )
-        # Span timeline positions follow the deployment's clock: virtual
-        # seconds here, so traces interleave with scale events exactly.
-        self.tracer.use_clock(network.now, "virtual")
-        for worker in self._workers:
-            network.attach(worker)
-        router = ShardRouter(
-            self._workers,
-            self.public_endpoints,
-            hop_delay=self.hop_delay,
-            name=f"router:{self.merged.name}",
-            worker_ids=self._worker_ids,
-            routing_delay=self.routing_delay,
-            tracer=self.tracer,
-        )
-        network.attach(router)
+        if self.virtual_timeline:
+            self.tracer.use_clock(network.now, "virtual")
+        shards = [ShardWorker(worker, network) for worker in self._workers]
+        router: Optional[ShardRouter] = None
+        try:
+            for shard in shards:
+                network.attach(shard.shell)
+            router = ShardRouter(
+                shards,
+                self.public_endpoints,
+                hop_delay=self.hop_delay,
+                name=f"router:{self.merged.name}",
+                worker_ids=self._worker_ids,
+                tracer=self.tracer,
+            )
+            network.attach(router)
+        except BaseException:
+            # Detach the router and every shell, not only fully-attached
+            # nodes: an attach that raised mid-bind left its node
+            # registered with some endpoints live, and detach is a no-op
+            # for never-attached nodes.
+            if router is not None:
+                network.detach(router)
+            for shard in shards:
+                network.detach(shard.shell)
+            raise
         for worker in self._workers:
             worker.session_close_listener = router.note_session_closed
+        self._shards = shards
         self._router = router
         self._network = network
         return router
 
     def undeploy(self) -> None:
-        """Detach the router and every worker from the network.
+        """Detach the router and every worker's shell from the network.
 
-        Completed :class:`SessionRecord` measurements survive undeployment
-        (the aggregation properties below keep working), so a scenario can
-        tear its deployment down before harvesting results.
+        Records still queued on a worker (behind a wedge, say) then run,
+        so none is dropped and their exceptions reach
+        :attr:`worker_errors`.  Completed :class:`SessionRecord`
+        measurements survive undeployment (the aggregation properties
+        below keep working), so a scenario can tear its deployment down
+        before harvesting results.
         """
+        shards, self._shards = self._shards, []
         if self._network is not None:
             if self._router is not None:
                 self._network.detach(self._router)
-            for worker in self._workers:
-                self._network.detach(worker)
+            for shard in shards:
+                self._network.detach(shard.shell)
         for worker in self._workers:
             worker.session_close_listener = None
+        for shard in shards:
+            self._close_shard(shard)
         if self._router is not None:
             self._retire_router(self._router)
         self._router = None
         self._network = None
         self._drain_victims = None
-        self._worker_heartbeats.clear()
+
+    def _close_shard(self, shard: ShardWorker) -> None:
+        """Run ``shard``'s queued records and keep their exceptions."""
+        shard.close()
+        self._worker_error_log.extend(shard.errors)
 
     def _retire_router(self, router: ShardRouter) -> None:
         """Keep a discarded router's edge parse failures in the aggregate.
@@ -394,6 +419,11 @@ class ShardedRuntime:
         )
         return [self._worker_ids[pos] for pos in order[:count]]
 
+    def _membership_change(self, change: Callable[[], _T]) -> _T:
+        """Run one membership change (see the live runtime for a caller
+        off the event thread)."""
+        return change()
+
     def scale_to(self, workers: int, victims: Optional[Sequence[int]] = None) -> None:
         """Resize the worker pool of a deployed runtime, loss-free.
 
@@ -416,6 +446,9 @@ class ShardedRuntime:
         ``drain-cancelled`` event is recorded.  A second ``scale_to``
         while a drain is in progress is rejected.
         """
+        self._membership_change(partial(self._resize, workers, victims))
+
+    def _resize(self, workers: int, victims: Optional[Sequence[int]]) -> None:
         if workers <= 0:
             raise ConfigurationError(
                 f"a sharded runtime needs at least one worker, got {workers}"
@@ -446,10 +479,12 @@ class ShardedRuntime:
                 while len(self._workers) < workers:
                     worker_id = self._allocate_worker_id()
                     worker = self._build_worker(worker_id)
+                    shard = ShardWorker(worker, self._network)
                     self._workers.append(worker)
                     self._worker_ids.append(worker_id)
+                    self._shards.append(shard)
                     added.append(worker_id)
-                    self._attach_worker(worker)
+                    self._network.attach(shard.shell)
                     worker.session_close_listener = self._router.note_session_closed
             except BaseException:
                 # Unwind the partial additions so the runtime stays at its
@@ -457,23 +492,21 @@ class ShardedRuntime:
                 for worker_id in added:
                     self._detach_worker(worker_id)
                 raise
-            self._router.set_workers(self._workers, self._worker_ids)
+            self._router.set_workers(self._shards, self._worker_ids)
             self._record_scale("grow", current, workers)
             return
         self._start_drain(self._check_victims(workers, victims), current, workers)
 
-    def _attach_worker(self, worker: AutomataEngine) -> None:
-        """Put a freshly-built pool member on the network."""
-        assert self._network is not None
-        self._network.attach(worker)
-
     def _detach_worker(self, worker_id: int) -> None:
-        """Take a pool member off the network, folding its measurements
-        into the runtime aggregate."""
+        """Take a pool member's shell off the network, folding its
+        measurements and record errors into the runtime aggregate."""
         assert self._network is not None
-        worker = self._pop_worker(worker_id)
-        self._retire_worker(worker)
-        self._network.detach(worker)
+        position = self._worker_ids.index(worker_id)
+        self._worker_ids.pop(position)
+        shard = self._shards.pop(position)
+        self._network.detach(shard.shell)
+        self._close_shard(shard)
+        self._retire_worker(self._workers.pop(position))
 
     def _check_victims(
         self, target: int, victims: Optional[Sequence[int]]
@@ -517,11 +550,13 @@ class ShardedRuntime:
         regardless of where in the pool it sits.  This is the hook a
         failure detector uses to retire the worker on a failing host.
         """
-        if worker_id not in self._worker_ids:
-            raise ConfigurationError(
-                f"no worker with id {worker_id!r} to remove"
-            )
-        self.scale_to(len(self._workers) - 1, victims=[worker_id])
+
+        def remove() -> None:
+            if worker_id not in self._worker_ids:
+                raise ConfigurationError(f"no worker with id {worker_id!r} to remove")
+            self._resize(len(self._workers) - 1, [worker_id])
+
+        self._membership_change(remove)
 
     def replace_worker(self, worker_id: int) -> int:
         """Swap one worker for a fresh engine, loss-free; returns the new id.
@@ -535,6 +570,9 @@ class ShardedRuntime:
         the *newcomer* again — a wedged victim must not inflate the pool
         by one worker per retry.
         """
+        return self._membership_change(partial(self._replace, worker_id))
+
+    def _replace(self, worker_id: int) -> int:
         if self._router is None or self._network is None:
             raise ConfigurationError("replace_worker requires a deployed runtime")
         if worker_id not in self._worker_ids:
@@ -543,9 +581,9 @@ class ShardedRuntime:
             )
         current = len(self._workers)
         before = set(self._worker_ids)
-        self.scale_to(current + 1)
+        self._resize(current + 1, None)
         (new_id,) = set(self._worker_ids) - before
-        self.scale_to(current, victims=[worker_id])
+        self._resize(current, [worker_id])
         self._drain_unwind = new_id
         return new_id
 
@@ -564,10 +602,20 @@ class ShardedRuntime:
             )
 
     def _worker_drained(self, worker_id: int) -> bool:
-        """No in-flight sessions and no sticky pins on worker ``worker_id``."""
+        """No in-flight sessions, no sticky pins and no queued records on
+        worker ``worker_id``.
+
+        Evaluated on the event thread, where no record is ever mid-flight,
+        so the three reads are exact together: a record queued but not yet
+        done opening its session cannot slip between them.
+        """
         assert self._router is not None
-        worker = self._workers[self._worker_ids.index(worker_id)]
-        return not worker.active_sessions and not self._router.drain_pending(worker_id)
+        position = self._worker_ids.index(worker_id)
+        return (
+            not self._workers[position].active_sessions
+            and not self._shards[position].queue_depth
+            and not self._router.drain_pending(worker_id)
+        )
 
     def _retire_worker(self, worker: AutomataEngine) -> None:
         """Fold a drained worker's measurements into the runtime aggregate.
@@ -581,13 +629,6 @@ class ShardedRuntime:
         self._retired_evicted.extend(worker.evicted_sessions)
         self._retired_parse_failures.extend(worker.parse_failures)
         self._retired.update(sourced(ENGINE, worker))
-
-    def _pop_worker(self, worker_id: int) -> AutomataEngine:
-        """Remove ``worker_id`` from the pool lists, returning its engine."""
-        position = self._worker_ids.index(worker_id)
-        self._worker_ids.pop(position)
-        self._worker_heartbeats.pop(worker_id, None)
-        return self._workers.pop(position)
 
     def _drain_step(self) -> None:
         """One drain-completion check, rescheduling itself until done.
@@ -617,7 +658,7 @@ class ShardedRuntime:
         self._drain_victims = self._drain_unwind = None
         # Settles the retired victims out of the membership and, for a
         # cancelled drain, clears the drain marks (a ``cancel_drain``).
-        self._router.set_workers(self._workers, self._worker_ids)
+        self._router.set_workers(self._shards, self._worker_ids)
         if not remaining:
             self._record_scale("drain-complete", before, len(self._workers))
             return
@@ -748,52 +789,53 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
     # metrics plane
     # ------------------------------------------------------------------
-    def note_heartbeat(self, worker_id: int) -> None:
-        """Record that ``worker_id`` proved liveness *now*.
-
-        Called by the pulses :meth:`ping_workers` schedules (through the
-        worker's busy clock, so a stalled compute clock delays them —
-        exactly the wedge signature).  A pulse for a worker that has since
-        been retired, or arriving after undeploy, is ignored: heartbeat
-        timers race drains by design.
-        """
+    def _shard(self, worker_id: int) -> ShardWorker:
         if self._network is None or worker_id not in self._worker_ids:
-            return
-        self._worker_heartbeats[worker_id] = self._network.now()
+            raise ConfigurationError(f"no deployed worker with id {worker_id!r}")
+        return self._shards[self._worker_ids.index(worker_id)]
 
     def ping_workers(self, skew: Optional[Mapping[int, float]] = None) -> None:
         """Probe every worker's liveness once (the health controller's
         heartbeat probe).
 
-        Each pulse is a timer scheduled **through the worker's busy
-        clock** (``call_later(busy_backlog, note_heartbeat)``): a healthy
-        worker's pulse lands almost immediately, so its heartbeat age
-        hovers around one probe interval; a wedged worker's pulse queues
-        behind the stalled compute clock and its heartbeat goes stale.
-        ``skew`` adds extra seconds to the pulses of the given worker ids
-        (a clock-skewed timer).
+        Each ping is a record posted after ``skew``'s extra seconds for
+        its worker id (a clock-skewed timer, 0 by default) and stamps the
+        worker's heartbeat when it runs: at once on a healthy worker, only
+        after the pause on a wedged one, whose heartbeat goes stale.
         """
         network = self._network
         if network is None:
             return
-        now = network.now()
-        for worker_id, worker in zip(self._worker_ids, self._workers):
-            delay = worker.busy_backlog(now)
-            if skew and worker_id in skew:
-                delay += skew[worker_id]
-            network.call_later(delay, partial(self.note_heartbeat, worker_id))
+        for worker_id, shard in zip(self._worker_ids, self._shards):
+            delay = skew.get(worker_id, 0.0) if skew else 0.0
+            network.call_later(delay, shard.ping)
 
-    def heartbeat_age(self, worker_id: int, now: float) -> float:
-        """Seconds since ``worker_id``'s last heartbeat; 0.0 if never probed.
+    def wedge_worker(self, worker_id: int, seconds: float) -> None:
+        """Fault injection: pause one worker for ``seconds``.
 
-        The never-probed default is deliberate: a fresh worker (or a
-        runtime without a health controller) must read as healthy, not as
-        infinitely stale.
+        The wedge is a record: once it runs, the worker's later records
+        (deliveries, fan-out passes, pings, its own timers) queue until
+        the pause ends and then run in order, so nothing is lost — while
+        every other worker and the control plane keep running.  The detector must notice the
+        stale heartbeat, the queue and the busy backlog, and replace the
+        worker.  Callable from any thread.
         """
-        last = self._worker_heartbeats.get(worker_id)
-        if last is None:
-            return 0.0
-        return max(0.0, now - last)
+        if seconds < 0:
+            raise ConfigurationError(f"cannot wedge for {seconds!r} seconds")
+        shard = self._shard(worker_id)
+        pause = partial(shard.post, partial(shard.pause, seconds))
+        self._network.call_later(0.0, pause)
+
+    @property
+    def worker_errors(self) -> List[BaseException]:
+        """Exceptions raised by any worker's records (empty on a clean run).
+
+        Survives :meth:`undeploy`, so a scenario can tear the deployment
+        down before asserting the run was clean.
+        """
+        return self._worker_error_log + [
+            error for shard in self._shards for error in shard.errors
+        ]
 
     def _worker_metrics(
         self,
@@ -803,8 +845,9 @@ class ShardedRuntime:
         draining: bool,
         worker_id: int,
     ) -> WorkerMetrics:
-        """One worker's load row (the live subclass adds queue depth,
-        loop errors and the loop's own heartbeat stamp)."""
+        """One worker's load row: the engine's counters plus its records'
+        queue depth, errors, heartbeat age and busy backlog."""
+        shard = self._shards[index]
         recorder = self.tracer.find(worker.name)
         return WorkerMetrics(
             index=index,
@@ -812,10 +855,12 @@ class ShardedRuntime:
             active_sessions=len(worker.active_sessions),
             completed_sessions=len(worker.sessions),
             evicted_sessions=len(worker.evicted_sessions),
-            busy_backlog=worker.busy_backlog(now),
+            busy_backlog=shard.busy_backlog(now),
             draining=draining,
+            queue_depth=shard.queue_depth,
             worker_id=worker_id,
-            heartbeat_age=self.heartbeat_age(worker_id, now),
+            errors=len(shard.errors),
+            heartbeat_age=shard.heartbeat_age(now),
             spans_dropped=recorder.dropped if recorder is not None else 0,
             span_seq_high=recorder.seq_high if recorder is not None else 0,
             **sourced(ENGINE, worker),

@@ -20,13 +20,9 @@ from repro.runtime import ShardedRuntime
 SERVICE_URL = "http://bonjour-service.local:9000/service"
 
 
-def deploy_case2(network, workers, serialize, **kwargs):
+def deploy_case2(network, workers, **kwargs):
     """Deploy a case-2 bridge as a ``workers``-shard runtime on ``network``."""
-    runtime = ShardedRuntime.from_bridge(
-        slp_to_bonjour_bridge(**kwargs),
-        workers=workers,
-        serialize_processing=serialize,
-    )
+    runtime = ShardedRuntime.from_bridge(slp_to_bonjour_bridge(**kwargs), workers=workers)
     runtime.deploy(network)
     return runtime
 

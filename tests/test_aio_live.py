@@ -1,10 +1,11 @@
 """Tests for the live runtime's event-loop mechanics (`repro.runtime.aio_live`).
 
-What is particular to running every worker as a task on one loop: the
-byte-identity invariant at any shard count, a wedge that stalls one
-worker and not the loop, immediate sticky unpinning, and the reader
-counters on the metrics row.  ``tests/test_live_sharding.py`` covers the
-deploy/scale/teardown choreography.
+What is particular to running every worker record on one loop: the
+byte-identity invariant at any shard count, wedge validation, immediate
+sticky unpinning, and the reader counters on the metrics row.
+``tests/test_live_sharding.py`` covers the deploy/scale/teardown
+choreography, and ``tests/test_worker_loop.py`` the wedge and heartbeat
+rule on both runtimes.
 """
 
 from __future__ import annotations
@@ -57,34 +58,6 @@ def test_aio_scale_up_and_drain_down_is_loss_free():
     assert result.all_found
     assert not runtime.evicted_sessions
     assert not runtime.worker_errors
-
-
-def test_aio_wedge_stalls_only_the_victim_worker():
-    """``wedge_worker`` awaits an ``asyncio.sleep`` on the victim's queue.
-
-    A blocking ``time.sleep`` would stall the shared event loop — every
-    worker, the router, and the sockets.  The awaited sleep suspends only
-    the victim's drain task: other workers keep answering pings while the
-    victim's heartbeat goes stale.
-    """
-    live = live_sharded_scenario(2, clients=4, workers=3)
-    runtime = live.runtime
-    try:
-        victim = runtime._worker_ids[0]
-        runtime.wedge_worker(victim, 0.6)
-        time.sleep(0.2)
-        runtime.ping_workers()
-        time.sleep(0.1)
-        now = time.monotonic()
-        beats = [loop.heartbeat_at for loop in runtime._loops]
-        # The victim's drain task is suspended: its ping is still queued.
-        assert now - beats[0] > 0.25
-        # Everyone else served the ping just fine.
-        assert all(now - beat < 0.25 for beat in beats[1:])
-    finally:
-        time.sleep(0.5)  # let the wedge expire before teardown
-        runtime.undeploy()
-        live.network.close()
 
 
 def test_aio_wedge_validates_worker_id():

@@ -47,8 +47,8 @@ live_only = pytest.mark.skipif(
 )
 
 
-def _deploy_case2(network, workers, serialize=False, **kwargs):
-    return deploy_case2(network, workers, serialize, **kwargs)
+def _deploy_case2(network, workers, **kwargs):
+    return deploy_case2(network, workers, **kwargs)
 
 
 _attach_clients = attach_clients
@@ -224,7 +224,7 @@ class TestArbitraryDrainSimulated:
         """An autoscaler shrink with ``victim_strategy='least-loaded'``
         drains the idle *head* of the pool while the loaded suffix worker
         survives — impossible under suffix-only membership."""
-        runtime = _deploy_case2(network, workers=3, serialize=True)
+        runtime = _deploy_case2(network, workers=3)
         last = runtime.worker_ids[-1]
         runtime.workers[-1].open_session(key=("pinned", 1))
         runtime.workers[-1].open_session(key=("pinned", 2))
@@ -322,9 +322,10 @@ class TestArbitraryDrainLive:
             network.close()
 
     def test_live_fan_out_declines_when_victim_loop_already_removed(self):
-        """A fan-out pass that captured a worker whose loop was torn down
-        mid-teardown must treat it as a decline, not raise — otherwise the
-        pass aborts before the surviving shards are offered the datagram."""
+        """A fan-out pass that captured a worker which has since left the
+        deployment (its worker loop closed mid-teardown) must treat it as
+        a decline, not dispatch to it or raise — otherwise the pass aborts
+        before the surviving shards are offered the datagram."""
         from repro.evaluation.workloads import _live_bridge
 
         runtime = AsyncLiveShardedRuntime.from_bridge(_live_bridge(2, 0.0), workers=2)
@@ -332,18 +333,27 @@ class TestArbitraryDrainLive:
         try:
             runtime.deploy(network)
             router = runtime.router
-            orphan = runtime.workers[1]
-            router.remove_loop(runtime._loops[1])  # simulate the teardown race
-            assert (
-                router._dispatch_to(
-                    orphan,
-                    network,
-                    "SLP",
-                    None,
-                    Endpoint("127.0.0.1", 28998, Transport.UDP),
-                )
-                is False
+            offered = []
+
+            def declining(name):
+                def dispatch(*args, **kwargs):
+                    offered.append((name, kwargs.get("strict")))
+                    return False
+
+                return dispatch
+
+            survivor, orphan = runtime.workers
+            survivor.dispatch = declining("survivor")
+            orphan.dispatch = declining("orphan")
+            runtime._shards[1].close()  # the teardown race: worker 1 has left
+            source = Endpoint("127.0.0.1", 28998, Transport.UDP)
+            network.call_later(
+                0.0, lambda: router._fan_out(network, "SLP", None, source)
             )
+            assert self._await(lambda: router.unrouted_datagrams == 1, timeout=5.0)
+            # Both passes offered the datagram to the survivor only.
+            assert offered == [("survivor", True), ("survivor", False)]
+            assert network.errors == []
         finally:
             runtime.undeploy()
             network.close()

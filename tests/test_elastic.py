@@ -36,8 +36,8 @@ from repro.runtime import (
 from case2_utils import SERVICE_URL, attach_clients as _attach_clients, deploy_case2, mdns_answer as _mdns_answer
 
 
-def _deploy_case2(network, workers, serialize=True, **kwargs):
-    return deploy_case2(network, workers, serialize, **kwargs)
+def _deploy_case2(network, workers, **kwargs):
+    return deploy_case2(network, workers, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -170,8 +170,8 @@ class TestElasticHarness:
 
     def test_elastic_table_reports_router_cost_measured_and_modelled(self):
         """Regression for the router-cost satellite: the elastic table
-        keeps reporting the measured classify cost, and — when the cost is
-        *modelled* on the virtual clock — the charged virtual seconds."""
+        keeps reporting the measured classify cost, and nothing modelled
+        (the router's virtual-clock charge is gone)."""
         from repro.evaluation.harness import run_elastic
         from repro.evaluation.tables import format_elastic
 
@@ -179,11 +179,4 @@ class TestElasticHarness:
         text = format_elastic(measured_only)
         assert "Router:" in text and "us/classify" in text
         assert "modelled routing" not in text
-        assert measured_only.final_metrics.router.charged_routing_seconds == 0.0
-
-        modelled = run_elastic(case=2, seed=7, routing_delay=0.0002)
-        assert modelled.abandoned_sessions == 0
-        router = modelled.final_metrics.router
-        assert router.charged_routing_seconds > 0.0
-        text = format_elastic(modelled)
-        assert "modelled routing charged on the virtual clock" in text
+        assert measured_only.final_metrics.router.classify_seconds > 0.0

@@ -45,7 +45,6 @@ from repro.runtime import (
     HealthController,
     HealthPolicy,
     ShardedRuntime,
-    wedge_simulated_worker,
 )
 from repro.runtime.aio_live import AsyncLiveShardedRuntime
 from repro.runtime.health import FAILED, HEALTHY, SUSPECT
@@ -300,9 +299,7 @@ def _deploy_sim(workers=2):
     network = SimulatedNetwork(seed=3)
     bridge = BRIDGE_BUILDERS[2](processing_delay=0.004)
     bridge.validate()
-    runtime = ShardedRuntime.from_bridge(
-        bridge, workers=workers, serialize_processing=True
-    )
+    runtime = ShardedRuntime.from_bridge(bridge, workers=workers)
     runtime.deploy(network)
     return network, runtime
 
@@ -332,7 +329,7 @@ class TestSimulatedController:
         network.run_for(0.1)
         victim = runtime.worker_ids[0]
         wedge_at = network.now()
-        wedge_simulated_worker(runtime, network, victim, 1.0)
+        runtime.wedge_worker(victim, 1.0)
         assert network.run_until(
             lambda: victim in controller.replaced_ids, timeout=10.0
         )
@@ -394,7 +391,7 @@ class TestSimulatedController:
         with pytest.raises(ConfigurationError):
             controller.skew_probes(runtime.worker_ids[0], 0.1, probes=0)
         with pytest.raises(ConfigurationError):
-            wedge_simulated_worker(runtime, network, 999, 1.0)
+            runtime.wedge_worker(999, 1.0)
 
 
 @live_only

@@ -155,29 +155,36 @@ def test_live_runtime_requires_room_for_worker_ports():
 
 
 def test_undeploy_joins_loops_and_harvests_draining_errors():
-    """Errors from jobs still draining at undeploy must not be lost, and
-    every worker task must have finished by the time undeploy returns."""
+    """Records still queued at undeploy (here: behind a wedge) run before
+    undeploy returns — none is dropped — and their errors reach
+    ``worker_errors``; no task is left on the loop."""
     runtime = AsyncLiveShardedRuntime.from_bridge(
         BRIDGE_BUILDERS[2](host="127.0.0.1", base_port=29400), workers=2
     )
     with AsyncSocketNetwork() as network:
         runtime.deploy(network)
-        loops = list(runtime._loops)
+        shards = list(runtime._shards)
+        ran = []
 
         def boom() -> None:
+            ran.append("boom")
             raise RuntimeError("draining job")
 
-        for loop in loops:
-            loop.post(boom)
+        for worker_id, shard in zip(runtime.worker_ids, shards):
+            runtime.wedge_worker(worker_id, 60.0)
+            network.call_later(0.0, lambda shard=shard: shard.post(boom))
+        assert _wait(lambda: all(shard.queue_depth == 1 for shard in shards))
         runtime.undeploy()
-        assert all(loop.join(timeout=0) for loop in loops)
+        assert ran == ["boom"] * len(shards)
+        assert all(shard.queue_depth == 0 and shard.closed for shard in shards)
         assert _pending_tasks(network) == []
         messages = [str(error) for error in runtime.worker_errors]
-        assert messages.count("draining job") == len(loops)
+        assert messages.count("draining job") == len(shards)
 
 
 def test_failed_deploy_unwinds_loops_and_shells():
-    """A deploy that dies mid-attach must leak neither tasks nor shells."""
+    """A deploy that dies mid-attach must leak neither worker loops nor
+    shells."""
 
     class RouterRejectingNetwork(AsyncSocketNetwork):
         def __init__(self):
@@ -186,7 +193,7 @@ def test_failed_deploy_unwinds_loops_and_shells():
 
         def attach(self, node):
             if self.reject_router and getattr(node, "name", "").startswith(
-                "live-router:"
+                "router:"
             ):
                 raise NetworkError("injected attach failure")
             super().attach(node)
@@ -198,8 +205,7 @@ def test_failed_deploy_unwinds_loops_and_shells():
         with pytest.raises(NetworkError):
             runtime.deploy(network)
         assert runtime._router is None
-        assert runtime._loops == []
-        assert runtime._shells == []
+        assert runtime._shards == []
         assert network._nodes == []
         assert _wait(lambda: _pending_tasks(network) == [])
         # Detach closed the shells' sockets, so the very same network can
@@ -250,7 +256,7 @@ def test_partially_attached_shell_is_unwound_too():
         with pytest.raises(NetworkError):
             runtime.deploy(network)
         assert runtime._router is None
-        assert runtime._loops == []
+        assert runtime._shards == []
         assert network._nodes == [blocker]
         # Free the endpoint: the same network now hosts a clean deploy.
         network.detach(blocker)

@@ -63,7 +63,6 @@ def _deploy_with_traffic(network) -> ShardedRuntime:
     runtime = ShardedRuntime.from_bridge(
         slp_to_bonjour_bridge(),
         workers=3,
-        serialize_processing=False,
         trace_sample=1.0,
         trace_ring_size=8,
     )

@@ -419,7 +419,7 @@ class TestConservedCounters:
     def test_garbage_flood_is_a_conserved_sum_across_rows(self, network):
         """Every flooded datagram appears exactly once across the
         RouterMetrics row and the WorkerMetrics rows."""
-        runtime = deploy_case2(network, workers=3, serialize=False)
+        runtime = deploy_case2(network, workers=3)
         source = Endpoint("attacker.local", 9999, Transport.UDP)
         for payload in GARBAGE * 4:
             network.send(payload, source=source, destination=SLP_GROUP)
@@ -447,7 +447,7 @@ class TestConservedCounters:
     def test_counters_monotonic_and_ids_stable_across_churn(self, network):
         """begin_drain / remove_worker / replace_worker never reset the
         aggregate counters and never disturb surviving worker ids."""
-        runtime = deploy_case2(network, workers=4, serialize=False)
+        runtime = deploy_case2(network, workers=4)
         network.attach(BonjourResponder())
         clients = attach_clients(network, 8)
         for client in clients:

@@ -39,8 +39,8 @@ from repro.runtime import HashRing, ShardedRuntime, stable_hash
 from case2_utils import SERVICE_URL, attach_clients as _attach_clients, deploy_case2
 
 
-def _deploy_case2(network, workers, serialize=False, **kwargs):
-    return deploy_case2(network, workers, serialize, **kwargs)
+def _deploy_case2(network, workers, **kwargs):
+    return deploy_case2(network, workers, **kwargs)
 
 
 class TestHashRing:
@@ -328,7 +328,6 @@ class TestEvictionSweep:
         runtime = ShardedRuntime.from_bridge(
             slp_to_bonjour_bridge(session_timeout=0.4),
             workers=3,
-            serialize_processing=False,
         )
         runtime.deploy(network)
         clients = _attach_clients(network, 6)
@@ -558,39 +557,8 @@ class TestShardingHarness:
 
 
 class TestRouterCostModel:
-    """The router's classify-and-place cost *modelled* on the virtual clock
-    (``routing_delay``), mirroring the workers' ``serialize_processing`` —
-    so a simulated sweep can exhibit router saturation instead of assuming
-    an infinitely fast edge."""
-
-    def test_charge_accounting_on_the_busy_until_clock(self, network):
-        delay = 0.003
-        runtime = ShardedRuntime.from_bridge(
-            slp_to_bonjour_bridge(), workers=2, serialize_processing=False,
-            routing_delay=delay,
-        )
-        runtime.deploy(network)
-        network.attach(BonjourResponder(latency=LatencyModel(0.01, 0.01)))
-        clients = _attach_clients(network, 6)
-        xids = [client.start_lookup(network) for client in clients]
-        network.run()
-        assert all(client.lookup_result(xid).found for client, xid in zip(clients, xids))
-        router = runtime.router
-        metrics = router.metrics()
-        # Every *classified* datagram (echo drops and parse failures never
-        # reach the charge) occupied the modelled clock for exactly one
-        # routing_delay.  This clean run produces no router-level parse
-        # failures — pin that, because the formula below would otherwise
-        # have to subtract them too.
-        assert runtime.workers[0].parse_failures == []
-        charged_datagrams = metrics.classify_count - metrics.echoes_dropped
-        assert metrics.charged_routing_seconds == pytest.approx(
-            charged_datagrams * delay
-        )
-        assert metrics.as_row()["charged_routing_s"] > 0.0
-        # The serial edge genuinely delayed the run: six requests cannot
-        # finish before six charges have elapsed back to back.
-        assert network.now() >= charged_datagrams * delay
+    """The router's classify-and-place cost is *measured* in real seconds
+    on either runtime; no clock models it."""
 
     def test_unmodelled_router_charges_nothing(self, network):
         runtime = _deploy_case2(network, workers=2)
@@ -600,34 +568,7 @@ class TestRouterCostModel:
         network.run()
         assert client.lookup_result(xid).found
         metrics = runtime.router.metrics()
-        assert metrics.charged_routing_seconds == 0.0
-        assert metrics.classify_seconds > 0.0  # measured cost still there
+        assert metrics.classify_seconds > 0.0  # the measured cost
+        assert metrics.as_row()["classify_cost_avg_us"] > 0.0
 
-    def test_sweep_exhibits_router_saturation(self):
-        """With a heavy modelled routing cost, adding workers stops
-        helping: the edge, not the pool, bounds throughput — the
-        observable the ROADMAP called out as missing."""
-        latencies = CalibratedLatencies(
-            link=LatencyModel(0.0001, 0.0002),
-            slp_service=LatencyModel(0.001, 0.002),
-            mdns_service=LatencyModel(0.01, 0.012),
-            ssdp_service=LatencyModel(0.001, 0.002),
-            http_service=LatencyModel(0.001, 0.002),
-            slp_client_overhead=LatencyModel(0.0, 0.0),
-            mdns_client_overhead=LatencyModel(0.0, 0.0),
-            upnp_client_overhead=LatencyModel(0.0, 0.0),
-            bridge_processing=LatencyModel(0.004, 0.004),
-        )
-        free = run_sharding(
-            case=2, clients=40, worker_counts=(1, 4), latencies=latencies
-        )
-        saturated = run_sharding(
-            case=2,
-            clients=40,
-            worker_counts=(1, 4),
-            latencies=latencies,
-            routing_delay=0.02,
-        )
-        assert free[1].speedup > 1.5  # workers are the bottleneck
-        assert saturated[1].speedup < 1.2  # the router is
-        assert saturated[1].makespan_s >= 40 * 0.02 * 0.9
+

@@ -773,29 +773,28 @@ def test_emulated_multicast_copies_go_out_in_node_name_order(aio_network):
 def test_worker_queue_depth_is_bounded_by_the_drain_bound(aio_network):
     """A 1 000-datagram burst never queues more than bound x sockets.
 
-    Each reader wake-up posts at most the drain bound per socket, and the
-    worker's drain task empties its queue completely on the loop's next
-    pass, before any reader runs again.  So the overload backlog stays in
-    the kernel receive buffer (where ``RcvbufErrors`` counts what
-    overflows) instead of moving into an unbounded in-process queue.
+    Each reader wake-up hands at most the drain bound per socket to the
+    worker, and an unpaused worker runs every record as it arrives.  So
+    the overload backlog stays in the kernel receive buffer (where
+    ``RcvbufErrors`` counts what overflows) instead of moving into an
+    unbounded in-process queue: the worker's own queue stays empty.
     """
     from types import SimpleNamespace
 
-    from repro.runtime.aio_live import AsyncWorkerLoop
+    from repro.runtime.worker import ShardWorker
 
     executed: List[bytes] = []
 
     class Feeder(Sink):
-        """Two sockets posting every datagram to one worker queue."""
+        """Two sockets posting every datagram to one worker."""
 
         max_depth = 0
 
         def on_datagram(self, engine, data, source, destination):
-            loop.post(lambda: executed.append(data))
-            self.max_depth = max(self.max_depth, loop.queue_depth)
+            worker.post(lambda: executed.append(data))
+            self.max_depth = max(self.max_depth, worker.queue_depth)
 
-    loop = AsyncWorkerLoop(SimpleNamespace(name="w0", _recorder=None), aio_network)
-    loop.start()
+    worker = ShardWorker(SimpleNamespace(name="w0", _recorder=None), aio_network)
     ports = [_free_port(), _free_port()]
     feeder = Feeder("feeder", [Endpoint(HOST, port, Transport.UDP) for port in ports])
     aio_network.attach(feeder)
@@ -812,17 +811,20 @@ def test_worker_queue_depth_is_bounded_by_the_drain_bound(aio_network):
         before = (aio_network.udp_datagrams, len(executed))
         time.sleep(0.05)
         after = (aio_network.udp_datagrams, len(executed))
-        return before == after and after[0] == after[1] and not loop.queue_depth
+        return before == after and after[0] == after[1] and not worker.queue_depth
 
     assert _wait(quiescent, timeout=5.0)
-    # Everything the kernel kept was read, queued and executed ...
+    # Everything the kernel kept was read and executed, each socket's
+    # datagrams in the order they were sent ...
     assert aio_network.udp_datagrams >= 200
-    assert len(executed) == aio_network.udp_datagrams == loop.jobs_executed
-    # ... in batches (both sockets in one pass), never beyond the bound.
-    assert _DRAIN_BOUND < feeder.max_depth <= 2 * _DRAIN_BOUND
-    assert not aio_network.errors and not loop.errors
-    loop.stop()
-    assert loop.join(2.0)
+    assert len(executed) == aio_network.udp_datagrams
+    for parity in (0, 1):
+        sent = [int(data) for data in executed if int(data) % 2 == parity]
+        assert sent == sorted(sent)
+    # ... and the in-process backlog stayed within the drain bound: an
+    # unpaused worker queues nothing at all.
+    assert feeder.max_depth == 0 < _DRAIN_BOUND
+    assert not aio_network.errors and not worker.errors
 
 
 # ----------------------------------------------------------------------
