@@ -290,14 +290,19 @@ class AutomataEngine(NetworkNode):
         #: (client-facing colour first).
         self._group_routes: Dict[Tuple[str, int], List[str]] = {}
         self._group_endpoints: List[Endpoint] = []
-        #: The client-facing component automaton (fixed when the merged
-        #: automaton is built): its traffic is keyed by the correlator.
-        self._client_automaton = merged.initial_state[0]
+        #: ``(automaton, state) -> group endpoint`` of every multicast
+        #: colour: where a send goes when nothing forced or learnt one.
+        self._multicast_destinations: Dict[Tuple[str, str], Endpoint] = {}
+        #: The merged initial state and its client-facing component
+        #: automaton (fixed when the merged automaton is built): that
+        #: automaton's traffic is keyed by the correlator.
+        self._initial_state = merged.initial_state
+        self._client_automaton = self._initial_state[0]
         ordered = [self._client_automaton] + [
             name for name in self._bindings if name != self._client_automaton
         ]
         for automaton_name in ordered:
-            for state in self._bindings[automaton_name].automaton.states.values():
+            for state_name, state in self._bindings[automaton_name].automaton.states.items():
                 color = state.color
                 if not (color.is_multicast and color.group):
                     continue
@@ -309,6 +314,9 @@ class AutomataEngine(NetworkNode):
                     )
                 if automaton_name not in names:
                     names.append(automaton_name)
+                self._multicast_destinations[(automaton_name, state_name)] = Endpoint(
+                    color.group, color.port, color.transport
+                )
         #: Static unicast routing, likewise: ``(host, port) -> automaton``
         #: for every local binding and public (router-advertised) endpoint.
         self._unicast_routes: Dict[Tuple[str, int], str] = {}
@@ -700,7 +708,9 @@ class AutomataEngine(NetworkNode):
         caller; ``trace`` is the datagram's :mod:`repro.obs` trace id."""
         self._engine = engine
         recorder = self._recorder
-        if recorder is None:
+        if recorder is None or not trace & 1:
+            # Dispatch is a composite stage (its children are timed): only
+            # sampled datagrams time it.
             session = self._route(
                 engine, automaton_name, message, source, strict=strict
             )
@@ -708,7 +718,9 @@ class AutomataEngine(NetworkNode):
                 if count_unrouted:
                     self.unrouted_datagrams += 1
                 return False
-            self._deliver(engine, session, automaton_name, message, source)
+            now = self._deliver(engine, session, automaton_name, message, source)
+            if now is not None:
+                self._advance(engine, session, now)
             return True
         previous = self._active_trace
         self._active_trace = trace
@@ -721,7 +733,9 @@ class AutomataEngine(NetworkNode):
                 if count_unrouted:
                     self.unrouted_datagrams += 1
                 return False
-            self._deliver(engine, session, automaton_name, message, source)
+            now = self._deliver(engine, session, automaton_name, message, source)
+            if now is not None:
+                self._advance(engine, session, now)
             return True
         finally:
             self._active_trace = previous
@@ -760,7 +774,7 @@ class AutomataEngine(NetworkNode):
             session = self._sessions.get(key)
             if session is not None:
                 return session
-            if message.name in self._step(self.merged.initial_state).receives:
+            if message.name in self._step(self._initial_state).receives:
                 return self._open_session(engine, key, source)
             return None
 
@@ -803,7 +817,7 @@ class AutomataEngine(NetworkNode):
         now = engine.now()
         session = SessionContext(
             key=key,
-            current=self.merged.initial_state,
+            current=self._initial_state,
             record=SessionRecord(started_at=now, client=client, session_key=key),
             client=client,
             last_activity=now,
@@ -819,27 +833,29 @@ class AutomataEngine(NetworkNode):
         automaton_name: str,
         message: AbstractMessage,
         source: Endpoint,
-    ) -> None:
+    ) -> Optional[float]:
+        """Store ``message`` in ``session`` and take its receive transition;
+        the delivery time, from which the caller advances the session, or
+        ``None`` when the session is not receptive to the message."""
         current = session.current
-        current_automaton, current_state = current
-        if current_automaton != automaton_name:
+        if current[0] != automaton_name:
             self.ignored_datagrams += 1
-            return
+            return None
         transition = self._step(current).receives.get(message.name)
         if transition is None:
             self.ignored_datagrams += 1
-            return
+            return None
 
-        session.record.messages_received += 1
-        session.record.received_names.append(message.name)
-        if self._active_trace:
-            session.trace_id = self._active_trace
+        record = session.record
+        record.messages_received += 1
+        record.received_names.append(message.name)
         session.peers[automaton_name] = source
-        session.store(automaton_name, current_state, message)
+        session.store(automaton_name, current[1], message)
         session.instances[message.name] = message
         session.current = (automaton_name, transition.target)
-        session.touch(engine.now())
-        self._advance(engine, session)
+        # One clock read per delivery: the advance and its sends share it.
+        session.last_activity = engine.now()
+        return session.last_activity
 
     # ------------------------------------------------------------------
     # ephemeral per-session source ports (exact upstream attribution)
@@ -878,7 +894,9 @@ class AutomataEngine(NetworkNode):
             self.ignored_datagrams += 1
             return True
         self.ephemeral_hits += 1
-        self._deliver(engine, session, automaton_name, message, source)
+        now = self._deliver(engine, session, automaton_name, message, source)
+        if now is not None:
+            self._advance(engine, session, now)
         return True
 
     def _ephemeral_source(
@@ -953,53 +971,58 @@ class AutomataEngine(NetworkNode):
     # ------------------------------------------------------------------
     # advancing through delta / send states
     # ------------------------------------------------------------------
-    def _advance(self, engine: NetworkEngine, session: SessionContext) -> None:
+    def _advance(
+        self,
+        engine: NetworkEngine,
+        session: SessionContext,
+        now: Optional[float] = None,
+    ) -> None:
+        """Run ``session`` through its δ and send states until it waits for
+        a datagram or finishes; every send shares the delivery's ``now``."""
+        if now is None:
+            now = engine.now()
         previous = self._active_session
         self._active_session = session
-        recorder = self._recorder
+        # A composite stage, like dispatch: only sampled datagrams time it.
+        recorder = self._recorder if self._active_trace & 1 else None
         started = perf_counter() if recorder is not None else 0.0
+        step_of = self._step
+        taken = session.taken_deltas
         try:
-            self._advance_locked(engine, session)
+            for _ in range(1000):
+                current = session.current
+                step = step_of(current)
+
+                delta = None
+                for candidate in step.deltas:
+                    if id(candidate) not in taken:
+                        delta = candidate
+                        break
+                if delta is not None:
+                    taken.add(id(delta))
+                    if delta.actions:
+                        self._execute_delta(session, delta)
+                    session.current = (delta.target_automaton, delta.target_state)
+                    continue
+
+                transition = step.send
+                if transition is not None:
+                    self._send(engine, session, current, transition.message, now)
+                    session.current = (current[0], transition.target)
+                    continue
+
+                if not step.receives:
+                    # Terminal state: the interoperability session is complete.
+                    self._finish_session(engine, session)
+                # Else wait for the next datagram of this session.
+                return
+            raise EngineError(
+                f"automata engine did not reach a quiescent state (at {session.current})"
+            )
         finally:
             self._active_session = previous
             if recorder is not None:
                 recorder.record(self._active_trace, STAGE_TRANSITION, started)
-
-    def _advance_locked(self, engine: NetworkEngine, session: SessionContext) -> None:
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 1000:
-                raise EngineError(
-                    f"automata engine did not reach a quiescent state (at {session.current})"
-                )
-            automaton_name, state_name = session.current
-            step = self._step(session.current)
-
-            delta = None
-            for candidate in step.deltas:
-                if id(candidate) not in session.taken_deltas:
-                    delta = candidate
-                    break
-            if delta is not None:
-                session.taken_deltas.add(id(delta))
-                self._execute_delta(session, delta)
-                session.current = (delta.target_automaton, delta.target_state)
-                continue
-
-            transition = step.send
-            if transition is not None:
-                self._send(engine, session, automaton_name, state_name, transition.message)
-                session.current = (automaton_name, transition.target)
-                continue
-
-            if step.receives:
-                # Wait for the next datagram of this session.
-                return
-
-            # Terminal state: the interoperability session is complete.
-            self._finish_session(engine, session)
-            return
 
     def _execute_delta(self, session: SessionContext, delta: DeltaTransition) -> None:
         for action in delta.actions:
@@ -1018,33 +1041,43 @@ class AutomataEngine(NetworkNode):
         self,
         engine: NetworkEngine,
         session: SessionContext,
-        automaton_name: str,
-        state_name: str,
+        current: Tuple[str, str],
         message_name: str,
+        now: float,
     ) -> None:
+        automaton_name = current[0]
         binding = self._bindings[automaton_name]
 
         outgoing = AbstractMessage(message_name, protocol=binding.automaton.protocol)
+        context = session.translation
+        if context is None:
+            context = session.translation = self.translation_context(session)
         # Looked up per send, never bound at deploy: ``translation.apply``
         # is a public seam that tracing shims wrap on the instance.
         translation = self.merged.translation
         translate = translation.interpret if self.interpreted else translation.apply
         recorder = self._recorder
         if recorder is None:
-            translate(
-                outgoing, session.instances, context=self.translation_context(session)
-            )
+            translate(outgoing, session.instances, context=context)
             data = binding.composer.compose(outgoing)
         else:
             started = perf_counter()
-            translate(
-                outgoing, session.instances, context=self.translation_context(session)
-            )
+            translate(outgoing, session.instances, context=context)
             started = recorder.record(self._active_trace, STAGE_TRANSLATE, started)
             data = binding.composer.compose(outgoing)
             recorder.record(self._active_trace, STAGE_COMPOSE, started)
 
-        destination = self._destination_for(session, automaton_name, binding, state_name)
+        destination = (
+            session.forced_destinations.get(automaton_name)
+            or binding.forced_destination
+            or session.peers.get(automaton_name)
+            or self._multicast_destinations.get(current)
+        )
+        if destination is None:
+            raise EngineError(
+                f"no destination known for sends of automaton '{binding.automaton.name}': "
+                "the colour is unicast, no peer has been learnt and no set_host action ran"
+            )
         source = binding.local_endpoint
         token: Optional[Hashable] = None
         if automaton_name != self._client_automaton:
@@ -1061,36 +1094,15 @@ class AutomataEngine(NetworkNode):
             delay=delay,
         )
 
-        session.store(automaton_name, state_name, outgoing)
+        session.store(automaton_name, current[1], outgoing)
         session.instances[message_name] = outgoing
         if token is not None:
             self._pending_replies.setdefault(token, []).append(session)
             session.reply_tokens.append(token)
-        session.record.messages_sent += 1
-        session.record.sent_names.append(message_name)
-        session.record.finished_at = engine.now() + delay
-        session.touch(engine.now())
-
-    def _destination_for(
-        self,
-        session: SessionContext,
-        automaton_name: str,
-        binding: ProtocolBinding,
-        state_name: str,
-    ) -> Endpoint:
-        forced = session.forced_destinations.get(automaton_name) or binding.forced_destination
-        if forced is not None:
-            return forced
-        peer = session.peers.get(automaton_name)
-        if peer is not None:
-            return peer
-        color = binding.automaton.state(state_name).color
-        if color.is_multicast and color.group:
-            return Endpoint(color.group, color.port, color.transport)
-        raise EngineError(
-            f"no destination known for sends of automaton '{binding.automaton.name}': "
-            "the colour is unicast, no peer has been learnt and no set_host action ran"
-        )
+        record = session.record
+        record.messages_sent += 1
+        record.sent_names.append(message_name)
+        record.finished_at = now + delay
 
     # ------------------------------------------------------------------
     # session lifecycle

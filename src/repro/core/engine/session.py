@@ -95,10 +95,9 @@ class SessionContext:
     ephemeral_sources: Dict[str, Endpoint] = field(default_factory=dict)
     last_activity: float = 0.0
     finished: bool = False
-    #: Trace id of the datagram that last advanced this session (see
-    #: :mod:`repro.obs`): deliveries into the session inherit it so their
-    #: downstream spans (transition, translate, compose) join the tree.
-    trace_id: int = 0
+    #: The translation context of this session's sends, built on its
+    #: first send (the bridge endpoints and the client never change).
+    translation: Optional[Dict[str, Any]] = None
 
     # -- the history operator, per session --------------------------------
     def store(self, automaton: str, state: str, message: AbstractMessage) -> None:
@@ -119,10 +118,6 @@ class SessionContext:
     ) -> Optional[AbstractMessage]:
         matching = self.stored(automaton, state, message_name)
         return matching[-1] if matching else None
-
-    def touch(self, now: float) -> None:
-        """Record activity (resets the idle-eviction clock)."""
-        self.last_activity = now
 
     def __repr__(self) -> str:
         status = "finished" if self.finished else f"at {self.current}"
@@ -174,7 +169,7 @@ class FieldCorrelator(EndpointCorrelator):
     def __init__(self, fields: Mapping[str, str]) -> None:
         self.fields = dict(fields)
 
-    def _token(self, message: AbstractMessage) -> Optional[Hashable]:
+    def reply_token(self, message: AbstractMessage) -> Optional[Hashable]:
         label = self.fields.get(message.name)
         if label is None:
             return None
@@ -184,10 +179,7 @@ class FieldCorrelator(EndpointCorrelator):
         return (label, found if isinstance(found, StructuredField) else found.value)
 
     def client_key(self, source: Endpoint, message: AbstractMessage) -> Hashable:
-        token = self._token(message)
+        token = self.reply_token(message)
         if token is not None:
             return (source.host,) + token
         return super().client_key(source, message)
-
-    def reply_token(self, message: AbstractMessage) -> Optional[Hashable]:
-        return self._token(message)

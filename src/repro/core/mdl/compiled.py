@@ -6,10 +6,14 @@ binary parsing walks a bit-list :class:`~repro.core.typesys.BitBuffer` one
 bit at a time, and text parsing re-derives delimiters and type lookups per
 field.  This module lowers a specification *once* into:
 
-* a **compiled binary codec** — contiguous fixed byte-aligned fields become
-  one :mod:`struct` unpack per run, length-prefixed and self-describing
-  fields become direct byte-slice decoders, and composing writes into a
-  ``bytearray`` instead of a bit list;
+* a **compiled binary codec** — one straight-line decoder and one encoder
+  generated as Python source per spec: the parser reads each fixed run
+  with one :mod:`struct` unpack and length-prefixed and self-describing
+  fields with byte slices, selects the message by its ``<Rule>`` and
+  builds the field list and label index directly; the composer computes
+  length and total-length fields inline and packs each fixed run with one
+  :mod:`struct` call (a pre-packed template when the message carries none
+  of the run's fields);
 * a **compiled text codec** — header delimiters, per-label converters and
   per-message compose plans are precomputed, so parsing is a sequence of
   ``str.find``/``str.split`` calls with no per-field spec walks;
@@ -42,6 +46,7 @@ merged automaton).
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import (
     Any,
@@ -54,9 +59,10 @@ from typing import (
     runtime_checkable,
 )
 
-from ..errors import ComposeError, MarshallingError, MDLSpecificationError, ParseError
+from ..errors import ComposeError, MDLSpecificationError, ParseError
 from ..message import AbstractMessage, PrimitiveField, StructuredField
 from ..typesys import (
+    BitBuffer,
     BooleanMarshaller,
     BytesMarshaller,
     FQDNMarshaller,
@@ -67,8 +73,8 @@ from ..typesys import (
 )
 from .base import MessageComposer, MessageParser
 from .binary import BinaryMessageComposer, BinaryMessageParser
-from .functions import FieldFunctionContext, FieldFunctionRegistry
-from .spec import FieldSpec, MDLKind, MDLSpec, SizeKind
+from .functions import FieldFunctionRegistry, _f_length, _f_total_length
+from .spec import FieldSpec, MDLKind, MDLSpec, MessageRule, MessageSpec, SizeKind
 from .text import TextMessageComposer, TextMessageParser
 
 __all__ = [
@@ -114,17 +120,16 @@ class Codec(Protocol):
 
 
 # ----------------------------------------------------------------------
-# shared: message selection plans
+# text: message selection plans
 # ----------------------------------------------------------------------
 class _MessagePlan:
-    """Per-message artifacts shared by the binary and text parse plans."""
+    """Per-message artifacts of the text parse plan."""
 
-    __slots__ = ("name", "mandatory", "ops", "body_label")
+    __slots__ = ("name", "mandatory", "body_label")
 
     def __init__(self, name: str, mandatory: List[str]) -> None:
         self.name = name
         self.mandatory = mandatory
-        self.ops: List[Callable] = []
         self.body_label: Optional[str] = None
 
 
@@ -184,9 +189,132 @@ def _type_names(spec: MDLSpec) -> Dict[str, str]:
 
 
 # ----------------------------------------------------------------------
-# binary parse compilation
+# binary compilation: one generated decoder and one encoder per spec
 # ----------------------------------------------------------------------
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+#: The marshallers the binary compiler lowers, by kind.
+_BINARY_KINDS = {
+    IntegerMarshaller: "int",
+    BooleanMarshaller: "bool",
+    StringMarshaller: "str",
+    BytesMarshaller: "bytes",
+    FQDNMarshaller: "fqdn",
+}
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: Byte widths struct can carry as native unsigned pieces, most significant
+#: first (a 24-bit field is one ``B`` and one ``H``).
+_PIECES = {1: (1,), 2: (2,), 3: (1, 2), 4: (4,), 5: (1, 4), 6: (2, 4), 7: (1, 2, 4), 8: (8,)}
+
+
+class _NotCompilable(Exception):
+    """Internal: the spec cannot be lowered exactly; use the interpreter."""
+
+
+class _BinaryField:
+    """One binary field, lowered once for both generated codecs.
+
+    ``width`` is the byte width the parser reads at a fixed size (declared
+    bits, or an Integer's default width for a remainder/self-describing
+    size); ``reference`` names the length field of a field-referenced
+    size; a String/Bytes field with neither is the remainder and an FQDN
+    describes its own length.  ``wire_width`` is the fixed width the
+    composer writes (an Integer always writes a fixed width) or ``None``
+    when the composer measures the value.
+    """
+
+    __slots__ = (
+        "label", "kind", "marshaller", "width", "wire_width", "reference",
+        "length_bits", "encoding",
+    )
+
+    def __init__(self, spec: MDLSpec, types: TypeRegistry, field_spec: FieldSpec) -> None:
+        label = field_spec.label
+        if "." in label:
+            # A dotted label addresses a structured sub-field in the message
+            # API; flat generated code would change its semantics.
+            raise _NotCompilable
+        self.label = label
+        try:
+            marshaller = types.get(spec.type_of(label))
+        except Exception:
+            raise _NotCompilable from None
+        kind = _BINARY_KINDS.get(type(marshaller))
+        size = field_spec.size
+        fixed = size.kind is SizeKind.FIXED_BITS
+        if (
+            kind is None
+            # Delimiters are a text-MDL notion: the interpreter raises.
+            or size.kind is SizeKind.DELIMITER
+            or (fixed and (size.bits % 8 or kind == "fqdn"))
+            or (kind == "int" and not fixed and marshaller.default_bits % 8)
+            # A Boolean's default width is one bit; an FQDN sizes itself.
+            or (kind == "bool" and not fixed)
+            or (kind == "fqdn" and size.kind is SizeKind.FIELD_REFERENCE)
+        ):
+            raise _NotCompilable
+        self.kind = kind
+        self.marshaller = marshaller
+        self.reference = size.reference if size.kind is SizeKind.FIELD_REFERENCE else None
+        self.length_bits = size.bits if fixed else None
+        if fixed:
+            self.wire_width: Optional[int] = size.bits // 8
+        elif kind == "int":
+            self.wire_width = marshaller.default_bits // 8
+        else:
+            self.wire_width = None
+        self.width = None if self.reference is not None else self.wire_width
+        self.encoding = getattr(marshaller, "encoding", _ENCODING)
+
+
+class _Source:
+    """One generated function: its source and the namespace it runs in."""
+
+    def __init__(self, signature: str, title: str, **names: Any) -> None:
+        self.signature = signature
+        self.title = title
+        self.lines: List[str] = []
+        self.names: Dict[str, Any] = dict(names)
+        self.depth = 1
+
+    def __call__(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def const(self, value: Any) -> str:
+        name = f"K{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def compile(self) -> Callable:
+        body = "\n".join(self.lines)
+        exec(_code(f"def {self.signature}:\n{body}\n", self.title), self.names)
+        return self.names[self.signature.partition("(")[0]]
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str, title: str) -> Any:
+    """Compiled code per generated source: equal specs (every legacy client
+    builds its own) share one ``compile``."""
+    return compile(source, f"<compiled {title}>", "exec")
+
+
+class _Generated:
+    """A codec method compiled from the instance's ``_source`` on first
+    access, then stored on the instance, where it shadows this descriptor.
+
+    Generating the source at construction decides compilability (and so
+    the interpreter fallback) at deploy; ``compile`` itself waits for the
+    first datagram, keeping it off deploy time.  Once stored, the method is
+    a plain instance attribute: one call per parse/compose, rebindable by
+    tracing shims like any other.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        function = instance.__dict__[self.name] = instance._source.compile()
+        return function
 
 
 def _decode_underrun(label: str, protocol: str, need_bits: int, have_bits: int) -> ParseError:
@@ -196,312 +324,526 @@ def _decode_underrun(label: str, protocol: str, need_bits: int, have_bits: int) 
     )
 
 
-#: One field of a struct run: label, byte width, value post-processor
-#: (``None`` when the struct element is already final), and whether the
-#: interpreter reads it as one ``read_uint`` (Integer/Boolean — the
-#: underrun error names the full width) or byte-at-a-time
-#: (String/Bytes — ``read_bytes`` always fails needing 8 bits with 0 left
-#: on byte-aligned input).
-_RunField = Tuple[str, int, Optional[Callable[[Any], Any]], bool]
+def _field_error(label: str, protocol: str, exc: Exception) -> ParseError:
+    return ParseError(f"cannot decode field '{label}' of {protocol}: {exc}")
 
 
-def _underrun_for(entry: _RunField, protocol: str, data: bytes, cursor: int) -> ParseError:
-    label, width, _, uint_read = entry
-    if uint_read:
-        return _decode_underrun(label, protocol, width * 8, (len(data) - cursor) * 8)
-    return _decode_underrun(label, protocol, 8, 0)
-
-
-def _make_run_op(fields: List[_RunField], protocol: str) -> Callable:
-    """One ``struct`` unpack for a contiguous run of fixed byte-aligned fields."""
-    fmt = ">"
-    plan: List[Tuple[str, Optional[Callable[[Any], Any]]]] = []
-    for label, width, post, _ in fields:
-        # ``read_uint``-style fields of native widths come straight out of
-        # struct as integers; everything else is an ``Ns`` byte slice with
-        # the field's own post-processor (Boolean keeps ``bool`` via post).
-        if post is _int_from_bytes and width * 8 in _STRUCT_CODES:
-            fmt += _STRUCT_CODES[width * 8]
-            plan.append((label, None))
-        elif post is _bool_from_bytes and width * 8 in _STRUCT_CODES:
-            fmt += _STRUCT_CODES[width * 8]
-            plan.append((label, bool))
-        else:
-            fmt += f"{width}s"
-            plan.append((label, post))
-    packer = struct.Struct(fmt)
-    size = packer.size
-    unpack_from = packer.unpack_from
-
-    def op(data: bytes, pos: int, values: Dict[str, Any], ordered: List) -> int:
-        if pos + size > len(data):
-            # Attribute the underrun to the first field that does not fit,
-            # as the field-at-a-time interpreter would.
-            cursor = pos
-            for entry in fields:
-                if cursor + entry[1] > len(data):
-                    raise _underrun_for(entry, protocol, data, cursor)
-                cursor += entry[1]
-            raise _underrun_for(fields[0], protocol, data, pos)
-        chunks = unpack_from(data, pos)
-        for (label, post), chunk in zip(plan, chunks):
-            if post is not None:
-                try:
-                    chunk = post(chunk)
-                except Exception as exc:
-                    raise ParseError(
-                        f"cannot decode field '{label}' of {protocol}: {exc}"
-                    ) from exc
-            values[label] = chunk
-            ordered.append((label, chunk))
-        return pos + size
-
-    return op
-
-
-def _make_ref_op(
-    label: str,
-    reference: str,
-    post: Optional[Callable[[Any], Any]],
-    uint_read: bool,
-    protocol: str,
-) -> Callable:
-    """Decode a field whose byte length is the value of an earlier field."""
-
-    def op(data: bytes, pos: int, values: Dict[str, Any], ordered: List) -> int:
-        reference_value = values.get(reference)
-        if reference_value is None:
-            raise ParseError(
-                f"field '{label}' needs length field '{reference}' "
-                "which has not been parsed yet"
-            )
-        try:
-            nbytes = int(reference_value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(
-                f"length field '{reference}' holds non-numeric value "
-                f"{reference_value!r}"
-            ) from exc
-        if nbytes < 0:
-            # ``read_uint`` rejects negative widths; ``read_bytes`` treats
-            # them as an empty read — mirror both interpreter behaviours.
+def _run_underrun(run: Tuple, protocol: str, size: int, pos: int) -> ParseError:
+    """The underrun of a fixed run, charged to its first field that does not
+    fit, as the field-at-a-time interpreter charges it: an Integer/Boolean
+    is one ``read_uint`` of its width, a String/Bytes field is read a byte
+    at a time and fails needing 8 bits with none left."""
+    for label, width, uint_read in run:
+        if pos + width > size:
             if uint_read:
-                raise ParseError(
-                    f"cannot decode field '{label}' of {protocol}: "
-                    "cannot read a negative number of bits"
-                )
-            nbytes = 0
-        end = pos + nbytes
-        if end > len(data):
-            if uint_read:
-                raise _decode_underrun(
-                    label, protocol, nbytes * 8, (len(data) - pos) * 8
-                )
-            raise _decode_underrun(label, protocol, 8, 0)
-        chunk = data[pos:end]
-        if post is not None:
-            try:
-                chunk = post(chunk)
-            except Exception as exc:
-                raise ParseError(
-                    f"cannot decode field '{label}' of {protocol}: {exc}"
-                ) from exc
-        values[label] = chunk
-        ordered.append((label, chunk))
-        return end
-
-    return op
+                return _decode_underrun(label, protocol, width * 8, (size - pos) * 8)
+            return _decode_underrun(label, protocol, 8, 0)
+        pos += width
+    raise AssertionError("the run fits")  # pragma: no cover
 
 
-def _make_rest_op(
-    label: str, post: Optional[Callable[[Any], Any]], protocol: str
-) -> Callable:
-    """Decode a remainder-sized String/Bytes field (all bytes left)."""
-
-    def op(data: bytes, pos: int, values: Dict[str, Any], ordered: List) -> int:
-        chunk = data[pos:]
-        if post is not None:
-            try:
-                chunk = post(chunk)
-            except Exception as exc:
-                raise ParseError(
-                    f"cannot decode field '{label}' of {protocol}: {exc}"
-                ) from exc
-        values[label] = chunk
-        ordered.append((label, chunk))
-        return len(data)
-
-    return op
+def _ref_length(value: Any, label: str, reference: str, uint_read: bool, protocol: str) -> int:
+    """A non-Integer length field's value as a byte count (cold path)."""
+    try:
+        nbytes = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(
+            f"length field '{reference}' holds non-numeric value {value!r}"
+        ) from exc
+    if nbytes < 0:
+        # ``read_uint`` rejects negative widths; ``read_bytes`` reads nothing.
+        if uint_read:
+            raise _field_error(label, protocol, "cannot read a negative number of bits")
+        nbytes = 0
+    return nbytes
 
 
-def _make_fqdn_op(label: str, protocol: str) -> Callable:
-    """Decode a DNS-label-encoded name (self-describing length)."""
-
-    def op(data: bytes, pos: int, values: Dict[str, Any], ordered: List) -> int:
-        size = len(data)
-        labels: List[str] = []
-        while True:
-            if pos >= size:
-                raise _decode_underrun(label, protocol, 8, 0)
-            length = data[pos]
-            pos += 1
-            if length == 0:
-                break
-            if pos + length > size:
-                # ``read_bytes`` fails on the first missing byte: on
-                # byte-aligned input the interpreter always reports needing
-                # 8 bits with 0 left.
-                raise _decode_underrun(label, protocol, 8, 0)
-            try:
-                labels.append(data[pos : pos + length].decode(_ENCODING))
-            except Exception as exc:
-                raise ParseError(
-                    f"cannot decode field '{label}' of {protocol}: {exc}"
-                ) from exc
-            pos += length
-        value = ".".join(labels)
-        values[label] = value
-        ordered.append((label, value))
-        return pos
-
-    return op
+def _no_message(protocol: str, values: Dict[str, Any]) -> ParseError:
+    return ParseError(
+        f"failed to parse {protocol} message: "
+        f"no message spec of MDL {protocol} matches header {values!r}"
+    )
 
 
-def _int_from_bytes(chunk: bytes) -> int:
-    return int.from_bytes(chunk, "big")
+def _unpack_codes(field: _BinaryField) -> str:
+    pieces = _PIECES.get(field.width) if field.kind in ("int", "bool") else None
+    if pieces is None:
+        return f"{field.width}s"
+    return "".join(_STRUCT_CODES[piece] for piece in pieces)
 
 
-def _bool_from_bytes(chunk: bytes) -> bool:
-    return bool(int.from_bytes(chunk, "big"))
+def _emit_decode(
+    src: _Source, fields: List[_BinaryField], local: Dict[str, str], seen: Dict[str, str]
+) -> None:
+    """Straight-line decoding of ``fields`` into their local variables.
 
-
-def _make_str_post(encoding: str) -> Callable[[bytes], str]:
-    def post(chunk: bytes) -> str:
-        return chunk.rstrip(b"\x00").decode(encoding)
-
-    return post
-
-
-def _compile_binary_ops(
-    spec: MDLSpec,
-    types: TypeRegistry,
-    fields: List[FieldSpec],
-    seen: List[str],
-    ops: List[Callable],
-) -> bool:
-    """Lower one field list to ops (appending to ``ops``/``seen``).
-
-    Returns ``False`` when any field cannot be compiled exactly, in which
-    case the caller abandons compilation for the whole spec.
+    ``seen`` maps each label decoded so far on this path to its kind; a
+    length reference must name one of them.
     """
-    protocol = spec.protocol
-    run: List[_RunField] = []
+    run: List[_BinaryField] = []
+
+    def var(label: str) -> str:
+        return local.setdefault(label, f"v{len(local)}")
+
+    def assign(field: _BinaryField, expression: str) -> None:
+        if field.kind == "str":
+            decoded = f"{expression}.rstrip(b'\\x00').decode({field.encoding!r})"
+            src("try:")
+            src(f"    {var(field.label)} = {decoded}")
+            src("except Exception as exc:")
+            src(f"    raise _field_error({field.label!r}, P, exc) from exc")
+        else:
+            src(f"{var(field.label)} = {expression}")
+        seen[field.label] = field.kind
 
     def flush() -> None:
-        if run:
-            ops.append(_make_run_op(list(run), protocol))
-            run.clear()
-
-    for field_spec in fields:
-        label = field_spec.label
-        if "." in label:
-            # A dotted label addresses a structured sub-field in
-            # ``AbstractMessage.set``; the fast flat-field build below
-            # would change semantics, so leave such specs interpreted.
-            return False
-        size = field_spec.size
-        try:
-            marshaller = types.get(spec.type_of(label))
-        except Exception:
-            return False
-        kind = type(marshaller)
-        if kind is IntegerMarshaller:
-            post: Optional[Callable[[Any], Any]] = _int_from_bytes
-            default_bits: Optional[int] = marshaller.default_bits
-            uint_read = True
-        elif kind is StringMarshaller:
-            post = _make_str_post(marshaller.encoding)
-            default_bits = None
-            uint_read = False
-        elif kind is BytesMarshaller:
-            post = None
-            default_bits = None
-            uint_read = False
-        elif kind is BooleanMarshaller:
-            post = _bool_from_bytes
-            default_bits = 1
-            uint_read = True
-        elif kind is FQDNMarshaller:
-            post = None
-            default_bits = None
-            uint_read = False
-        else:
-            return False
-
-        if kind is FQDNMarshaller:
-            # The FQDN wire form carries its own length; the interpreted
-            # marshaller ignores ``length_bits`` entirely, so only sizes
-            # that the interpreter resolves to ``None`` are equivalent.
-            if size.kind not in (SizeKind.SELF_DESCRIBING, SizeKind.REMAINDER):
-                return False
-            flush()
-            ops.append(_make_fqdn_op(label, protocol))
-        elif size.kind is SizeKind.FIXED_BITS:
-            if size.bits % 8 != 0:
-                return False
-            run.append((label, size.bits // 8, post, uint_read))
-        elif size.kind is SizeKind.FIELD_REFERENCE:
-            if size.reference not in seen:
-                return False
-            flush()
-            ops.append(_make_ref_op(label, size.reference, post, uint_read, protocol))
-        elif size.kind in (SizeKind.REMAINDER, SizeKind.SELF_DESCRIBING):
-            # The interpreter hands the marshaller ``length_bits=None``:
-            # Integer/Boolean then read their default width, String/Bytes
-            # read the remainder.
-            if default_bits is not None:
-                if default_bits % 8 != 0:
-                    return False
-                run.append((label, default_bits // 8, post, uint_read))
+        if not run:
+            return
+        size = sum(field.width for field in run)
+        layout = tuple((f.label, f.width, f.kind in ("int", "bool")) for f in run)
+        unpack = struct.Struct(">" + "".join(_unpack_codes(f) for f in run)).unpack_from
+        temps: List[str] = []
+        values: List[str] = []
+        for field in run:
+            pieces = _PIECES.get(field.width) if field.kind in ("int", "bool") else None
+            names = [f"t{len(temps) + i}" for i in range(len(pieces or (1,)))]
+            temps.extend(names)
+            if pieces is None:
+                value = names[0]
+                if field.kind in ("int", "bool"):
+                    value = f"int.from_bytes({value}, 'big')"
             else:
-                flush()
-                ops.append(_make_rest_op(label, post, protocol))
+                shifts = [8 * sum(pieces[i + 1:]) for i in range(len(pieces))]
+                value = " | ".join(
+                    f"({name} << {shift})" if shift else name
+                    for name, shift in zip(names, shifts)
+                )
+            values.append(f"({value}) != 0" if field.kind == "bool" else value)
+        src(f"e = p + {size}")
+        src(f"if e > n: raise _run_underrun({src.const(layout)}, P, n, p)")
+        if len(run) == 1 and run[0].kind == "int" and size <= 2:
+            # One narrow length field: indexing is cheaper than a struct call.
+            values = ["data[p]" if size == 1 else "(data[p] << 8) | data[p + 1]"]
         else:
-            # Delimiter sizes are a text-MDL notion; the interpreter raises
-            # on every parse — keep that behaviour via the fallback.
-            return False
-        seen.append(label)
-    flush()
-    return True
+            src(f"{', '.join(temps)}, = {src.const(unpack)}(data, p)")
+        for field, value in zip(run, values):
+            assign(field, value)
+        src("p = e")
+        run.clear()
 
-
-class _BinaryParsePlan:
-    __slots__ = ("protocol", "header_ops", "selector", "type_names")
-
-    def __init__(self, spec: MDLSpec, types: TypeRegistry) -> None:
-        self.protocol = spec.protocol
-        self.type_names = _type_names(spec)
-        self.header_ops: List[Callable] = []
-        plans: Dict[str, _MessagePlan] = {}
-        if spec.header is None:
-            raise _NotCompilable
-        seen: List[str] = []
-        if not _compile_binary_ops(spec, types, spec.header.fields, seen, self.header_ops):
-            raise _NotCompilable
-        for message in spec.messages:
-            plan = _MessagePlan(message.name, message.mandatory_fields)
-            if not _compile_binary_ops(
-                spec, types, message.fields, list(seen), plan.ops
-            ):
+    for field in fields:
+        if field.width is not None:
+            run.append(field)
+            continue
+        flush()
+        label = field.label
+        if field.kind == "fqdn":
+            src("parts = []")
+            src("while True:")
+            src(f"    if p >= n: raise _decode_underrun({label!r}, P, 8, 0)")
+            src("    k = data[p]")
+            src("    p += 1")
+            src("    if not k: break")
+            src("    e = p + k")
+            src(f"    if e > n: raise _decode_underrun({label!r}, P, 8, 0)")
+            src("    try:")
+            src("        parts.append(data[p:e].decode('utf-8'))")
+            src("    except Exception as exc:")
+            src(f"        raise _field_error({label!r}, P, exc) from exc")
+            src("    p = e")
+            assign(field, "'.'.join(parts)")
+        elif field.reference is not None:
+            reference = field.reference
+            if reference not in seen:
                 raise _NotCompilable
-            plans[message.name] = plan
-        self.selector = _Selector(spec, plans)
+            uint_read = field.kind == "int"
+            length = local[reference]
+            if seen[reference] not in ("int", "bool"):
+                length = f"_ref_length({length}, {label!r}, {reference!r}, {uint_read}, P)"
+            src(f"e = p + {length}")
+            need = "(e - p) * 8, (n - p) * 8" if uint_read else "8, 0"
+            src(f"if e > n: raise _decode_underrun({label!r}, P, {need})")
+            assign(field, "int.from_bytes(data[p:e], 'big')" if uint_read else "data[p:e]")
+            src("p = e")
+        else:
+            assign(field, "data[p:]")
+            src("p = n")
+    flush()
 
 
-class _NotCompilable(Exception):
-    """Internal: the spec cannot be lowered exactly; use the interpreter."""
+def _rule_test(rule: MessageRule, kinds: Dict[str, str], local: Dict[str, str]) -> Optional[str]:
+    """The generated test of ``rule`` against the decoded header, or ``None``
+    when ``str(observed) == rule.value`` can never hold."""
+    kind = kinds.get(rule.field_label)
+    if kind is None:
+        return None  # Not a header field: the interpreter observes ``None``.
+    observed = local[rule.field_label]
+    if kind == "int":
+        try:
+            value = int(rule.value)
+        except ValueError:
+            return None
+        return f"{observed} == {value!r}" if str(value) == rule.value else None
+    if kind in ("str", "fqdn"):
+        return f"{observed} == {rule.value!r}"
+    return f"str({observed}) == {rule.value!r}"
 
 
+def _binary_decoder(spec: MDLSpec, types: TypeRegistry) -> _Source:
+    """Generate the spec's parser: the header, then one straight-line branch
+    per message, each building its field list and label index directly."""
+    if spec.header is None:
+        raise _NotCompilable
+    header = [_BinaryField(spec, types, f) for f in spec.header.fields]
+    src = _Source(
+        "decode(data)",
+        f"{spec.protocol} parser",
+        P=spec.protocol,
+        PF=PrimitiveField,
+        new=object.__new__,
+        adopt=AbstractMessage.adopt,
+        ParseError=ParseError,
+        _decode_underrun=_decode_underrun,
+        _field_error=_field_error,
+        _run_underrun=_run_underrun,
+        _ref_length=_ref_length,
+        _no_message=_no_message,
+    )
+    local: Dict[str, str] = {}
+    kinds: Dict[str, str] = {}
+    src("try:")
+    src.depth = 2
+    src("n = len(data)")
+    src("p = 0")
+    _emit_decode(src, header, local, kinds)
+    header_labels = list(dict.fromkeys(f.label for f in header))
+
+    def branch(message: MessageSpec) -> None:
+        fields = [_BinaryField(spec, types, f) for f in message.fields]
+        _emit_decode(src, fields, local, dict(kinds))
+        labels = list(dict.fromkeys(header_labels + [f.label for f in fields]))
+        for j, label in enumerate(labels):
+            src(
+                f"f{j} = new(PF); f{j}.label = {label!r}; "
+                f"f{j}.type_name = {spec.type_of(label)!r}; "
+                f"f{j}.length_bits = None; f{j}.value = {local[label]}"
+            )
+        listed = ", ".join(f"f{j}" for j in range(len(labels)))
+        indexed = ", ".join(f"{label!r}: f{j}" for j, label in enumerate(labels))
+        src(
+            f"return adopt({message.name!r}, [{listed}], {{{indexed}}}, "
+            f"{src.const(list(message.mandatory_fields))}, P)"
+        )
+
+    fallback = None
+    for message in spec.messages:
+        if message.rule is None:
+            fallback = fallback or message
+            continue
+        test = _rule_test(message.rule, kinds, local)
+        if test is None:
+            continue
+        src(f"if {test}:")
+        src.depth += 1
+        branch(message)
+        src.depth -= 1
+    if fallback is not None:
+        branch(fallback)
+    else:
+        observed = ", ".join(f"{label!r}: {local[label]}" for label in header_labels)
+        src(f"raise _no_message(P, {{{observed}}})")
+    src.depth = 1
+    src("except ParseError:")
+    src("    raise")
+    src("except Exception as exc:")
+    src("    raise ParseError(f'failed to parse {P} message: {exc}') from exc")
+    return src
+
+
+class CompiledBinaryParser(MessageParser):
+    """Straight-line parser generated from a binary MDL specification."""
+
+    parse = _Generated()
+
+    def __init__(
+        self,
+        spec: MDLSpec,
+        types: Optional[TypeRegistry] = None,
+        functions: Optional[FieldFunctionRegistry] = None,
+    ) -> None:
+        super().__init__(spec, types, functions)
+        self._source = _binary_decoder(spec, self.types)
+
+
+# ----------------------------------------------------------------------
+def _text(value: Any) -> str:
+    return "" if value is None else str(value)
+
+
+def _bytes(value: Any) -> bytes:
+    return b"" if value is None else bytes(value)
+
+
+def _present(field: Any) -> Any:
+    # As ``AbstractMessage.get``: a structured field is its own value.
+    return field if isinstance(field, StructuredField) else field.value
+
+
+def _fqdn_wire(value: Any) -> Tuple[Optional[bytes], int]:
+    """``(wire bytes, byte length)`` of a DNS name; the bytes are ``None``
+    when a label is too long, which only the write may report."""
+    name = _text(value).strip(".")
+    if not name:
+        return b"\x00", 1
+    out = bytearray()
+    valid = True
+    for label in name.split("."):
+        data = label.encode("utf-8")
+        valid = valid and len(data) <= 63
+        out.append(len(data) & 0xFF)
+        out += data
+    out.append(0)
+    return (bytes(out) if valid else None), len(out)
+
+
+def _fixed(data: bytes, width: int) -> bytes:
+    if len(data) > width:
+        raise ValueError("field overflow")
+    return data
+
+
+def _reference_write(fields: Tuple, values: Tuple, message_name: str) -> bytes:
+    """The interpreter's write pass over final values: the cold path of a
+    generated encoder, so every write error keeps its class and text."""
+    buffer = BitBuffer()
+    for (label, marshaller, length_bits), value in zip(fields, values):
+        try:
+            marshaller.marshal(value, buffer, length_bits)
+        except Exception as exc:
+            raise ComposeError(
+                f"cannot encode field '{label}' of message '{message_name}': {exc}"
+            ) from exc
+    return buffer.to_bytes()
+
+
+#: The field functions a generated encoder computes inline; a spec using
+#: any other (or a re-registered one) falls back to the interpreter.
+_INLINE_FUNCTIONS = {"f-length": _f_length, "f-total-length": _f_total_length}
+
+
+def _encoded(i: int, field: _BinaryField) -> str:
+    """The generated expression for field ``i``'s bytes, as its marshaller
+    writes them (before any fixed-width padding)."""
+    if field.kind == "str":
+        return f"(v{i} if v{i}.__class__ is str else _text(v{i})).encode({field.encoding!r})"
+    if field.kind == "bytes":
+        return f"(v{i} if v{i}.__class__ is bytes else _bytes(v{i}))"
+    return f"_fqdn_wire(v{i})[0]"
+
+
+def _emit_encode(
+    src: _Source,
+    spec: MDLSpec,
+    types: TypeRegistry,
+    functions: FieldFunctionRegistry,
+    message: MessageSpec,
+) -> None:
+    """One message's encoder: resolve, measure, fill length and function
+    fields, then pack each fixed run once and join."""
+    fields = [_BinaryField(spec, types, f) for f in spec.header.fields + message.fields]
+    labels = [field.label for field in fields]
+    if len(set(labels)) != len(labels):
+        raise _NotCompilable  # A repeated label shares one value slot.
+    position = {label: i for i, label in enumerate(labels)}
+    rule = message.rule
+    defaults: List[Any] = []
+    for i, field in enumerate(fields):
+        if rule is not None and rule.field_label == field.label:
+            try:
+                default = field.marshaller.from_text(rule.value)
+            except Exception:
+                raise _NotCompilable from None
+        else:
+            default = {"int": 0, "bool": False, "bytes": b""}.get(field.kind, "")
+        defaults.append(default)
+        src(f"f{i} = get({field.label!r})")
+        src(
+            f"v{i} = {src.const(default)} if f{i} is None "
+            f"else (f{i}.value if f{i}.__class__ is PF else _present(f{i}))"
+        )
+    # Measure: the interpreter's lengths, raising what it raises, in order.
+    for i, field in enumerate(fields):
+        if field.wire_width is not None:
+            continue
+        if field.kind == "fqdn":
+            src(f"m{i}, k{i} = _fqdn_wire(v{i})")
+        else:
+            src(f"m{i} = {_encoded(i, field)}")
+            src(f"k{i} = len(m{i})")
+
+    def nbytes(label: str) -> str:
+        field = fields[position[label]]
+        return str(field.wire_width) if field.wire_width is not None else f"k{position[label]}"
+
+    fixed_bytes = sum(field.wire_width or 0 for field in fields)
+    measured = [f"k{i}" for i, field in enumerate(fields) if field.wire_width is None]
+    total = " + ".join([str(fixed_bytes)] + measured)
+    sync: List[Tuple[str, str]] = []
+    for field in fields:
+        if field.reference is not None and spec.function_of(field.reference) is None:
+            if any(reference == field.reference for reference, _ in sync):
+                raise _NotCompilable  # A shared length prefix: the interpreter raises.
+            sync.append((field.reference, field.label))
+    targets = {reference for reference, _ in sync}
+    declared = [(field.label, spec.function_of(field.label)) for field in fields]
+    declared = [(label, function) for label, function in declared if function is not None]
+    for _, function in declared:
+        name, arguments = function.name, function.arguments
+        if name not in _INLINE_FUNCTIONS or functions.lookup(name) is not _INLINE_FUNCTIONS[name]:
+            raise _NotCompilable
+        if name == "f-length" and (
+            not arguments or (arguments[0] not in position and arguments[0] in targets)
+        ):
+            raise _NotCompilable
+    computed = {label for label, _ in declared} | (targets & set(position))
+    for label, function in declared:
+        if function.name == "f-total-length":
+            value = total
+        else:
+            argument = function.arguments[0]
+            value = nbytes(argument) if argument in position else "0"
+        src(f"v{position[label]} = {value}")
+    for reference, label in sync:
+        if reference in position:
+            src(f"v{position[reference]} = {nbytes(label)}")
+
+    # Write: one struct pack per fixed run (a pre-packed template when the
+    # message carries none of its fields), the measured bytes in between.
+    parts: List[str] = []
+    run: List[int] = []
+    prepare: List[str] = []
+
+    def flush() -> None:
+        if not run:
+            return
+        codes, args = ">", []
+        for i in run:
+            field = fields[i]
+            width = field.wire_width
+            if field.kind in ("str", "bytes"):
+                codes += f"{width}s"
+                args.append(f"_fixed({_encoded(i, field)}, {width})")
+                continue
+            pieces = _PIECES.get(width)
+            if field.kind == "bool":
+                value = f"(1 if v{i} else 0)"
+            elif pieces is not None and len(pieces) == 1:
+                # ``int(value)`` is the interpreter's conversion; a value it
+                # rejects raises here and takes the reference write.
+                value = f"(v{i} if v{i}.__class__ is int else int(v{i}))"
+            else:
+                prepare.append(f"i{i} = v{i} if v{i}.__class__ is int else int(v{i})")
+                value = f"i{i}"
+            if pieces is None:
+                codes += f"{width}s"
+                args.append(f"{value}.to_bytes({width}, 'big')")
+            else:
+                codes += "".join(_STRUCT_CODES[piece] for piece in pieces)
+                for k, piece in enumerate(pieces):
+                    shift = 8 * sum(pieces[k + 1:])
+                    term = f"({value} >> {shift})" if shift else value
+                    args.append(term if k == 0 else f"({term} & {(1 << 8 * piece) - 1})")
+        packed = f"{src.const(struct.Struct(codes).pack)}({', '.join(args)})"
+        if not computed.intersection(labels[i] for i in run):
+            meta = tuple(
+                (fields[i].label, fields[i].marshaller, fields[i].length_bits) for i in run
+            )
+            try:
+                template = _reference_write(meta, tuple(defaults[i] for i in run), message.name)
+            except ComposeError:
+                template = None
+            if template is not None:
+                absent = " and ".join(f"f{i} is None" for i in run)
+                packed = f"({src.const(template)} if {absent} else {packed})"
+        parts.append(packed)
+        run.clear()
+
+    for i, field in enumerate(fields):
+        if field.wire_width is not None:
+            run.append(i)
+            continue
+        flush()
+        parts.append(f"m{i}" if labels[i] not in computed else _encoded(i, field))
+    flush()
+    joined = parts[0] if len(parts) == 1 else f"b''.join(({', '.join(parts)},))"
+    src("try:")
+    for line in prepare:
+        src(f"    {line}")
+    src(f"    return {joined}")
+    src("except Exception:")
+    src("    pass")
+    meta = tuple((field.label, field.marshaller, field.length_bits) for field in fields)
+    values = ", ".join(f"v{i}" for i in range(len(fields)))
+    src(f"return _reference_write({src.const(meta)}, ({values},), name)")
+
+
+def _binary_encoder(
+    spec: MDLSpec, types: TypeRegistry, functions: FieldFunctionRegistry
+) -> _Source:
+    """Generate the spec's composer: one straight-line branch per message."""
+    if spec.header is None:
+        raise _NotCompilable
+    src = _Source(
+        "encode(message)",
+        f"{spec.protocol} composer",
+        P=spec.protocol,
+        PF=PrimitiveField,
+        ComposeError=ComposeError,
+        _present=_present,
+        _text=_text,
+        _bytes=_bytes,
+        _fqdn_wire=_fqdn_wire,
+        _fixed=_fixed,
+        _reference_write=_reference_write,
+    )
+    src("name = message.name")
+    src("get = message.field_index().get")
+    for message in spec.messages:
+        src(f"if name == {message.name!r}:")
+        src.depth += 1
+        _emit_encode(src, spec, types, functions, message)
+        src.depth -= 1
+    src("raise ComposeError(f\"MDL for {P} has no message '{name}'\")")
+    return src
+
+
+class CompiledBinaryComposer(MessageComposer):
+    """Straight-line composer generated from a binary MDL specification.
+
+    Runs the interpreted pipeline — resolve, measure, field functions,
+    length synchronisation, totals, write — with every per-field decision
+    made at compile time: the built-in ``f-length`` and ``f-total-length``
+    computed inline, each fixed run packed by one ``struct`` call, and the
+    interpreter's own write pass as the cold path for a value the fast
+    path cannot pack, so every error keeps its class and text.  A spec
+    using any other field function is composed by the interpreter.
+    """
+
+    compose = _Generated()
+
+    def __init__(
+        self,
+        spec: MDLSpec,
+        types: Optional[TypeRegistry] = None,
+        functions: Optional[FieldFunctionRegistry] = None,
+    ) -> None:
+        super().__init__(spec, types, functions)
+        self._source = _binary_encoder(spec, self.types, self.functions)
+
+
+# ----------------------------------------------------------------------
+# text compilation
+# ----------------------------------------------------------------------
 def _build_message(
     name: str,
     mandatory: List[str],
@@ -542,330 +884,6 @@ def _build_message(
     return message
 
 
-class CompiledBinaryParser(MessageParser):
-    """Byte-slice/struct parser compiled from a binary MDL specification."""
-
-    def __init__(
-        self,
-        spec: MDLSpec,
-        types: Optional[TypeRegistry] = None,
-        functions: Optional[FieldFunctionRegistry] = None,
-        _plan: Optional[_BinaryParsePlan] = None,
-    ) -> None:
-        super().__init__(spec, types, functions)
-        self._plan = _plan if _plan is not None else _BinaryParsePlan(spec, self.types)
-
-    def parse(self, data: bytes) -> AbstractMessage:
-        plan = self._plan
-        values: Dict[str, Any] = {}
-        ordered: List[Tuple[str, Any]] = []
-        try:
-            pos = 0
-            for op in plan.header_ops:
-                pos = op(data, pos, values, ordered)
-            message_plan = plan.selector.select(values)
-            for op in message_plan.ops:
-                pos = op(data, pos, values, ordered)
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(f"failed to parse {plan.protocol} message: {exc}") from exc
-        return _build_message(
-            message_plan.name,
-            message_plan.mandatory,
-            plan.protocol,
-            ordered,
-            plan.type_names,
-        )
-
-
-# ----------------------------------------------------------------------
-# binary compose compilation
-# ----------------------------------------------------------------------
-_NO_RULE = object()
-
-
-def _make_int_writer(nbytes: int) -> Callable[[Any, bytearray], None]:
-    nbits = nbytes * 8
-
-    def write(value: Any, out: bytearray) -> None:
-        if value is None:
-            value = 0
-        try:
-            ivalue = int(value)
-        except (TypeError, ValueError) as exc:
-            raise MarshallingError(f"cannot marshal {value!r} as Integer") from exc
-        if ivalue < 0:
-            raise MarshallingError(f"cannot write negative value {ivalue} as unsigned")
-        if nbits < ivalue.bit_length():
-            raise MarshallingError(f"value {ivalue} does not fit in {nbits} bits")
-        out += ivalue.to_bytes(nbytes, "big")
-
-    return write
-
-
-def _make_bool_writer(nbytes: int) -> Callable[[Any, bytearray], None]:
-    def write(value: Any, out: bytearray) -> None:
-        out += (1 if value else 0).to_bytes(nbytes, "big")
-
-    return write
-
-
-def _make_str_writer(
-    encoding: str, nbytes: Optional[int]
-) -> Callable[[Any, bytearray], None]:
-    def write(value: Any, out: bytearray) -> None:
-        text = "" if value is None else str(value)
-        data = text.encode(encoding)
-        if nbytes is not None:
-            if len(data) > nbytes:
-                raise MarshallingError(
-                    f"string {text!r} is {len(data)} bytes; field allows {nbytes}"
-                )
-            data = data.ljust(nbytes, b"\x00")
-        out += data
-
-    return write
-
-
-def _make_bytes_writer(nbytes: Optional[int]) -> Callable[[Any, bytearray], None]:
-    def write(value: Any, out: bytearray) -> None:
-        data = bytes(value) if value is not None else b""
-        if nbytes is not None:
-            if len(data) > nbytes:
-                raise MarshallingError(
-                    f"byte field is {len(data)} bytes; field allows {nbytes}"
-                )
-            data = data.ljust(nbytes, b"\x00")
-        out += data
-
-    return write
-
-
-def _fqdn_writer(value: Any, out: bytearray) -> None:
-    name = ("" if value is None else str(value)).strip(".")
-    if name:
-        for label in name.split("."):
-            data = label.encode(_ENCODING)
-            if len(data) > 63:
-                raise MarshallingError(f"DNS label too long: {label!r}")
-            out.append(len(data))
-            out += data
-    out.append(0)
-
-
-class _ComposeField:
-    """Everything the compiled composer needs about one field."""
-
-    __slots__ = ("label", "fixed_bits", "measure", "default", "rule_value", "write")
-
-    def __init__(
-        self,
-        label: str,
-        fixed_bits: Optional[int],
-        measure: Callable[[Any], int],
-        default: Any,
-        rule_value: Any,
-        write: Callable[[Any, bytearray], None],
-    ) -> None:
-        self.label = label
-        self.fixed_bits = fixed_bits
-        self.measure = measure
-        self.default = default
-        self.rule_value = rule_value
-        self.write = write
-
-
-class _BinaryComposePlan:
-    __slots__ = ("protocol", "message_plans")
-
-    def __init__(self, spec: MDLSpec, types: TypeRegistry) -> None:
-        self.protocol = spec.protocol
-        if spec.header is None:
-            raise _NotCompilable
-        self.message_plans: Dict[str, Tuple] = {}
-        for message in spec.messages:
-            all_fields = list(spec.header.fields) + list(message.fields)
-            compiled: List[_ComposeField] = []
-            functions: List[Tuple[str, str, tuple, bool]] = []
-            sync: List[Tuple[str, str]] = []
-            for field_spec in all_fields:
-                compiled.append(self._compile_field(spec, types, message, field_spec))
-                function = spec.function_of(field_spec.label)
-                if function is not None:
-                    functions.append(
-                        (
-                            field_spec.label,
-                            function.name,
-                            function.arguments,
-                            function.name == "f-total-length",
-                        )
-                    )
-                if (
-                    field_spec.size.kind is SizeKind.FIELD_REFERENCE
-                    and spec.function_of(field_spec.size.reference) is None
-                ):
-                    sync.append((field_spec.label, field_spec.size.reference))
-            self.message_plans[message.name] = (compiled, functions, sync)
-
-    @staticmethod
-    def _compile_field(spec, types, message, field_spec) -> _ComposeField:
-        label = field_spec.label
-        if "." in label:
-            # ``message.has``/``get`` treat a dotted label as a structured
-            # path; the flat prefetch in ``compose`` would not.
-            raise _NotCompilable
-        size = field_spec.size
-        try:
-            marshaller = types.get(spec.type_of(label))
-        except Exception:
-            raise _NotCompilable from None
-        kind = type(marshaller)
-        fixed_bits = size.bits if size.kind is SizeKind.FIXED_BITS else None
-        nbytes = None
-        if fixed_bits is not None:
-            if fixed_bits % 8 != 0 and kind is not FQDNMarshaller:
-                raise _NotCompilable
-            nbytes = fixed_bits // 8
-        if kind is IntegerMarshaller:
-            width = nbytes if nbytes is not None else marshaller.default_bits // 8
-            if nbytes is None and marshaller.default_bits % 8 != 0:
-                raise _NotCompilable
-            write = _make_int_writer(width)
-            default: Any = 0
-        elif kind is StringMarshaller:
-            write = _make_str_writer(marshaller.encoding, nbytes)
-            default = ""
-        elif kind is BytesMarshaller:
-            write = _make_bytes_writer(nbytes)
-            default = b""
-        elif kind is BooleanMarshaller:
-            if nbytes is None:
-                # The default Boolean width is one bit: not byte-aligned.
-                raise _NotCompilable
-            write = _make_bool_writer(nbytes)
-            default = False
-        elif kind is FQDNMarshaller:
-            # FQDN marshalling ignores the declared width (self-describing).
-            write = _fqdn_writer
-            default = ""
-        else:
-            raise _NotCompilable
-        rule = message.rule
-        if rule is not None and rule.field_label == label:
-            try:
-                rule_value: Any = marshaller.from_text(rule.value)
-            except Exception:
-                raise _NotCompilable from None
-        else:
-            rule_value = _NO_RULE
-        return _ComposeField(
-            label, fixed_bits, marshaller.wire_length_bits, default, rule_value, write
-        )
-
-
-class CompiledBinaryComposer(MessageComposer):
-    """Bytearray composer compiled from a binary MDL specification.
-
-    Runs the exact interpreted pipeline — resolve, measure, field
-    functions, length-field synchronisation, two-pass totals, write — with
-    every per-field decision (marshaller dispatch, rule constants, fixed
-    widths) precomputed at compile time and byte-level writes instead of
-    the bit-list buffer.
-    """
-
-    def __init__(
-        self,
-        spec: MDLSpec,
-        types: Optional[TypeRegistry] = None,
-        functions: Optional[FieldFunctionRegistry] = None,
-        _plan: Optional[_BinaryComposePlan] = None,
-    ) -> None:
-        super().__init__(spec, types, functions)
-        self._plan = _plan if _plan is not None else _BinaryComposePlan(spec, self.types)
-
-    def compose(self, message: AbstractMessage) -> bytes:
-        plan = self._plan
-        entry = plan.message_plans.get(message.name)
-        if entry is None:
-            raise ComposeError(
-                f"MDL for {plan.protocol} has no message '{message.name}'"
-            )
-        fields, function_list, sync = entry
-
-        values: Dict[str, Any] = {}
-        lengths: Dict[str, int] = {}
-        present_get = message.field_index().get
-        total_bits = 0
-        for field in fields:
-            label = field.label
-            present = present_get(label)
-            if present is not None:
-                # As ``AbstractMessage.get``: a structured field is its own value.
-                value = present if isinstance(present, StructuredField) else present.value
-            elif field.rule_value is not _NO_RULE:
-                value = field.rule_value
-            else:
-                value = field.default
-            values[label] = value
-            bits = field.fixed_bits
-            if bits is None:
-                bits = field.measure(value)
-            lengths[label] = bits
-            total_bits += bits
-
-        # Functions and synchronisation rewrite values, never lengths, so
-        # the total accumulated above is the interpreted pipeline's total.
-        self._apply_functions(function_list, values, lengths, None)
-        self._synchronise(sync, values, lengths)
-        self._apply_functions(function_list, values, lengths, total_bits)
-
-        out = bytearray()
-        for field in fields:
-            try:
-                field.write(values[field.label], out)
-            except ComposeError:
-                raise
-            except Exception as exc:
-                raise ComposeError(
-                    f"cannot encode field '{field.label}' of message "
-                    f"'{message.name}': {exc}"
-                ) from exc
-        return bytes(out)
-
-    def _apply_functions(self, function_list, values, lengths, total_bits) -> None:
-        if not function_list:
-            return
-        context = FieldFunctionContext(values, lengths, total_bits)
-        evaluate = self.functions.evaluate
-        for label, name, arguments, is_total in function_list:
-            if is_total and total_bits is None:
-                continue
-            values[label] = evaluate(name, context, arguments)
-
-    @staticmethod
-    def _synchronise(sync, values, lengths) -> None:
-        written: Dict[str, str] = {}
-        for label, reference in sync:
-            bits = lengths[label]
-            if bits % 8 != 0:
-                raise ComposeError(
-                    f"field '{label}' marshals to {bits} bits, which is "
-                    f"not byte-aligned; its length field '{reference}' counts bytes"
-                )
-            if reference in written:
-                raise ComposeError(
-                    f"length field '{reference}' is referenced by both "
-                    f"'{written[reference]}' and '{label}'; a shared "
-                    "length prefix is ambiguous"
-                )
-            written[reference] = label
-            values[reference] = bits // 8
-
-
-# ----------------------------------------------------------------------
-# text compilation
-# ----------------------------------------------------------------------
 def _make_converter(from_text: Callable[[str], Any]) -> Callable[[str], Any]:
     def convert(token: str) -> Any:
         try:

@@ -118,6 +118,10 @@ class FieldFunctionRegistry:
     def has(self, name: str) -> bool:
         return name in self._functions
 
+    def lookup(self, name: str) -> FieldFunction | None:
+        """The function registered under ``name``, or ``None``."""
+        return self._functions.get(name)
+
     def evaluate(self, name: str, context: FieldFunctionContext, arguments: tuple) -> Any:
         try:
             function = self._functions[name]

@@ -315,7 +315,10 @@ class AbstractMessage:
     def find(self, path: str) -> Optional[Field]:
         """The field addressed by ``path`` (dotted labels), or ``None``."""
         if "." not in path:
-            return self._find(path)
+            # ``_find`` inlined: translation and correlation probe per datagram.
+            if self._indexed != len(self._fields):
+                return self.field_index().get(path)
+            return self._index.get(path)
         parts = path.split(".")
         current = self._find(parts[0])
         for part in parts[1:]:

@@ -216,7 +216,7 @@ def _service_type_to_dns(value: Any, **kwargs: Any) -> str:
     arguments = kwargs.get("arguments", ())
     transport = arguments[0] if arguments else "_tcp"
     text = "" if value is None else str(value)
-    parts = [part for part in re.split(r"[:]", text) if part]
+    parts = [part for part in text.split(":") if part]
     # Pick the most specific human-meaningful component.
     candidates = [part for part in parts if part not in {"service", "urn", "schemas-upnp-org"}]
     name = candidates[-2] if len(candidates) > 1 and candidates[-1].isdigit() else (

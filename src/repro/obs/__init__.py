@@ -11,10 +11,12 @@ latency histograms.
 
 Two levels of detail, two costs:
 
-* **histograms** are unconditional: every datagram's per-stage duration
-  lands in a :class:`LatencyHistogram` (one integer increment + one
-  float add), aggregated into ``ShardMetrics.latency`` and the
-  ``--table latency`` CLI table;
+* **histograms** are unconditional at the leaf stages: every datagram's
+  per-stage duration lands in a :class:`LatencyHistogram` (one integer
+  increment + one float add), aggregated into ``ShardMetrics.latency``
+  and the ``--table latency`` CLI table; the composite
+  ``engine.dispatch`` / ``automaton.transition`` stages are timed on
+  sampled datagrams only;
 * **spans** are sampled (default 1-in-64; ``trace_sample=1.0`` for
   tests): only stamped-and-sampled datagrams pay the ring-buffer append,
   and ``runtime.trace_export()`` reassembles their spans into one tree

@@ -7,11 +7,15 @@ The instrumentation contract, tuned for the hot path:
   sampled`` — so every span site decides "record a span?" with a single
   ``trace & 1`` test instead of a modulo or a tracer call.  ``trace == 0``
   means *untraced* (a delivery that never crossed an edge, e.g. an
-  engine-internal timer): histograms still record, spans never do.
-* **Histograms are unconditional**, spans are sampled.  A histogram
-  record is one ``int.bit_length`` bucket increment plus a float add; the
-  span append (and its timeline-clock read) is only paid by sampled
-  datagrams.
+  engine-internal timer): leaf-stage histograms still record, spans
+  never do.
+* **Leaf-stage histograms are unconditional**, spans are sampled.  A
+  histogram record is one ``int.bit_length`` bucket increment plus a
+  float add; the span append (and its timeline-clock read) is only paid
+  by sampled datagrams.  The composite engine stages, ``engine.dispatch``
+  and the ``automaton.transition`` it encloses (their children are timed
+  on their own), are timed on sampled datagrams only, so their
+  histograms are a 1-in-N sample.
 * **One logical writer per recorder.**  Each component with a recorder —
   the router, each worker engine — only ever records from one thread at
   a time (the simulation is single-threaded; live, the router and every
@@ -116,8 +120,8 @@ SPAN_PARENTS: Dict[str, str] = {
     STAGE_COMPOSE: STAGE_TRANSITION,
 }
 
-#: Default span sampling: one traced datagram in 64.  Histograms are
-#: unconditional regardless.
+#: Default span sampling: one traced datagram in 64.  Leaf-stage
+#: histograms are unconditional regardless.
 DEFAULT_SAMPLE_RATE = 1.0 / 64.0
 
 #: Default spans kept per recorder before the ring wraps.  A span tuple

@@ -37,15 +37,25 @@ from ..network.simulated import SimulatedNetwork
 __all__ = ["LookupResult", "LegacyService", "LegacyClient", "rng_for", "sample_latency"]
 
 
-def rng_for(network: NetworkEngine) -> random.Random:
-    """Use the simulation's seeded generator when available (determinism)."""
-    return getattr(network, "rng", None) or random.Random(0)
+def rng_for(network: NetworkEngine, node: NetworkNode) -> random.Random:
+    """The simulation's seeded generator when there is one (determinism),
+    else ``node``'s own: seeded once on first use and kept, so successive
+    samples on a live network differ and none pays for a seeding."""
+    rng = getattr(network, "rng", None)
+    if rng is None:
+        rng = getattr(node, "_latency_rng", None)
+        if rng is None:
+            rng = node._latency_rng = random.Random(0)  # type: ignore[attr-defined]
+    return rng
 
 
-def sample_latency(network: NetworkEngine, model: Optional[LatencyModel]) -> float:
+def sample_latency(
+    network: NetworkEngine, model: Optional[LatencyModel], node: NetworkNode
+) -> float:
+    """One delay drawn from ``model`` for ``node`` (0.0 with no model)."""
     if model is None:
         return 0.0
-    return model.sample(rng_for(network))
+    return model.sample(rng_for(network, node))
 
 
 @dataclass
@@ -115,7 +125,7 @@ class LegacyService(NetworkNode):
             return
         self.handled.append(request)
         payload = self.composer.compose(reply)
-        delay = sample_latency(engine, self.latency)
+        delay = sample_latency(engine, self.latency, self)
         engine.send(payload, source=self._endpoint, destination=source, delay=delay)
 
     # -- to be overridden -------------------------------------------------

@@ -184,7 +184,7 @@ class BonjourBrowser(LegacyClient):
         started = network.now()
         self._send(network, self._question(query_id, service_name), mdns_group_endpoint())
         responses = self._await_responses(network, 1, timeout, DNS_RESPONSE)
-        overhead = sample_latency(network, self.client_overhead)
+        overhead = sample_latency(network, self.client_overhead, self)
         if not responses:
             return LookupResult(found=False, response_time=network.now() - started + overhead)
         received_at, reply, _ = responses[0]

@@ -180,7 +180,7 @@ class SLPUserAgent(LegacyClient):
         self._send(network, self._srv_request(xid, service_type), slp_group_endpoint())
         responses = self._await_responses(network, 1, timeout, SLP_SRVREPLY)
         matching = [entry for entry in responses if entry[1].get("XID") == xid] or responses
-        overhead = sample_latency(network, self.client_overhead)
+        overhead = sample_latency(network, self.client_overhead, self)
         if not matching:
             return LookupResult(found=False, response_time=network.now() - started + overhead)
         received_at, reply, _ = matching[0]

@@ -131,7 +131,7 @@ class UPnPDevice(NetworkNode):
         reply.set("ST", search_target or self.service_type)
         reply.set("USN", f"uuid:starlink-test::{self.service_type}")
         payload = self._ssdp_composer.compose(reply)
-        delay = sample_latency(engine, self.ssdp_latency)
+        delay = sample_latency(engine, self.ssdp_latency, self)
         engine.send(payload, source=self._ssdp_endpoint, destination=source, delay=delay)
 
     def _matches(self, search_target: str) -> bool:
@@ -158,7 +158,7 @@ class UPnPDevice(NetworkNode):
         reply.set("Content-Type", "text/xml")
         reply.set("Body", body)
         payload = self._http_composer.compose(reply)
-        delay = sample_latency(engine, self.http_latency)
+        delay = sample_latency(engine, self.http_latency, self)
         engine.send(payload, source=self._http_endpoint, destination=source, delay=delay)
 
 
@@ -451,7 +451,7 @@ class UPnPControlPoint(LegacyClient):
             deadline = time.monotonic() + timeout
             while self.control_result(token) is None and time.monotonic() < deadline:
                 time.sleep(0.01)
-        overhead = sample_latency(network, self.client_overhead)
+        overhead = sample_latency(network, self.client_overhead, self)
         # The blocking API consumes its control either way: a timed-out one
         # must not swallow a later lookup's SSDP response, and a completed
         # one is harvested into the returned result (repeated lookups on

@@ -222,6 +222,23 @@ def test_uncompilable_spec_falls_back_to_interpreter():
     assert discriminator_for(spec) is None
 
 
+@pytest.mark.parametrize("function", ["f-constant(7)", "f-count(Scopes)"])
+def test_other_field_functions_compose_through_the_interpreter(function):
+    # Only f-length and f-total-length are inlined; any other field
+    # function keeps the composer on the interpreter.
+    spec = MDLSpec(protocol="FN", kind=MDLKind.BINARY)
+    spec.header = HeaderSpec(
+        protocol="FN",
+        fields=[FieldSpec("Kind", SizeSpec.fixed(8)), FieldSpec("Tag", SizeSpec.fixed(8))],
+    )
+    spec.add_type("Kind", "Integer")
+    spec.add_type("Tag", f"Integer[{function}]")
+    message = MessageSpec(name="FnMsg")
+    message.rule = MessageRule.parse("Kind=1")
+    spec.add_message(message)
+    assert isinstance(create_composer(spec), BinaryMessageComposer)
+
+
 # ----------------------------------------------------------------------
 # the per-spec artifact cache
 # ----------------------------------------------------------------------

@@ -38,11 +38,13 @@ from repro.network.addressing import Endpoint, Transport
 from repro.network.aio import AsyncSocketNetwork
 from repro.network.sockets import loopback_available
 from repro.obs.tracing import (
+    STAGE_COMPOSE,
     STAGE_DISPATCH,
     STAGE_INGRESS,
     STAGE_PARSE,
     STAGE_QUEUE_WAIT,
     STAGE_TRANSITION,
+    STAGE_TRANSLATE,
     STAGES,
     LatencyHistogram,
     SpanRecorder,
@@ -271,6 +273,34 @@ class TestSimulatedTracing:
             assert hists[stage].count > 0
         # The simulation has no worker queues.
         assert hists[STAGE_QUEUE_WAIT].count == 0
+
+    def test_composite_stages_are_timed_on_sampled_datagrams_only(self):
+        tracer = Tracer(sample=0.0)
+        assert concurrent_scenario(2, clients=5, tracer=tracer).run().all_found
+        hists = tracer.stage_histograms()
+        for stage in (STAGE_INGRESS, STAGE_PARSE, STAGE_TRANSLATE, STAGE_COMPOSE):
+            assert hists[stage].count > 0
+        assert hists[STAGE_DISPATCH].count == hists[STAGE_TRANSITION].count == 0
+
+    def test_wall_clock_timeline_keeps_translate_before_compose(self):
+        # On a perf_counter timeline each stage is stamped at its own end,
+        # so a translate span ends about where the compose after it starts
+        # (a span stamped at compose's end would lag by compose's duration).
+        from statistics import median
+        from time import perf_counter
+
+        tracer = Tracer(sample=1.0)
+        scenario = concurrent_scenario(2, clients=20, tracer=tracer)
+        tracer.use_clock(perf_counter, "perf_counter")
+        assert scenario.run().all_found
+        lags = []
+        for recorder in tracer.recorders():
+            spans = recorder.spans()
+            for (seq, stage, at, _), (seq2, stage2, at2, took) in zip(spans, spans[1:]):
+                if stage == STAGE_TRANSLATE and stage2 == STAGE_COMPOSE and seq == seq2:
+                    lags.append((at - (at2 - took)) / took)
+        assert len(lags) >= 20
+        assert median(lags) < 0.5
 
     def test_sharded_runtime_attributes_router_stages(self):
         scenario = sharded_scenario(2, clients=8, workers=2, trace_sample=1.0)

@@ -136,3 +136,24 @@ class TestUPnPLegacy:
     def test_location_points_at_device_http_endpoint(self, network):
         device = UPnPDevice(http_port=8123)
         assert device.location.endswith(":8123/description.xml")
+
+
+def test_live_latency_samples_vary_and_degenerate_models_draw_nothing():
+    """A live network has no seeded ``rng``: each node keeps its own
+    generator, so a ranged model's samples differ from reply to reply,
+    and a single-valued model leaves that generator untouched."""
+    from repro.network.aio import AsyncSocketNetwork
+    from repro.protocols.common import rng_for, sample_latency
+
+    network = AsyncSocketNetwork(host="127.0.0.1", use_uvloop=False)
+    try:
+        service = BonjourResponder(latency=LatencyModel(0.001, 0.005))
+        samples = [sample_latency(network, service.latency, service) for _ in range(20)]
+        assert len(set(samples)) >= 2
+        assert all(0.001 <= sample <= 0.005 for sample in samples)
+        fixed = BonjourResponder(latency=LatencyModel(0.002, 0.002))
+        state = rng_for(network, fixed).getstate()
+        assert sample_latency(network, fixed.latency, fixed) == 0.002
+        assert rng_for(network, fixed).getstate() == state
+    finally:
+        network.close()
