@@ -86,7 +86,7 @@ from typing import (
 )
 
 from ...network.addressing import Endpoint, Transport
-from ...network.engine import NetworkEngine, NetworkNode
+from ...network.engine import NetworkEngine, NetworkNode, recent
 from ..automata.colored import ColoredAutomaton
 from ..automata.merge import DeltaTransition, MergedAutomaton
 from ..errors import ConfigurationError, EngineError, ParseError
@@ -356,12 +356,17 @@ class AutomataEngine(NetworkNode):
         self._active_session: Optional[SessionContext] = None
         #: True while a sweep event is pending on the network engine.
         self._sweep_scheduled = False
-        #: Completed sessions, in order of completion.
-        self.sessions: List[SessionRecord] = []
-        #: Sessions abandoned by the idle-timeout sweeper.
-        self.evicted_sessions: List[SessionRecord] = []
-        #: Parse failures observed (timestamp, automaton, error text).
-        self.parse_failures: List[Tuple[float, str, str]] = []
+        #: Sessions completed, and the most recent of their records in
+        #: order of completion (a ``RECENT_RECORDS`` ring: the count is
+        #: exact, the records are a recent view).
+        self.completed_count: int = 0
+        self.sessions: Deque[SessionRecord] = recent()
+        #: Sessions abandoned by the idle-timeout sweeper, likewise.
+        self.evicted_count: int = 0
+        self.evicted_sessions: Deque[SessionRecord] = recent()
+        #: Parse failures observed, likewise (timestamp, automaton, error).
+        self.parse_failure_count: int = 0
+        self.parse_failures: Deque[Tuple[float, str, str]] = recent()
         #: Parsed datagrams no session could be found or opened for.
         self.unrouted_datagrams: int = 0
         #: Datagrams routed to a session that was not receptive to them
@@ -605,7 +610,8 @@ class AutomataEngine(NetworkNode):
         the destination, or when every candidate parser rejected the bytes
         (recorded in ``parse_failures``).
 
-        ``counters`` redirects the outcome counters — ``parse_failures``,
+        ``counters`` redirects the outcome counters — ``parse_failures``
+        and ``parse_failure_count``,
         ``discriminator_hits``/``discriminator_misses``/
         ``garbage_rejects`` — to another owner: the shard router passes
         itself when classifying at the edge, so its outcomes are charged
@@ -632,6 +638,7 @@ class AutomataEngine(NetworkNode):
                     automaton_name, last_error = name, str(exc)
             if rec is not None:
                 rec.record(trace, STAGE_PARSE, started)
+            target.parse_failure_count += 1
             target.parse_failures.append((now, automaton_name, last_error or ""))
             return None
         # Compiled mode: probe each candidate's first-bytes discriminator
@@ -669,6 +676,7 @@ class AutomataEngine(NetworkNode):
             # span/histogram either — the edge's classify span (or the
             # caller) owns the probe cost.
             target.garbage_rejects += 1
+            target.parse_failure_count += 1
             target.parse_failures.append(
                 (now, automaton_name, "datagram rejected by first-bytes discriminator")
             )
@@ -679,6 +687,7 @@ class AutomataEngine(NetworkNode):
         # them failed: that is still a discriminator miss, so the three
         # outcome counters partition every classified datagram.
         target.discriminator_misses += 1
+        target.parse_failure_count += 1
         target.parse_failures.append((now, automaton_name, last_error or ""))
         return None
 
@@ -886,6 +895,7 @@ class AutomataEngine(NetworkNode):
         except ParseError as exc:
             if recorder is not None:
                 recorder.record(self._active_trace, STAGE_PARSE, started)
+            self.parse_failure_count += 1
             self.parse_failures.append((engine.now(), automaton_name, str(exc)))
             return True
         if recorder is not None:
@@ -1110,6 +1120,7 @@ class AutomataEngine(NetworkNode):
     def _finish_session(self, engine: NetworkEngine, session: SessionContext) -> None:
         if session.record.finished_at == 0.0:
             session.record.finished_at = engine.now()
+        self.completed_count += 1
         self.sessions.append(session.record)
         self._close_session(session)
 
@@ -1161,5 +1172,6 @@ class AutomataEngine(NetworkNode):
         record.evicted = True
         if record.finished_at == 0.0:
             record.finished_at = engine.now()
+        self.evicted_count += 1
         self.evicted_sessions.append(record)
         self._close_session(session)

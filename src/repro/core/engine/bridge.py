@@ -163,8 +163,14 @@ class StarlinkBridge:
 
     @property
     def sessions(self) -> List[SessionRecord]:
-        """Completed interoperability sessions (empty before deployment)."""
+        """The most recent completed interoperability sessions (the
+        engine's ring; empty before deployment)."""
         return list(self._engine.sessions) if self._engine is not None else []
+
+    @property
+    def completed_count(self) -> int:
+        """Sessions completed, exact (:attr:`sessions` keeps the recent)."""
+        return self._engine.completed_count if self._engine is not None else 0
 
     @property
     def active_session_count(self) -> int:

@@ -58,6 +58,7 @@ from .workloads import (
     _live_case_parts,
     _make_client_and_service,
     _make_concurrent_clients,
+    every_record,
 )
 
 __all__ = [
@@ -498,7 +499,7 @@ def run_chaos_simulated(
         if (found := client.lookup_result(key)) is not None and found.found
     )
     result.datagrams_dropped = network.dropped - dropped_before
-    result.abandoned_sessions = len(runtime.evicted_sessions)
+    result.abandoned_sessions = runtime.evicted_count
     result.unrouted = runtime.unrouted_datagrams
     result.worker_errors = len(runtime.worker_errors)
     result.final_workers = runtime.worker_count
@@ -601,7 +602,7 @@ def run_chaos_live(
             for client, key in started
             if (found := client.lookup_result(key)) is not None and found.found
         )
-        result.abandoned_sessions = len(runtime.evicted_sessions)
+        result.abandoned_sessions = runtime.evicted_count
         result.unrouted = runtime.unrouted_datagrams
         result.worker_errors = len(runtime.worker_errors)
         result.final_workers = runtime.worker_count
@@ -949,7 +950,8 @@ def _harvest_telemetry(
     run whose detector never acted still gets one on-demand bundle, so
     every heal row has a postmortem to persist.
     """
-    for record in runtime.evicted_sessions:
+    evicted = every_record(runtime.evicted_sessions, runtime.evicted_count, "evictions")
+    for record in evicted:
         journal.append(
             "session-loss", at=record.finished_at, key=str(record.session_key)
         )
@@ -1133,7 +1135,7 @@ def run_heal_simulated(
         if (found := client.lookup_result(key)) is not None and found.found
     )
     result.datagrams_dropped = network.dropped - dropped_before
-    result.abandoned_sessions = len(runtime.evicted_sessions)
+    result.abandoned_sessions = runtime.evicted_count
     result.unrouted = runtime.unrouted_datagrams
     result.worker_errors = len(runtime.worker_errors)
     result.final_workers = runtime.worker_count
@@ -1316,7 +1318,7 @@ def run_heal_live(
             if (found := client.lookup_result(key)) is not None and found.found
         )
         result.datagrams_dropped = network.udp_dropped
-        result.abandoned_sessions = len(runtime.evicted_sessions)
+        result.abandoned_sessions = runtime.evicted_count
         result.unrouted = runtime.unrouted_datagrams
         result.worker_errors = len(runtime.worker_errors)
         result.final_workers = runtime.worker_count

@@ -30,6 +30,7 @@ from .workloads import (
     bridged_scenario,
     concurrent_scenario,
     elastic_scenario,
+    every_record,
     legacy_scenario,
     live_sharded_scenario,
     live_twin_scenario,
@@ -158,7 +159,9 @@ def measure_connector_case(
             f"{len(failures)} of {repetitions} bridged lookups failed for case {case}"
         )
     assert scenario.bridge is not None
-    sessions = scenario.bridge.sessions
+    sessions = every_record(
+        scenario.bridge.sessions, scenario.bridge.completed_count, "sessions"
+    )
     if len(sessions) < repetitions:
         raise RuntimeError(
             f"bridge recorded {len(sessions)} sessions for {repetitions} lookups (case {case})"

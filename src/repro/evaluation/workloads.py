@@ -23,6 +23,7 @@ from ..bridges.specs import BRIDGE_BUILDERS, CASE_NAMES
 from ..core.engine.bridge import StarlinkBridge
 from ..network.latency import CalibratedLatencies, LatencyModel, default_latencies
 from ..network.aio import AsyncSocketNetwork
+from ..network.engine import RECENT_RECORDS
 from ..network.simulated import SimulatedNetwork
 from ..obs.tracing import Tracer
 from ..protocols.common import LookupResult
@@ -63,6 +64,7 @@ __all__ = [
     "LIVE_BRIDGE_PORT",
     "LIVE_SERVICE_PORT",
     "LIVE_CLIENT_PORT_BASE",
+    "every_record",
 ]
 
 SLP_SERVICE_TYPE = "service:test"
@@ -71,6 +73,17 @@ BONJOUR_SERVICE_NAME = "_test._tcp.local"
 
 #: Legacy protocol names in the order of Fig. 12(a).
 LEGACY_PROTOCOLS = ["SLP", "Bonjour", "UPnP"]
+
+
+def every_record(records: List, count: int, what: str) -> List:
+    """``records`` when they are all ``count`` recorded: a reader that
+    needs every record raises rather than read a wrapped ring."""
+    if len(records) != count:
+        raise RuntimeError(
+            f"{count} {what} recorded but only the {len(records)} most recent "
+            f"kept (rings of {RECENT_RECORDS})"
+        )
+    return records
 
 
 @dataclass
@@ -293,7 +306,10 @@ def _collect_concurrent_result(
         clients=expected,
         results=results,
         makespan=makespan,
-        translation_times=[record.translation_time for record in bridge.sessions],
+        translation_times=[
+            record.translation_time
+            for record in every_record(bridge.sessions, bridge.completed_count, "sessions")
+        ],
         unrouted_datagrams=bridge.unrouted_datagrams,
         ignored_datagrams=bridge.ignored_datagrams,
     )
@@ -880,7 +896,7 @@ class ElasticScenario:
             decisions=self.controller.decisions,
             peak_workers=peak,
             final_workers=runtime.worker_count,
-            abandoned_sessions=len(runtime.evicted_sessions),
+            abandoned_sessions=runtime.evicted_count,
             unrouted=runtime.unrouted_datagrams,
             clients=total,
             completed=completed_total,

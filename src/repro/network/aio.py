@@ -27,7 +27,9 @@ every socket, timer and handler on **one event loop**:
   peer's kernel-ephemeral port.  A send to any other TCP endpoint is a
   :class:`_TcpDial`.
 * **Timers** are ``loop.call_later`` handles: heap entries pruned on fire,
-  so a periodic eviction sweep costs a recycled handle per tick.
+  so a periodic eviction sweep costs a recycled handle per tick.  A timer
+  finds its handle by a sequence number, never holds it: the cycle would
+  pin every hand-off's request until a collection.
 
 The public surface is a synchronous, thread-safe facade over a loop on a
 daemon thread: calls from other threads (control plane, test drivers,
@@ -47,6 +49,8 @@ import os
 import socket
 import threading
 import time
+from functools import partial
+from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError, NetworkError
@@ -412,8 +416,9 @@ class AsyncSocketNetwork(NetworkEngine):
         self._tcp_replies: Dict[Tuple[str, int], _TcpConnection] = {}
         #: Open accepted connections and dials — closed on close.
         self._tcp_live: Set[_TcpStream] = set()
-        #: Live timer handles; pruned on fire.
-        self._timers: Set[asyncio.Handle] = set()
+        #: Live timer handles by sequence number; pruned on fire.
+        self._timers: Dict[int, asyncio.Handle] = {}
+        self._timer_keys = count()
         self.tcp_replies_dropped = 0
         #: Connections accepted and exchanges dialled.
         self.tcp_accepts = 0
@@ -504,32 +509,31 @@ class AsyncSocketNetwork(NetworkEngine):
     ) -> None:
         if not self._running:
             return
-        handle_box: List[asyncio.TimerHandle] = []
-
-        def run() -> None:
-            if handle_box:
-                self._timers.discard(handle_box[0])
-            # Not into closed sockets, nor from a since-detached node into
-            # a retry deployment on the same network.
-            if not self._running or self._owner_detached(owner):
-                return
-            try:
-                if owner is not None:
-                    self._dispatch(owner, callback)
-                else:
-                    callback()
-            except Exception as exc:  # noqa: BLE001 - timers have no caller
-                self.errors.append(exc)
-
+        key = next(self._timer_keys)
+        run = partial(self._fire_timer, key, callback, owner)
         # A zero delay runs on the loop's next pass, ahead of the I/O that
         # pass reads, as a plain callback would (a router's hand-off is
         # one): the heap orders it after that I/O instead.
         if delay > 0:
-            handle = self._loop.call_later(delay, run)
+            self._timers[key] = self._loop.call_later(delay, run)
         else:
-            handle = self._loop.call_soon(run)
-        handle_box.append(handle)
-        self._timers.add(handle)
+            self._timers[key] = self._loop.call_soon(run)
+
+    def _fire_timer(
+        self, key: int, callback: Callable[[], None], owner: Optional[NetworkNode]
+    ) -> None:
+        self._timers.pop(key, None)
+        # Not into closed sockets, nor from a since-detached node into a
+        # retry deployment on the same network.
+        if not self._running or self._owner_detached(owner):
+            return
+        try:
+            if owner is not None:
+                self._dispatch(owner, callback)
+            else:
+                callback()
+        except Exception as exc:  # noqa: BLE001 - timers have no caller
+            self.errors.append(exc)
 
     # -- attach / detach ------------------------------------------------
     def attach(self, node: NetworkNode) -> None:
@@ -857,7 +861,7 @@ class AsyncSocketNetwork(NetworkEngine):
 
     # -- teardown --------------------------------------------------------
     async def _shutdown(self) -> None:
-        for handle in list(self._timers):
+        for handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
         for exchange in list(self._tcp_live):

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..core.errors import ParseError
 from ..core.mdl.base import create_composer, create_parser
 from ..core.mdl.spec import MDLSpec
 from ..core.message import AbstractMessage
 from ..network.addressing import Endpoint
-from ..network.engine import NetworkEngine, NetworkNode
+from ..network.engine import NetworkEngine, NetworkNode, recent
 from ..network.latency import LatencyModel
 from ..network.simulated import SimulatedNetwork
 
@@ -95,8 +95,10 @@ class LegacyService(NetworkNode):
         self.parser = create_parser(mdl)
         self.composer = create_composer(mdl)
         self.latency = latency
-        #: Requests handled (message instances), for assertions in tests.
-        self.handled: List[AbstractMessage] = []
+        #: Requests handled: the count, and a ring of the most recent
+        #: message instances, for assertions in tests.
+        self.handled_count = 0
+        self.handled: Deque[AbstractMessage] = recent()
         #: Requests that could not be parsed or matched.
         self.ignored: int = 0
 
@@ -123,6 +125,7 @@ class LegacyService(NetworkNode):
         if reply is None:
             self.ignored += 1
             return
+        self.handled_count += 1
         self.handled.append(request)
         payload = self.composer.compose(reply)
         delay = sample_latency(engine, self.latency, self)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from ...core.errors import NetworkError, ParseError
 from ...core.mdl.base import create_composer, create_parser
 from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
-from ...network.engine import NetworkEngine, NetworkNode
+from ...network.engine import NetworkEngine, NetworkNode, recent
 from ...network.latency import LatencyModel, default_latencies
 from ...network.simulated import SimulatedNetwork
 from ..common import LegacyClient, LookupResult, sample_latency
@@ -86,8 +86,10 @@ class UPnPDevice(NetworkNode):
         self._http_composer = create_composer(http_mdl())
         self.ssdp_latency = ssdp_latency if ssdp_latency is not None else _LATENCIES.ssdp_service
         self.http_latency = http_latency if http_latency is not None else _LATENCIES.http_service
-        #: Requests handled, for assertions: list of (protocol, message name).
-        self.handled: List[Tuple[str, str]] = []
+        #: Requests handled: the count, and a ring of the most recent
+        #: (protocol, message name), for assertions.
+        self.handled_count = 0
+        self.handled: Deque[Tuple[str, str]] = recent()
 
     # -- NetworkNode ----------------------------------------------------
     def unicast_endpoints(self) -> List[Endpoint]:
@@ -119,6 +121,7 @@ class UPnPDevice(NetworkNode):
         search_target = str(request.get("ST", ""))
         if search_target not in ("", "ssdp:all", self.service_type) and not self._matches(search_target):
             return
+        self.handled_count += 1
         self.handled.append(("SSDP", request.name))
         reply = AbstractMessage(SSDP_RESP, protocol="SSDP")
         reply.set("Method", "HTTP/1.1")
@@ -148,6 +151,7 @@ class UPnPDevice(NetworkNode):
             return
         if request.name != HTTP_GET:
             return
+        self.handled_count += 1
         self.handled.append(("HTTP", request.name))
         body = description_body(self.service_url)
         reply = AbstractMessage(HTTP_OK, protocol="HTTP")

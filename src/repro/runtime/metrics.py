@@ -43,7 +43,7 @@ __all__ = ["StageLatency", "WorkerMetrics", "RouterMetrics", "ShardMetrics", "de
 COUNTER, GAUGE = "counter", "gauge"
 #: Metric sources: an attribute of the same name on the worker engine, the
 #: shard router or the socket network — or computed by the code building
-#: the row (record-list lengths, loop and recorder state, clocks).
+#: the row (record counts, loop and recorder state, clocks).
 ENGINE, ROUTER, NETWORK, COMPUTED = "engine", "router", "network", "computed"
 
 

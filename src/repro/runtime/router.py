@@ -64,7 +64,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 from ..core.engine.automata_engine import AutomataEngine
 from ..core.errors import ConfigurationError
 from ..network.addressing import Endpoint
-from ..network.engine import NetworkEngine, NetworkNode
+from ..network.engine import NetworkEngine, NetworkNode, recent
 from ..obs.tracing import (
     STAGE_CLASSIFY,
     STAGE_FANOUT,
@@ -128,9 +128,11 @@ class ShardRouter(NetworkNode):
         self.discriminator_hits = 0
         self.discriminator_misses = 0
         self.garbage_rejects = 0
-        #: Edge parse failures (timestamp, automaton, error), same shape
-        #: as the engines' list; the runtime aggregates both.
-        self.parse_failures: List = []
+        #: Edge parse failures: the count and a ring of the most recent
+        #: (timestamp, automaton, error), as on the engines; the runtime
+        #: aggregates both.
+        self.parse_failure_count = 0
+        self.parse_failures = recent()
         #: Optional :mod:`repro.obs` tracer: the router stamps every
         #: inbound datagram's trace id and records the edge spans
         #: (ingress/classify/place/fan-out) into its own recorder.
@@ -377,47 +379,60 @@ class ShardRouter(NetworkNode):
         trace: int = 0,
     ) -> None:
         shards = list(self._shards)
-        recorder = self._recorder
-
-        def deliver(host: Optional[ShardWorker] = None) -> None:
-            # Strict first: only a shard with hard evidence (reply token or
-            # matching client host) may claim the datagram; the lenient
-            # FIFO pass runs only when every shard declined.  The passes
-            # span every shard, so they run here, not as worker records:
-            # each shard is offered the datagram only while it is idle (a
-            # record of its own would run at once) or when this delivery
-            # is its record (``host``).  A worker that left the deployment
-            # since the pass was captured (a teardown race) declines.
-            started = perf_counter() if recorder is not None else 0.0
-            try:
-                held = None
-                for shard in shards:
-                    if shard.closed:
-                        continue
-                    if shard is not host and not shard.idle:
-                        held = held or shard
-                    elif self._dispatch_to(
-                        shard, automaton_name, message, source, strict=True, trace=trace
-                    ):
-                        self._record_outcome(True)
-                        return
-                if held is not None:
-                    # The paused shard may own the session this datagram
-                    # answers: ask again as its record, after the pause.
-                    held.post(partial(deliver, held), trace)
-                    return
-                for shard in shards:
-                    if not shard.closed and self._dispatch_to(
-                        shard, automaton_name, message, source, trace=trace
-                    ):
-                        self._record_outcome(True)
-                        return
-                self._record_outcome(False)
-            finally:
-                if recorder is not None:
-                    recorder.record(trace, STAGE_FANOUT, started)
-
+        deliver = partial(self._fan_out_pass, shards, automaton_name, message, source, trace)
         engine.call_later(self.hop_delay, deliver)
+
+    def _fan_out_pass(
+        self,
+        shards: List[ShardWorker],
+        automaton_name: str,
+        message,
+        source: Endpoint,
+        trace: int,
+        host: Optional[ShardWorker] = None,
+    ) -> None:
+        """Offer a fanned-out datagram to ``shards`` (a method, not a
+        closure naming itself: a pass is freed by reference counting).
+
+        Strict first: only a shard with hard evidence (reply token or
+        matching client host) may claim the datagram; the lenient FIFO
+        pass runs only when every shard declined.  The passes span every
+        shard, so they run here, not as worker records: each shard is
+        offered the datagram only while it is idle (a record of its own
+        would run at once) or when this pass is its record (``host``).  A
+        worker that left the deployment since the pass was captured (a
+        teardown race) declines.
+        """
+        recorder = self._recorder
+        started = perf_counter() if recorder is not None else 0.0
+        try:
+            held = None
+            for shard in shards:
+                if shard.closed:
+                    continue
+                if shard is not host and not shard.idle:
+                    held = held or shard
+                elif self._dispatch_to(
+                    shard, automaton_name, message, source, strict=True, trace=trace
+                ):
+                    self._record_outcome(True)
+                    return
+            if held is not None:
+                # The paused shard may own the session this datagram
+                # answers: ask again as its record, after the pause.
+                again = (shards, automaton_name, message, source, trace, held)
+                held.post(partial(self._fan_out_pass, *again), trace)
+                return
+            for shard in shards:
+                if not shard.closed and self._dispatch_to(
+                    shard, automaton_name, message, source, trace=trace
+                ):
+                    self._record_outcome(True)
+                    return
+            self._record_outcome(False)
+        finally:
+            if recorder is not None:
+                recorder.record(trace, STAGE_FANOUT, started)
 
     # ------------------------------------------------------------------
     # sticky-table pruning

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from ..core.automata.merge import MergedAutomaton
 from ..core.engine.actions import ActionRegistry
@@ -58,7 +58,7 @@ from ..core.engine.bridge import StarlinkBridge
 from ..core.engine.session import SessionCorrelator, SessionRecord
 from ..core.errors import ConfigurationError
 from ..core.mdl.spec import MDLSpec
-from ..network.engine import NetworkEngine
+from ..network.engine import NetworkEngine, recent
 from ..obs.tracing import (
     DEFAULT_RING_SIZE,
     DEFAULT_SAMPLE_RATE,
@@ -84,6 +84,15 @@ DEFAULT_DRAIN_POLL_INTERVAL = 0.05
 DEFAULT_DRAIN_TIMEOUT = 60.0
 
 _T = TypeVar("_T")
+
+#: Each record ring of a worker engine, and the counter that counts its
+#: records exactly: retiring a worker folds the counter into
+#: :meth:`ShardedRuntime.total` and the ring into the runtime's own.
+_RECORDS = {
+    "sessions": "completed_count",
+    "evicted_sessions": "evicted_count",
+    "parse_failures": "parse_failure_count",
+}
 
 #: Victim-selection strategies for :meth:`ShardedRuntime.select_victims`.
 VICTIM_STRATEGIES = ("suffix", "least-loaded", "most-loaded")
@@ -211,10 +220,9 @@ class ShardedRuntime:
         self.journal: Optional[Any] = None
         #: Measurements inherited from workers retired by a drain and
         #: routers discarded at undeploy, keyed as in :meth:`total`: they
-        #: keep contributing to the aggregate views below.
-        self._retired_sessions: List[SessionRecord] = []
-        self._retired_evicted: List[SessionRecord] = []
-        self._retired_parse_failures: List = []
+        #: keep contributing to the aggregate views below.  Their records
+        #: go to one ring per record kind (the counts are exact).
+        self._retired_records: Dict[str, Deque] = {ring: recent() for ring in _RECORDS}
         self._retired: Counter = Counter()
         #: Exceptions raised by records of retired workers and undeployed
         #: generations, so post-run inspection survives the teardown.
@@ -372,8 +380,9 @@ class ShardedRuntime:
         (now charged to the router, not worker 0) must survive so the
         post-teardown views stay complete.
         """
-        self._retired_parse_failures.extend(router.parse_failures)
+        self._retired_records["parse_failures"].extend(router.parse_failures)
         counters = sourced(ROUTER, router)
+        counters["parse_failure_count"] = router.parse_failure_count
         self._retired.update({f"router_{name}": value for name, value in counters.items()})
 
     # ------------------------------------------------------------------
@@ -620,14 +629,14 @@ class ShardedRuntime:
     def _retire_worker(self, worker: AutomataEngine) -> None:
         """Fold a drained worker's measurements into the runtime aggregate.
 
-        Completed :class:`SessionRecord` lists and drop counters must
-        survive the worker's detachment — a loss-free resize would
-        otherwise *look* lossy in the statistics.
+        Session counts, recent records and drop counters must survive
+        the worker's detachment — a loss-free resize would otherwise
+        *look* lossy in the statistics.
         """
         worker.session_close_listener = None
-        self._retired_sessions.extend(worker.sessions)
-        self._retired_evicted.extend(worker.evicted_sessions)
-        self._retired_parse_failures.extend(worker.parse_failures)
+        for ring, count in _RECORDS.items():
+            self._retired_records[ring].extend(getattr(worker, ring))
+            self._retired[count] += getattr(worker, count)
         self._retired.update(sourced(ENGINE, worker))
 
     def _drain_step(self) -> None:
@@ -687,32 +696,43 @@ class ShardedRuntime:
     def worker_count(self) -> int:
         return len(self._workers)
 
-    @property
-    def sessions(self) -> List[SessionRecord]:
-        """Completed sessions across all workers (drain-retired workers
-        included), in completion order."""
-        records = [record for worker in self._workers for record in worker.sessions]
-        records.extend(self._retired_sessions)
-        records.sort(key=lambda record: record.finished_at)
+    def _recent(self, ring: str) -> List:
+        """Every worker's ring ``ring``, then the retirees'."""
+        records = [record for worker in self._workers for record in getattr(worker, ring)]
+        records.extend(self._retired_records[ring])
         return records
 
     @property
+    def sessions(self) -> List[SessionRecord]:
+        """The most recent completed sessions of every worker (drain-retired
+        workers included), in completion order: each ring's records, not
+        a count (that is :attr:`completed_count`)."""
+        return sorted(self._recent("sessions"), key=lambda record: record.finished_at)
+
+    @property
     def evicted_sessions(self) -> List[SessionRecord]:
-        records = [
-            record for worker in self._workers for record in worker.evicted_sessions
-        ]
-        records.extend(self._retired_evicted)
-        records.sort(key=lambda record: record.finished_at)
-        return records
+        """The most recent evicted sessions, likewise (:attr:`evicted_count`)."""
+        return sorted(self._recent("evicted_sessions"), key=lambda record: record.finished_at)
+
+    @property
+    def completed_count(self) -> int:
+        """Sessions completed (drain-retired workers included), exact."""
+        return self.total("completed_count")
+
+    @property
+    def evicted_count(self) -> int:
+        """Sessions evicted (drain-retired workers included), exact."""
+        return self.total("evicted_count")
 
     @property
     def active_session_count(self) -> int:
         return sum(len(worker.active_sessions) for worker in self._workers)
 
     def total(self, key: str) -> int:
-        """Lifetime total of an ``ENGINE``-sourced worker counter, or of
-        ``router_`` + a ``ROUTER``-sourced router counter — conserved
-        through drains, replacements and undeploy (retirees included)."""
+        """Lifetime total of an ``ENGINE``-sourced worker counter or a
+        record count, or of ``router_`` + a ``ROUTER``-sourced router
+        counter or ``parse_failure_count`` — conserved through drains,
+        replacements and undeploy (retirees included)."""
         if key.startswith("router_"):
             router = self._router
             live = getattr(router, key[len("router_"):]) if router is not None else 0
@@ -731,19 +751,18 @@ class ShardedRuntime:
 
     @property
     def parse_failures(self) -> List:
-        """Parse failures across the router edge and every worker."""
-        router_failures = (
-            list(self._router.parse_failures) if self._router is not None else []
-        )
-        return (
-            self._retired_parse_failures
-            + router_failures
-            + [
-                failure
-                for worker in self._workers
-                for failure in worker.parse_failures
-            ]
-        )
+        """The most recent parse failures of the router edge and of every
+        worker (:attr:`parse_failure_count` counts them all)."""
+        records = list(self._retired_records["parse_failures"])
+        if self._router is not None:
+            records.extend(self._router.parse_failures)
+        records.extend(failure for worker in self._workers for failure in worker.parse_failures)
+        return records
+
+    @property
+    def parse_failure_count(self) -> int:
+        """Parse failures at the router edge and on every worker, exact."""
+        return self.total("router_parse_failure_count") + self.total("parse_failure_count")
 
     @property
     def discriminator_hits(self) -> int:
@@ -784,7 +803,7 @@ class ShardedRuntime:
 
     def worker_session_counts(self) -> List[int]:
         """Completed sessions per worker (the shard-balance view)."""
-        return [len(worker.sessions) for worker in self._workers]
+        return [worker.completed_count for worker in self._workers]
 
     # ------------------------------------------------------------------
     # metrics plane
@@ -853,8 +872,8 @@ class ShardedRuntime:
             index=index,
             name=worker.name,
             active_sessions=len(worker.active_sessions),
-            completed_sessions=len(worker.sessions),
-            evicted_sessions=len(worker.evicted_sessions),
+            completed_sessions=worker.completed_count,
+            evicted_sessions=worker.evicted_count,
             busy_backlog=shard.busy_backlog(now),
             draining=draining,
             queue_depth=shard.queue_depth,

@@ -287,7 +287,7 @@ class TestEviction:
         network.run()
 
         assert engine.active_sessions == []
-        assert engine.sessions == []
+        assert list(engine.sessions) == []
         assert len(engine.evicted_sessions) == 1
         evicted = engine.evicted_sessions[0]
         assert evicted.evicted
@@ -308,5 +308,5 @@ class TestEviction:
         xid = client.start_lookup(network)
         network.run()
         assert client.lookup_result(xid).found
-        assert engine.evicted_sessions == []
+        assert list(engine.evicted_sessions) == []
         assert len(engine.sessions) == 1

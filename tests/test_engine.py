@@ -140,7 +140,7 @@ class TestAutomataEngine:
             destination=engine.local_endpoint("mDNS"),
         )
         network.run()
-        assert engine.sessions == []
+        assert list(engine.sessions) == []
         assert engine.current_state == ("SLP", "s10")
 
     def test_unknown_binding_raises(self, deployed_engine):

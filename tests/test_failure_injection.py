@@ -105,7 +105,7 @@ class TestMalformedTraffic:
             destination=engine.local_endpoint("mDNS"),
         )
         network.run()
-        assert engine.sessions == []
+        assert list(engine.sessions) == []
         assert client.lookup(network, "service:test").found
 
 

@@ -58,6 +58,7 @@ from repro.protocols.http.mdl import HTTP_OK, http_mdl
 from repro.protocols.mdns.mdl import DNS_RESPONSE, mdns_mdl
 from repro.protocols.slp.mdl import SLP_SRVREQ, slp_mdl
 from repro.protocols.ssdp.mdl import SSDP_MSEARCH, ssdp_mdl
+from ring_utils import counted
 
 _TEXTCHARS = string.ascii_letters + string.digits + ".-_:/ *"
 _SLP_MULTICAST = Endpoint("239.255.255.253", 427, Transport.UDP)
@@ -361,4 +362,6 @@ def test_compiled_and_interpreted_engines_record_same_failure_count(fast_latenci
     for data in (b"", b"\xff\xff garbage", bytes(range(40))):
         compiled.classify(data, _SLP_MULTICAST)
         interpreted.classify(data, _SLP_MULTICAST)
-    assert len(compiled.parse_failures) == len(interpreted.parse_failures)
+    assert counted(compiled.parse_failure_count, compiled.parse_failures) == counted(
+        interpreted.parse_failure_count, interpreted.parse_failures
+    )

@@ -35,6 +35,7 @@ from repro.runtime.metrics import (
     WorkerMetrics,
     declared,
 )
+from ring_utils import counted
 
 #: The colour group the case-2 router joins.
 SLP_GROUP = Endpoint("239.255.255.253", 427, Transport.UDP)
@@ -150,9 +151,10 @@ def test_gauge_is_a_row_key_a_window_sample_and_a_gauge_family(observed, cls, me
 
 #: Lifetime figures of the counters the runtime does not retire itself.
 _COMPUTED_LIFETIME = {
-    # Record-list lengths: the runtime keeps retired workers' records.
-    "completed_sessions": lambda runtime: len(runtime.sessions),
-    "evicted_sessions": lambda runtime: len(runtime.evicted_sessions),
+    # Record counts: the runtime folds retired workers' counts in, and
+    # keeps their most recent records in its own rings.
+    "completed_sessions": lambda runtime: counted(runtime.completed_count, runtime.sessions),
+    "evicted_sessions": lambda runtime: counted(runtime.evicted_count, runtime.evicted_sessions),
     # The tracer keeps every worker's recorder, retired ones included.
     "spans_dropped": lambda runtime: sum(
         recorder.dropped

@@ -53,6 +53,7 @@ from repro.obs.tracing import (
 )
 from repro.protocols.mdns import BonjourResponder
 from repro.runtime.aio_live import AsyncLiveShardedRuntime
+from ring_utils import counted
 
 live_only = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
@@ -461,7 +462,7 @@ class TestConservedCounters:
         misses = snapshot.router.discriminator_misses + sum(
             worker.discriminator_misses for worker in snapshot.workers
         )
-        failures = len(runtime.parse_failures)
+        failures = counted(runtime.parse_failure_count, runtime.parse_failures)
         assert rejects + misses == len(GARBAGE) * 4
         assert failures == len(GARBAGE) * 4
         # The aggregate properties agree with the row-level sum (worker
@@ -495,7 +496,7 @@ class TestConservedCounters:
                 + runtime.router_garbage_rejects
                 + runtime.router_discriminator_misses,
                 runtime.discriminator_hits + runtime.router_discriminator_hits,
-                len(runtime.parse_failures),
+                counted(runtime.parse_failure_count, runtime.parse_failures),
             )
 
         assert runtime.worker_ids == [0, 1, 2, 3]
@@ -530,7 +531,7 @@ class TestConservedCounters:
             before = (
                 runtime.garbage_rejects + runtime.router_garbage_rejects,
                 runtime.discriminator_misses + runtime.router_discriminator_misses,
-                len(runtime.parse_failures),
+                counted(runtime.parse_failure_count, runtime.parse_failures),
             )
             runtime.remove_worker(1)
             assert runtime.worker_ids == [0, 2]
@@ -539,7 +540,7 @@ class TestConservedCounters:
             after = (
                 runtime.garbage_rejects + runtime.router_garbage_rejects,
                 runtime.discriminator_misses + runtime.router_discriminator_misses,
-                len(runtime.parse_failures),
+                counted(runtime.parse_failure_count, runtime.parse_failures),
             )
             assert after == before
             runtime.undeploy()

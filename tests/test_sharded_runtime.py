@@ -12,6 +12,8 @@ single-engine results.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.bridges.specs import (
@@ -36,7 +38,7 @@ from repro.protocols.upnp import UPnPControlPoint, UPnPDevice
 from repro.runtime import HashRing, ShardedRuntime, stable_hash
 
 
-from case2_utils import SERVICE_URL, attach_clients as _attach_clients, deploy_case2
+from case2_utils import SERVICE_URL, attach_clients as _attach_clients, deploy_case2, mdns_answer
 
 
 def _deploy_case2(network, workers, **kwargs):
@@ -204,6 +206,29 @@ class TestShardRouting:
         assert len(runtime.sessions) == 1
         assert runtime.unrouted_datagrams == 0
 
+    def test_multicast_fan_out_leaves_no_cyclic_garbage(self, network):
+        """A fan-out pass is freed by reference counting when it ends: a
+        delivery closure naming itself would leave a cycle per answer."""
+        runtime = _deploy_case2(network, workers=1)
+        clients = _attach_clients(network, 20)
+        xids = [client.start_lookup(network) for client in clients]
+        network.run_for(0.01)
+        assert runtime.active_session_count == len(clients)
+        gc.collect()
+        gc.disable()
+        try:
+            for xid in xids:
+                mdns_answer(network, xid)
+            network.run()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert all(
+            client.lookup_result(xid).found for client, xid in zip(clients, xids)
+        )
+        assert runtime.completed_count == len(clients)
+        assert unreachable == 0
+
     def test_router_joins_every_colour_group(self, network):
         runtime = _deploy_case2(network, workers=2)
         router = runtime.router
@@ -319,7 +344,7 @@ class TestEvictionSweep:
         xid = client.start_lookup(network)
         network.run()
         assert client.lookup_result(xid).found
-        assert engine.evicted_sessions == []
+        assert list(engine.evicted_sessions) == []
         # run() drained the queue: the sweeper rescheduled nothing.
         assert network.pending_events() == 0
 

@@ -17,6 +17,7 @@ import struct
 import threading
 import time
 import warnings
+import weakref
 from typing import List
 
 import pytest
@@ -339,6 +340,29 @@ def test_no_timer_callback_after_close(make_network):
         network.call_later(0.15, lambda: fired.append(True))
     time.sleep(0.4)
     assert fired == []
+
+
+def test_close_cancels_pending_timers_and_frees_their_callbacks(make_network):
+    """``close()`` cancels every pending timer, and reference counting
+    alone frees a cancelled timer's callback: no cycle keeps it alive."""
+
+    class Callback:
+        def __call__(self) -> None:
+            raise AssertionError("a cancelled timer ran")
+
+    network = make_network()
+    callback = Callback()
+    freed = weakref.ref(callback)
+    network.call_later(60.0, callback)
+    del callback
+    assert _wait(lambda: len(network._timers) == 1)
+    gc.disable()
+    try:
+        network.close()
+        assert not network._timers
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 class TickingNode(Sink):

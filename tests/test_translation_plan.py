@@ -45,6 +45,7 @@ from repro.protocols.http.mdl import http_mdl
 from repro.protocols.mdns.mdl import mdns_mdl
 from repro.protocols.slp.mdl import slp_mdl
 from repro.protocols.ssdp.mdl import ssdp_mdl
+from ring_utils import counted
 
 CASES = sorted(BRIDGE_BUILDERS)
 _CONTEXT = {
@@ -662,8 +663,14 @@ def _simulated_run(scenario, engines):
         ),
         "unrouted": deployment.unrouted_datagrams,
         "ignored": deployment.ignored_datagrams,
-        "parse_failures": sum(len(engine.parse_failures) for engine in engines(deployment)),
-        "evicted": sum(len(engine.evicted_sessions) for engine in engines(deployment)),
+        "parse_failures": sum(
+            counted(engine.parse_failure_count, engine.parse_failures)
+            for engine in engines(deployment)
+        ),
+        "evicted": sum(
+            counted(engine.evicted_count, engine.evicted_sessions)
+            for engine in engines(deployment)
+        ),
     }
 
 
@@ -720,11 +727,11 @@ def test_garbage_and_duplicates_are_counted_identically(interpreted_builders):
         router = runtime.metrics().router
         runs.append(
             {
-                "failures": len(runtime.parse_failures),
+                "failures": counted(runtime.parse_failure_count, runtime.parse_failures),
                 "routed": router.routed_datagrams,
                 "unrouted": router.unrouted_datagrams + runtime.unrouted_datagrams,
                 "ignored": runtime.ignored_datagrams,
-                "sessions": len(runtime.sessions),
+                "sessions": counted(runtime.completed_count, runtime.sessions),
                 "active": runtime.active_session_count,
             }
         )
