@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -69,18 +68,17 @@ def main() -> None:
         for client in clients:
             network.attach(client)
 
-        # Fire both discoveries, then poll the wall clock for completion
+        # Fire both discoveries, then wait on the wall clock for completion
         # (start_control is non-blocking; the SSDP response triggers each
         # control point's HTTP GET automatically).
         tokens = [
             (client, client.start_control(network, "urn:schemas-upnp-org:service:test:1"))
             for client in clients
         ]
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if all(client.control_result(token) for client, token in tokens):
-                break
-            time.sleep(0.005)
+        network.run_until(
+            lambda: all(client.control_result(token) for client, token in tokens),
+            timeout=5.0,
+        )
 
         for client, token in tokens:
             result = client.control_result(token)

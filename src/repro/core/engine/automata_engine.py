@@ -914,21 +914,19 @@ class AutomataEngine(NetworkNode):
     ) -> Optional[Endpoint]:
         """A per-session source endpoint for a token-less upstream send.
 
-        Allocated once per (session, automaton) and registered with the
-        network engine when it supports late binding; ``None`` when the
-        feature is off or the engine cannot bind new endpoints (the shared
-        binding endpoint and FIFO matching remain the fallback).
+        Allocated once per (session, automaton) and bound late on the
+        network engine; ``None`` when the feature is off or the leg is TCP
+        on live sockets (the shared binding endpoint and FIFO matching
+        remain the fallback).
         """
-        if not self.ephemeral_ports or self._engine is None:
-            return None
-        bind = getattr(self._engine, "bind_endpoint", None)
-        if bind is None:
+        engine = self._engine
+        if not self.ephemeral_ports or engine is None:
             return None
         existing = session.ephemeral_sources.get(automaton_name)
         if existing is not None:
             return existing
         transport = binding.local_endpoint.transport
-        if getattr(self._engine, "kernel_ephemeral_ports", False):
+        if engine.kernel_ephemeral_ports:
             # Live sockets: the kernel assigns the port (bind to 0) and
             # manages reuse, so the engine's deterministic range and
             # TIME_WAIT quarantine below do not apply.  TCP legs skip the
@@ -936,11 +934,9 @@ class AutomataEngine(NetworkNode):
             # connection, which is exact attribution already.
             if transport != Transport.UDP:
                 return None
-            endpoint = bind(self, Endpoint(self.host, 0, transport))
-            if endpoint is None:
-                return None
+            endpoint = engine.bind_endpoint(self, Endpoint(self.host, 0, transport))
         else:
-            now = self._engine.now()
+            now = engine.now()
             if (
                 self._ephemeral_free_ports
                 and now - self._ephemeral_free_ports[0][0]
@@ -951,7 +947,7 @@ class AutomataEngine(NetworkNode):
                 port = self._ephemeral_next_port
                 self._ephemeral_next_port += 1
             endpoint = Endpoint(self.host, port, transport)
-            bind(self, endpoint)
+            engine.bind_endpoint(self, endpoint)
         session.ephemeral_sources[automaton_name] = endpoint
         self._ephemeral_routes[
             (endpoint.host, endpoint.port, endpoint.transport)
@@ -962,9 +958,9 @@ class AutomataEngine(NetworkNode):
     def _release_ephemeral(self, session: SessionContext) -> None:
         if not session.ephemeral_sources:
             return
-        unbind = getattr(self._engine, "unbind_endpoint", None)
-        kernel = getattr(self._engine, "kernel_ephemeral_ports", False)
-        now = self._engine.now() if self._engine is not None else 0.0
+        engine = self._engine
+        kernel = engine is not None and engine.kernel_ephemeral_ports
+        now = engine.now() if engine is not None else 0.0
         for endpoint in session.ephemeral_sources.values():
             self._ephemeral_routes.pop(
                 (endpoint.host, endpoint.port, endpoint.transport), None
@@ -974,8 +970,8 @@ class AutomataEngine(NetworkNode):
                 # Kernel-assigned ports are not drawn from the engine's
                 # range; closing the socket returns them to the OS.
                 self._ephemeral_free_ports.append((now, endpoint.port))
-            if unbind is not None:
-                unbind(self, endpoint)
+            if engine is not None:
+                engine.unbind_endpoint(self, endpoint)
         session.ephemeral_sources.clear()
 
     # ------------------------------------------------------------------

@@ -127,9 +127,9 @@ class StarlinkBridge:
         if self.tracer is not None:
             # Span timeline positions follow the deployment's clock, as on
             # the sharded runtimes (socket substrates run on wall time).
-            live = bool(getattr(network, "kernel_ephemeral_ports", False))
             self.tracer.use_clock(
-                network.now, "perf_counter" if live else "virtual"
+                network.now,
+                "perf_counter" if network.kernel_ephemeral_ports else "virtual",
             )
         engine = AutomataEngine(
             self.merged,

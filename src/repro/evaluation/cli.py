@@ -76,7 +76,7 @@ from .chaos import (
     DEFAULT_CHAOS_SEEDS,
     DEFAULT_HEAL_SEEDS,
     run_chaos,
-    run_chaos_simulated,
+    run_chaos_once,
     run_heal,
 )
 from .harness import (
@@ -264,7 +264,7 @@ def write_trace_sample(case: int, seed: int) -> str:
     delivered datagram's span tree, plus the membership (scale) events of
     the same run, on one virtual timeline.
     """
-    result = run_chaos_simulated(case=case, seed=seed, trace_sample=1.0)
+    result = run_chaos_once(case=case, seed=seed, trace_sample=1.0)
     results_dir = _results_dir()
     payload = {
         "benchmark": "trace_sample",

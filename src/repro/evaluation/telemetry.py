@@ -254,7 +254,6 @@ def _timed_live(
     scenario = live_sharded_scenario(case, clients=clients, workers=workers)
     network, runtime = scenario.network, scenario.runtime
     collector: Optional[MetricsCollector] = None
-    done = False
     gc.collect()
     gc.disable()
     try:
@@ -266,16 +265,13 @@ def _timed_live(
             (client, client.start_lookup(network, scenario.target))
             for client in scenario.clients
         ]
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if runtime.worker_errors:
-                raise runtime.worker_errors[0]
-            if all(
-                client.lookup_result(key) is not None for client, key in started
-            ):
-                done = True
-                break
-            time.sleep(0.002)
+        done = network.run_until(
+            lambda: bool(runtime.worker_errors)
+            or all(client.lookup_result(key) is not None for client, key in started),
+            timeout=timeout,
+        )
+        if runtime.worker_errors:
+            raise runtime.worker_errors[0]
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
@@ -416,15 +412,13 @@ def run_metrics_scrape(
             (client, client.start_lookup(network, scenario.target))
             for client in scenario.clients
         ]
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if runtime.worker_errors:
-                raise runtime.worker_errors[0]
-            if all(
-                client.lookup_result(key) is not None for client, key in started
-            ):
-                break
-            time.sleep(0.002)
+        network.run_until(
+            lambda: bool(runtime.worker_errors)
+            or all(client.lookup_result(key) is not None for client, key in started),
+            timeout=timeout,
+        )
+        if runtime.worker_errors:
+            raise runtime.worker_errors[0]
         bodies.append(scrape_metrics(port))
         bodies.append(scrape_metrics(port))
     finally:

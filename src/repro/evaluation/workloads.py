@@ -15,7 +15,6 @@ test service, one per discovery vocabulary:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -575,19 +574,13 @@ class LiveScenario:
             for client in self.clients:
                 started.append((client, client.start_lookup(network, self.target)))
 
-            def all_answered() -> bool:
-                return all(
-                    client.lookup_result(key) is not None for client, key in started
-                )
-
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline and not all_answered():
-                # A worker-loop exception means the missing replies will
-                # never come; fail immediately instead of draining the
-                # timeout.
-                if self.runtime.worker_errors:
-                    break
-                time.sleep(0.002)
+            # A worker-loop exception means the missing replies will never
+            # come; stop waiting at once instead of draining the timeout.
+            network.run_until(
+                lambda: bool(self.runtime.worker_errors)
+                or all(client.lookup_result(key) is not None for client, key in started),
+                timeout=timeout,
+            )
             if self.runtime.worker_errors:
                 raise self.runtime.worker_errors[0]
             return _collect_concurrent_result(

@@ -36,8 +36,10 @@ daemon thread: calls from other threads (control plane, test drivers,
 fault-window flushes) are marshalled onto it, calls on it (a handler
 sending, a per-session bind) run inline.  Binds are synchronous on raw
 sockets from any thread; the reader is registered in the same call on the
-loop thread, else by one marshalled callback.  ``uvloop`` is used when
-importable (``use_uvloop=False`` opts out, ``True`` requires it).
+loop thread, else by one marshalled callback.  Off-loop drivers wait with
+``run_until`` / ``run_for``, as they advance the simulation's clock.
+``uvloop`` is used when importable (``use_uvloop=False`` opts out,
+``True`` requires it).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.errors import ConfigurationError, NetworkError
 from .addressing import Endpoint, Transport
 from .engine import NetworkEngine, NetworkNode
-from .faults import FaultInjectorMixin
+from .faults import FaultPlan
 
 __all__ = ["AsyncSocketNetwork", "AsyncFaultyNetwork", "uvloop_available"]
 
@@ -72,6 +74,10 @@ _MARSHAL_TIMEOUT = 10.0
 
 #: Datagrams (or connections) one wake-up drains from one socket.
 _DRAIN_BOUND = 32
+
+#: Seconds between two looks at an off-loop :meth:`AsyncSocketNetwork.run_until`
+#: predicate.
+_POLL_INTERVAL = 0.002
 
 
 def uvloop_available() -> bool:
@@ -492,6 +498,28 @@ class AsyncSocketNetwork(NetworkEngine):
     def now(self) -> float:
         return time.monotonic()
 
+    def _refuse_loop_wait(self, name: str) -> None:
+        if self.on_loop_thread():
+            raise NetworkError(f"{name} on the event loop thread would deadlock: "
+                               "nothing it waits for can run while it blocks")
+
+    def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Block the calling thread until ``predicate()`` holds, ``timeout``
+        wall seconds pass or the loop thread is gone; returns
+        ``predicate()``.  Off-loop only: the loop does the work."""
+        self._refuse_loop_wait("run_until")
+        deadline = time.monotonic() + timeout
+        while (not predicate() and time.monotonic() < deadline
+               and self._thread.is_alive()):
+            time.sleep(_POLL_INTERVAL)
+        return predicate()
+
+    def run_for(self, duration: float) -> None:
+        """Block the calling thread for ``duration`` wall seconds while the
+        loop runs on.  Off-loop only."""
+        self._refuse_loop_wait("run_for")
+        time.sleep(duration)
+
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         owner = self._current_owner()
         if self.on_loop_thread():
@@ -899,9 +927,23 @@ class AsyncSocketNetwork(NetworkEngine):
         self.close()
 
 
-class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
-    """An :class:`AsyncSocketNetwork` with seeded UDP fault injection
-    (:class:`~repro.network.faults.FaultInjectorMixin`)."""
+class AsyncFaultyNetwork(AsyncSocketNetwork):
+    """An :class:`AsyncSocketNetwork` with seeded UDP fault injection.
+
+    While a **loss window** is open, every outgoing datagram draws a
+    verdict from the window's :class:`~repro.network.faults.FaultPlan` —
+    dropped, duplicated, reordered (held back one slot and sent after the
+    *next* datagram) or passed through.  Outside a window the engine is
+    byte-for-byte the plain engine: no verdict is drawn, nothing is
+    counted, and closing a window flushes any held datagram, so faults can
+    never leak past the window bounds (the bounds tests pin this).
+
+    TCP and the receive path are untouched — the injector models a lossy
+    UDP segment, which is the fault the paper's discovery protocols
+    actually face.  Thread-safe: verdicts and the one-slot holdback are
+    serialised under a dedicated lock (the loop thread sends while a
+    harness thread opens and closes windows).
+    """
 
     def __init__(
         self,
@@ -914,4 +956,85 @@ class AsyncFaultyNetwork(FaultInjectorMixin, AsyncSocketNetwork):
         use_uvloop: Optional[bool] = None,
     ) -> None:
         super().__init__(host=host, tcp_reply_timeout=tcp_reply_timeout, use_uvloop=use_uvloop)
-        self._init_fault_state(seed, loss, duplicate, reorder)
+        self.seed = seed
+        self.loss = loss
+        self.duplicate = duplicate
+        self.reorder = reorder
+        #: Windows opened so far; each gets its own freshly-seeded plan.
+        self.windows_opened = 0
+        #: Fault counters across all windows.
+        self.udp_dropped = 0
+        self.udp_duplicated = 0
+        self.udp_reordered = 0
+        #: ``(window, verdict)`` for every in-window datagram, in order.
+        self.decisions: List[Tuple[int, str]] = []
+        self._plan: Optional[FaultPlan] = None
+        self._held: Optional[Tuple[bytes, Endpoint, Endpoint]] = None
+        self._fault_lock = threading.Lock()
+
+    @property
+    def window_open(self) -> bool:
+        return self._plan is not None
+
+    def open_loss_window(self) -> FaultPlan:
+        """Start injecting faults; returns the window's plan.
+
+        Seeded from ``(seed, window_index)``, so traces are reproducible
+        per window regardless of traffic between windows.  Opening while
+        a window is already open is an error — nested windows would make
+        the per-window seeding ambiguous.
+        """
+        with self._fault_lock:
+            if self._plan is not None:
+                raise ConfigurationError("a loss window is already open")
+            self._plan = FaultPlan(
+                self.seed,
+                self.windows_opened,
+                loss=self.loss,
+                duplicate=self.duplicate,
+                reorder=self.reorder,
+            )
+            self.windows_opened += 1
+            return self._plan
+
+    def close_loss_window(self) -> None:
+        """Stop injecting faults and flush any held (reordered) datagram.
+
+        Closing an already-closed window is a no-op, so harness cleanup
+        paths can close unconditionally.
+        """
+        with self._fault_lock:
+            self._plan = None
+            held, self._held = self._held, None
+        if held is not None:
+            data, source, destination = held
+            super()._send_udp(data, source, destination)
+
+    def _send_udp(self, data: bytes, source: Endpoint, destination: Endpoint) -> None:
+        with self._fault_lock:
+            plan = self._plan
+            if plan is None:
+                # Outside a window: pure pass-through (no draw, no count).
+                # Send under the lock so a concurrent close's flush cannot
+                # overtake a datagram already committed as "pass".
+                super()._send_udp(data, source, destination)
+                return
+            verdict = plan.draw()
+            self.decisions.append((plan.window, verdict))
+            if verdict == "drop":
+                self.udp_dropped += 1
+                return
+            if verdict == "reorder" and self._held is None:
+                # Hold this datagram one slot: the *next* send goes out
+                # first, then the held one follows (a one-slot swap).
+                self._held = (data, source, destination)
+                self.udp_reordered += 1
+                return
+            held, self._held = self._held, None
+            super()._send_udp(data, source, destination)
+            if verdict == "dup":
+                self.udp_duplicated += 1
+                super()._send_udp(data, source, destination)
+            if held is not None:
+                held_data, held_source, held_destination = held
+                super()._send_udp(held_data, held_source, held_destination)

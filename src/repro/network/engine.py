@@ -23,7 +23,7 @@ work (autoscaling, failure detection, telemetry) runs as a
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, Iterable, List, Optional, Protocol, Tuple
 
 from .addressing import Endpoint
 
@@ -79,12 +79,17 @@ class NetworkNode:
 class NetworkEngine:
     """Abstract base class of network engines.
 
-    Engines may optionally provide ``bind_endpoint(node, endpoint)`` /
-    ``unbind_endpoint(node, endpoint)`` to let an attached node acquire and
-    release additional unicast endpoints at runtime (per-session ephemeral
-    source ports).  Callers feature-detect with ``getattr`` and fall back
-    gracefully when the engine cannot bind late (e.g. the socket engine).
+    Besides sending and timers, every engine can bind late — an attached
+    node acquires and releases extra unicast endpoints at runtime
+    (per-session ephemeral source ports) — and can wait:
+    :meth:`run_until` / :meth:`run_for` advance the virtual clock in a
+    simulation and block the calling thread on a socket engine, so a
+    driver waits the same way on either.
     """
+
+    #: Whether late binds request port 0 and leave reuse to the kernel
+    #: (socket engines), rather than naming each port themselves.
+    kernel_ephemeral_ports: bool = False
 
     def now(self) -> float:
         """Current time in seconds (virtual for the simulation, wall otherwise)."""
@@ -116,6 +121,28 @@ class NetworkEngine:
     def call_later(self, delay: float, callback) -> None:
         """Schedule ``callback()`` after ``delay`` seconds."""
         raise NotImplementedError
+
+    def bind_endpoint(self, node: NetworkNode, endpoint: Endpoint) -> Endpoint:
+        """Bind one extra unicast endpoint to an attached node; returns the
+        bound endpoint (a socket engine substitutes a kernel-assigned port
+        for port 0, so callers must use the return value)."""
+        raise NotImplementedError
+
+    def unbind_endpoint(self, node: NetworkNode, endpoint: Endpoint) -> None:
+        """Release an endpoint bound with :meth:`bind_endpoint`."""
+        raise NotImplementedError
+
+    def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Wait until ``predicate()`` holds or ``timeout`` seconds pass;
+        returns ``predicate()``."""
+        raise NotImplementedError
+
+    def run_for(self, duration: float) -> None:
+        """Let ``duration`` seconds pass."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the engine's resources (nothing to release by default)."""
 
     def departure(self, delay: float) -> float:
         """Seconds from now until a send costing its node ``delay`` seconds

@@ -32,7 +32,6 @@ from ..core.message import AbstractMessage
 from ..network.addressing import Endpoint
 from ..network.engine import NetworkEngine, NetworkNode, recent
 from ..network.latency import LatencyModel
-from ..network.simulated import SimulatedNetwork
 
 __all__ = ["LookupResult", "LegacyService", "LegacyClient", "rng_for", "sample_latency"]
 
@@ -225,12 +224,5 @@ class LegacyClient(NetworkNode):
                 if message_name is None or entry[1].name == message_name
             ]
 
-        if isinstance(network, SimulatedNetwork):
-            network.run_until(lambda: len(matching()) >= minimum, timeout=timeout)
-        else:  # pragma: no cover - socket engine path, exercised manually
-            import time
-
-            deadline = time.monotonic() + timeout
-            while len(matching()) < minimum and time.monotonic() < deadline:
-                time.sleep(0.01)
+        network.run_until(lambda: len(matching()) >= minimum, timeout=timeout)
         return matching()

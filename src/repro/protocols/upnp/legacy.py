@@ -25,7 +25,6 @@ from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
 from ...network.engine import NetworkEngine, NetworkNode, recent
 from ...network.latency import LatencyModel, default_latencies
-from ...network.simulated import SimulatedNetwork
 from ..common import LegacyClient, LookupResult, sample_latency
 from ..http.mdl import HTTP_GET, HTTP_OK, http_mdl
 from ..ssdp.mdl import (
@@ -175,8 +174,8 @@ class _PendingControl:
     #: "ssdp" while the M-SEARCH response is outstanding, "http" while the
     #: description GET is; finished controls leave the pending table.
     leg: str = "ssdp"
-    #: Per-lookup source endpoint both legs are sent from, when the
-    #: network supports late binds (``None``: the shared endpoint).
+    #: Per-lookup source endpoint both legs are sent from (``None`` once
+    #: released).
     source: Optional[Endpoint] = None
 
 
@@ -271,21 +270,17 @@ class UPnPControlPoint(LegacyClient):
             self._complete_http_leg(engine, message, token)
 
     # -- per-lookup ephemeral source ports --------------------------------
-    def _allocate_lookup_source(
-        self, network: NetworkEngine, token: int
-    ) -> Optional[Endpoint]:
-        """A fresh source endpoint for one lookup, or ``None`` without
-        late-bind support (both legs then share the main endpoint)."""
-        bind = getattr(network, "bind_endpoint", None)
-        if bind is None:
-            return None
-        if getattr(network, "kernel_ephemeral_ports", False):
-            bound = bind(self, Endpoint(self.endpoint.host, 0, Transport.UDP))
+    def _allocate_lookup_source(self, network: NetworkEngine, token: int) -> Endpoint:
+        """A fresh source endpoint for one lookup (both legs use it)."""
+        if network.kernel_ephemeral_ports:
+            bound = network.bind_endpoint(
+                self, Endpoint(self.endpoint.host, 0, Transport.UDP)
+            )
         else:
             port = self._next_lookup_port
             while True:
                 try:
-                    bound = bind(
+                    bound = network.bind_endpoint(
                         self, Endpoint(self.endpoint.host, port, Transport.UDP)
                     )
                     break
@@ -294,8 +289,6 @@ class UPnPControlPoint(LegacyClient):
                     # port; probe upward — deterministic either way.
                     port += 1
             self._next_lookup_port = port + 1
-        if bound is None:
-            return None
         self._lookup_ports[(bound.host, bound.port)] = token
         return bound
 
@@ -305,9 +298,8 @@ class UPnPControlPoint(LegacyClient):
         if control.source is None:
             return
         self._lookup_ports.pop((control.source.host, control.source.port), None)
-        unbind = getattr(network, "unbind_endpoint", None) if network else None
-        if unbind is not None:
-            unbind(self, control.source)
+        if network is not None:
+            network.unbind_endpoint(self, control.source)
         control.source = None
 
     # -- the non-blocking two-leg driver ---------------------------------
@@ -337,7 +329,7 @@ class UPnPControlPoint(LegacyClient):
         search.set("ST", service_type)
         network.send(
             self.composer.compose(search),
-            source=control.source or self.endpoint,
+            source=control.source,
             destination=ssdp_group_endpoint(),
         )
         return token
@@ -404,7 +396,7 @@ class UPnPControlPoint(LegacyClient):
         destination = Endpoint(parsed.hostname or "", parsed.port or 80, Transport.TCP)
         engine.send(
             self._http_composer.compose(get),
-            source=control.source or self.endpoint,
+            source=control.source,
             destination=destination,
         )
 
@@ -445,16 +437,7 @@ class UPnPControlPoint(LegacyClient):
         self.clear_responses()
         started = network.now()
         token = self.start_control(network, service_type)
-        if isinstance(network, SimulatedNetwork):
-            network.run_until(
-                lambda: self.control_result(token) is not None, timeout=timeout
-            )
-        else:  # pragma: no cover - socket engine path, exercised manually
-            import time
-
-            deadline = time.monotonic() + timeout
-            while self.control_result(token) is None and time.monotonic() < deadline:
-                time.sleep(0.01)
+        network.run_until(lambda: self.control_result(token) is not None, timeout=timeout)
         overhead = sample_latency(network, self.client_overhead, self)
         # The blocking API consumes its control either way: a timed-out one
         # must not swallow a later lookup's SSDP response, and a completed

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import time
+import math
 from dataclasses import replace
 from typing import Callable, TypeVar
 
@@ -187,8 +187,8 @@ class AsyncLiveShardedRuntime(ShardedRuntime):
             return len(self.scale_events), change()
 
         marker, result = _on_loop(network, start)
-        while self.scaling_in_progress and network._thread.is_alive():
-            time.sleep(self.drain_poll_interval)
+        # The drain ends by itself: done, or cancelled at drain_timeout.
+        network.run_until(lambda: not self.scaling_in_progress, timeout=math.inf)
         if any(e.kind == "drain-cancelled" for e in self.scale_events[marker:]):
             raise EngineError(
                 f"drain did not complete within {self.drain_timeout}s; ring "

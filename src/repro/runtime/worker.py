@@ -86,22 +86,17 @@ class _WorkerEngineView(NetworkEngine):
     @property
     def kernel_ephemeral_ports(self) -> bool:
         """Whether the substrate assigns ephemeral ports itself (bind to 0)."""
-        return bool(getattr(self._network, "kernel_ephemeral_ports", False))
+        return self._network.kernel_ephemeral_ports
 
-    def bind_endpoint(self, node: NetworkNode, endpoint: Endpoint):
+    def bind_endpoint(self, node: NetworkNode, endpoint: Endpoint) -> Endpoint:
         """Bind a per-session ephemeral endpoint to the worker's shell, so
         replies received on it come home as records (and a detached shell
         takes its ephemeral ports with it).  Returns the bound
-        :class:`Endpoint`, or ``None`` when the substrate cannot bind late."""
-        bind = getattr(self._network, "bind_endpoint", None)
-        if bind is None:
-            return None
-        return bind(self._worker.shell, endpoint)
+        :class:`Endpoint`."""
+        return self._network.bind_endpoint(self._worker.shell, endpoint)
 
     def unbind_endpoint(self, node: NetworkNode, endpoint: Endpoint) -> None:
-        unbind = getattr(self._network, "unbind_endpoint", None)
-        if unbind is not None:
-            unbind(self._worker.shell, endpoint)
+        self._network.unbind_endpoint(self._worker.shell, endpoint)
 
 
 class _WorkerShell(NetworkNode):

@@ -10,8 +10,6 @@ rule on both runtimes.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -114,11 +112,10 @@ def test_aio_idle_bridge_holds_no_sticky_pins(workers):
             (client, client.start_lookup(live.network, live.target))
             for client in live.clients
         ]
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and not all(
-            client.lookup_result(key) is not None for client, key in started
-        ):
-            time.sleep(0.002)
+        live.network.run_until(
+            lambda: all(client.lookup_result(key) is not None for client, key in started),
+            timeout=10.0,
+        )
         assert all(client.lookup_result(key) is not None for client, key in started)
         snapshot = live.runtime.metrics(include_latency=False)
         assert sum(worker.completed_sessions for worker in snapshot.workers) == 12

@@ -21,8 +21,6 @@ make arbitrary membership hard:
 
 from __future__ import annotations
 
-import time as _time
-
 import pytest
 
 from case2_utils import SERVICE_URL, attach_clients, deploy_case2, mdns_answer
@@ -259,24 +257,8 @@ class TestArbitraryDrainSimulated:
             ElasticController(runtime, victim_strategy="least_loaded")  # typo
 
 
-def _await_settled(runtime, timeout: float = 5.0) -> bool:
-    """Wait (off the loop) until no drain is in flight."""
-    deadline = _time.monotonic() + timeout
-    while runtime.scaling_in_progress and _time.monotonic() < deadline:
-        _time.sleep(0.005)
-    return not runtime.scaling_in_progress
-
-
 @live_only
 class TestArbitraryDrainLive:
-    def _await(self, predicate, timeout=10.0):
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            if predicate():
-                return True
-            _time.sleep(0.005)
-        return False
-
     def test_live_remove_middle_worker_loss_free(self):
         """Acceptance (live half): `remove_worker(id)` drains a non-suffix
         worker on real sockets with zero loss and clean worker loops."""
@@ -291,8 +273,9 @@ class TestArbitraryDrainLive:
             for client in clients:
                 network.attach(client)
             batch1 = [(c, c.start_lookup(network, target)) for c in clients[:3]]
-            assert self._await(
-                lambda: all(c.lookup_result(k) is not None for c, k in batch1)
+            assert network.run_until(
+                lambda: all(c.lookup_result(k) is not None for c, k in batch1),
+                timeout=10.0,
             )
             assert runtime.worker_ids == [0, 1, 2]
 
@@ -302,13 +285,15 @@ class TestArbitraryDrainLive:
             # Victims without a shrink fail loudly on the live runtime too.
             with pytest.raises(ConfigurationError):
                 runtime.scale_to(2, victims=[0])
-            assert self._await(
-                lambda: all(c.lookup_result(k) is not None for c, k in batch2)
+            assert network.run_until(
+                lambda: all(c.lookup_result(k) is not None for c, k in batch2),
+                timeout=10.0,
             )
 
             batch3 = [(c, c.start_lookup(network, target)) for c in clients[6:]]
-            assert self._await(
-                lambda: all(c.lookup_result(k) is not None for c, k in batch3)
+            assert network.run_until(
+                lambda: all(c.lookup_result(k) is not None for c, k in batch3),
+                timeout=10.0,
             )
             assert runtime.worker_errors == []
             assert runtime.evicted_sessions == []
@@ -350,7 +335,7 @@ class TestArbitraryDrainLive:
             network.call_later(
                 0.0, lambda: router._fan_out(network, "SLP", None, source)
             )
-            assert self._await(lambda: router.unrouted_datagrams == 1, timeout=5.0)
+            assert network.run_until(lambda: router.unrouted_datagrams == 1, timeout=5.0)
             # Both passes offered the datagram to the survivor only.
             assert offered == [("survivor", True), ("survivor", False)]
             assert network.errors == []
@@ -376,7 +361,7 @@ class TestArbitraryDrainLive:
             (client,) = clients
             network.attach(client)
             client.start_lookup(network, target)
-            assert self._await(
+            assert network.run_until(
                 lambda: any(worker.active_sessions for worker in runtime.workers),
                 timeout=5.0,
             )
@@ -402,7 +387,7 @@ class TestArbitraryDrainLive:
             # Let the idle sweeper evict the stalled session, then verify
             # the sticky table is clean (no leaked entry) and a retried
             # drain completes promptly.
-            assert self._await(
+            assert network.run_until(
                 lambda: not any(worker.active_sessions for worker in runtime.workers),
                 timeout=10.0,
             )
@@ -433,7 +418,7 @@ class TestArbitraryDrainLive:
             (client,) = clients
             network.attach(client)
             client.start_lookup(network, target)  # no service: it wedges
-            assert self._await(
+            assert network.run_until(
                 lambda: any(worker.active_sessions for worker in runtime.workers),
                 timeout=5.0,
             )
@@ -480,7 +465,7 @@ class TestArbitraryDrainLive:
             (client,) = clients
             network.attach(client)
             client.start_lookup(network, target)  # no service: it never completes
-            assert self._await(
+            assert network.run_until(
                 lambda: any(worker.active_sessions for worker in runtime.workers),
                 timeout=5.0,
             )
@@ -492,13 +477,13 @@ class TestArbitraryDrainLive:
             before_ids = runtime.worker_ids
             runtime.wedge_worker(victim, 3.0)
             controller.start(network)
-            assert self._await(
+            assert network.run_until(
                 lambda: controller.replaced_ids.count(victim) >= 2
                 and not runtime.scaling_in_progress,
                 timeout=10.0,
             )
             controller.stop()
-            assert _await_settled(runtime)
+            assert network.run_until(lambda: not runtime.scaling_in_progress, timeout=5.0)
             assert runtime.worker_count == 2
             assert runtime.worker_ids == before_ids
             kinds = [event.kind for event in runtime.scale_events]

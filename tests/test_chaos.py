@@ -26,11 +26,9 @@ from repro.evaluation.chaos import (
     DEFAULT_HEAL_SEEDS,
     GARBAGE_PAYLOADS,
     run_chaos,
-    run_chaos_live,
-    run_chaos_simulated,
+    run_chaos_once,
     run_heal,
-    run_heal_live,
-    run_heal_simulated,
+    run_heal_once,
 )
 from repro.evaluation.tables import format_chaos, format_heal
 from repro.network.sockets import loopback_available
@@ -52,7 +50,7 @@ def seeded_results():
     """One chaos run (plus twin) per default seed, shared by the module —
     the per-seed assertions and the cross-seed coverage check must not
     each pay for their own sweep."""
-    return {seed: run_chaos_simulated(seed=seed) for seed in DEFAULT_CHAOS_SEEDS}
+    return {seed: run_chaos_once(seed=seed) for seed in DEFAULT_CHAOS_SEEDS}
 
 
 class TestSimulatedSoak:
@@ -82,8 +80,8 @@ class TestSimulatedSoak:
     def test_same_seed_same_schedule(self):
         """Determinism: one seed replays the identical event schedule and
         scaling timeline (this is what makes a failing seed reproducible)."""
-        first = run_chaos_simulated(seed=11)
-        second = run_chaos_simulated(seed=11)
+        first = run_chaos_once(seed=11)
+        second = run_chaos_once(seed=11)
         assert [(e.kind, e.detail) for e in first.events] == [
             (e.kind, e.detail) for e in second.events
         ]
@@ -95,7 +93,7 @@ class TestSimulatedSoak:
         """A red sweep names the seed and the repro command."""
         import repro.evaluation.chaos as chaos_module
 
-        real = chaos_module.run_chaos_simulated
+        real = chaos_module.run_chaos_once
 
         def sabotage(case=2, seed=7, **kwargs):
             result = real(case=case, seed=seed, **kwargs)
@@ -103,7 +101,7 @@ class TestSimulatedSoak:
                 result.outputs_match_twin = False
             return result
 
-        monkeypatch.setattr(chaos_module, "run_chaos_simulated", sabotage)
+        monkeypatch.setattr(chaos_module, "run_chaos_once", sabotage)
         with pytest.raises(RuntimeError) as excinfo:
             chaos_module.run_chaos(seeds=(7, 11))
         assert "seed 11" in str(excinfo.value)
@@ -121,6 +119,24 @@ class TestSimulatedSoak:
         with pytest.raises(ConfigurationError):
             run_chaos(seeds=(7,), start_workers=0, raise_on_failure=False)
 
+    def test_bad_timeouts_sampling_rates_and_names_fail_before_any_seed(self):
+        """A zero timeout or budget, a sampling rate outside [0, 1] or an
+        option the runner does not take is refused before a seed runs, on
+        both sweeps: as a FAIL row, its printed seed-replay command (which
+        runs the defaults) would pass."""
+        from repro.core.errors import ConfigurationError
+
+        for sweep, options in (
+            (run_chaos, {"wave_timeout": 0}),
+            (run_chaos, {"trace_sample": 5.0}),
+            (run_heal, {"wave_timeout": 0}),
+            (run_heal, {"detection_budget": 0}),
+        ):
+            with pytest.raises(ConfigurationError):
+                sweep(seeds=(7,), raise_on_failure=False, **options)
+        with pytest.raises(TypeError, match="detection_budget"):
+            run_chaos(seeds=(7,), detection_budget=1.0, raise_on_failure=False)
+
     def test_crashed_run_becomes_a_failed_row_with_its_seed(self, monkeypatch):
         """A harness-level exception (a live drain-timeout EngineError,
         say) must fold into a failed row naming the seed — the failing-seed
@@ -130,7 +146,7 @@ class TestSimulatedSoak:
         def explode(case=2, seed=7, **kwargs):
             raise RuntimeError("drain wedged")
 
-        monkeypatch.setattr(chaos_module, "run_chaos_simulated", explode)
+        monkeypatch.setattr(chaos_module, "run_chaos_once", explode)
         results = chaos_module.run_chaos(seeds=(11,), raise_on_failure=False)
         (row,) = results
         assert not row.ok
@@ -162,7 +178,7 @@ def _heal_repro(seed: int) -> str:
 @pytest.fixture(scope="module")
 def heal_results():
     """One self-healing run (plus twin) per default heal seed."""
-    return {seed: run_heal_simulated(seed=seed) for seed in DEFAULT_HEAL_SEEDS}
+    return {seed: run_heal_once(seed=seed) for seed in DEFAULT_HEAL_SEEDS}
 
 
 class TestHealSoak:
@@ -198,8 +214,8 @@ class TestHealSoak:
     def test_same_seed_same_heal_schedule(self):
         """Determinism: one heal seed replays the identical fault schedule
         (victims, durations, fault kinds) and the identical outcome."""
-        first = run_heal_simulated(seed=17)
-        second = run_heal_simulated(seed=17)
+        first = run_heal_once(seed=17)
+        second = run_heal_once(seed=17)
         assert [(e.kind, e.detail) for e in first.events] == [
             (e.kind, e.detail) for e in second.events
         ]
@@ -211,7 +227,7 @@ class TestHealSoak:
     def test_run_heal_raises_with_failing_seed_in_message(self, monkeypatch):
         import repro.evaluation.chaos as chaos_module
 
-        real = chaos_module.run_heal_simulated
+        real = chaos_module.run_heal_once
 
         def sabotage(case=2, seed=5, **kwargs):
             result = real(case=case, seed=seed, **kwargs)
@@ -219,7 +235,7 @@ class TestHealSoak:
                 result.outputs_match_twin = False
             return result
 
-        monkeypatch.setattr(chaos_module, "run_heal_simulated", sabotage)
+        monkeypatch.setattr(chaos_module, "run_heal_once", sabotage)
         with pytest.raises(RuntimeError) as excinfo:
             chaos_module.run_heal(seeds=(5, 17))
         assert "seed 17" in str(excinfo.value)
@@ -231,7 +247,7 @@ class TestHealSoak:
         def explode(case=2, seed=5, **kwargs):
             raise RuntimeError("controller thread died")
 
-        monkeypatch.setattr(chaos_module, "run_heal_simulated", explode)
+        monkeypatch.setattr(chaos_module, "run_heal_once", explode)
         results = chaos_module.run_heal(seeds=(17,), raise_on_failure=False)
         (row,) = results
         assert not row.ok
@@ -256,7 +272,7 @@ class TestLiveSoak:
         blocking drains, garbage at real endpoints — still loss-free, and
         byte-identical to the deterministic simulated twin."""
         seed = DEFAULT_CHAOS_SEEDS[0]
-        result = run_chaos_live(seed=seed)
+        result = run_chaos_once(seed=seed, live=True)
         assert result.worker_errors == 0, _repro(seed)
         assert result.completed == result.clients, _repro(seed)
         assert result.abandoned_sessions == 0, _repro(seed)
@@ -270,7 +286,7 @@ class TestLiveSoak:
         control-thread detector, then a seeded UDP loss window over real
         sockets — every client answered, bytes equal the simulated twin."""
         seed = DEFAULT_HEAL_SEEDS[0]
-        result = run_heal_live(seed=seed)
+        result = run_heal_once(seed=seed, live=True)
         assert result.wedges >= 1, _heal_repro(seed)
         assert result.replaces == result.wedges, _heal_repro(seed)
         assert result.loss_windows >= 1, _heal_repro(seed)

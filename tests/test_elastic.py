@@ -496,28 +496,10 @@ class TestPerLookupClientPorts:
         assert client._lookup_ports == {}
         assert network.node_for_endpoint(bound) is None
 
-    def test_without_late_binds_falls_back_to_shared_endpoint(self, fast_latencies):
-        """On a network engine without ``bind_endpoint`` the control point
-        keeps the legacy shared-socket, oldest-first behaviour."""
-        network = SimulatedNetwork(latencies=fast_latencies, seed=71)
-        network.bind_endpoint = None  # simulate a substrate without late binds
-        device = UPnPDevice(
-            ssdp_latency=LatencyModel(0.002, 0.002),
-            http_latency=LatencyModel(0.002, 0.002),
-        )
-        network.attach(device)
-        client = UPnPControlPoint(client_overhead=LatencyModel(0.0, 0.0))
-        network.attach(client)
-        token = client.start_control(network)
-        assert client._controls[token].source is None
-        network.run()
-        assert client.control_result(token).found
-
 
 # ----------------------------------------------------------------------
 # live in-place rescale (real sockets)
 # ----------------------------------------------------------------------
-import time as _time
 
 from repro.network.aio import AsyncSocketNetwork
 from repro.network.sockets import loopback_available
@@ -527,13 +509,11 @@ live_only = pytest.mark.skipif(
 )
 
 
-def _await_results(pairs, timeout: float = 10.0) -> bool:
-    deadline = _time.monotonic() + timeout
-    while _time.monotonic() < deadline:
-        if all(client.lookup_result(key) is not None for client, key in pairs):
-            return True
-        _time.sleep(0.005)
-    return False
+def _await_results(network, pairs, timeout: float = 10.0) -> bool:
+    return network.run_until(
+        lambda: all(client.lookup_result(key) is not None for client, key in pairs),
+        timeout=timeout,
+    )
 
 
 @live_only
@@ -555,7 +535,7 @@ def test_live_scale_to_both_directions_byte_identical():
                 network.attach(client)
 
             batch1 = [(c, c.start_lookup(network, target)) for c in clients[:3]]
-            assert _await_results(batch1)
+            assert _await_results(network, batch1)
 
             runtime.scale_to(3)
             assert runtime.worker_count == 3
@@ -565,10 +545,10 @@ def test_live_scale_to_both_directions_byte_identical():
             batch2 = [(c, c.start_lookup(network, target)) for c in clients[3:6]]
             runtime.scale_to(1)
             assert runtime.worker_count == 1
-            assert _await_results(batch2)
+            assert _await_results(network, batch2)
 
             batch3 = [(c, c.start_lookup(network, target)) for c in clients[6:]]
-            assert _await_results(batch3)
+            assert _await_results(network, batch3)
 
             assert runtime.worker_errors == []
             assert runtime.evicted_sessions == []
@@ -588,7 +568,7 @@ def test_live_scale_to_both_directions_byte_identical():
             for client in clients:
                 network.attach(client)
             pairs = [(c, c.start_lookup(network, target)) for c in clients]
-            assert _await_results(pairs)
+            assert _await_results(network, pairs)
             return {client.name: tuple(client.raw_responses) for client in clients}
         finally:
             runtime.undeploy()
@@ -619,8 +599,8 @@ def test_live_elastic_controller_runs_and_stops_cleanly():
             network.attach(client)
         controller.start(network)
         pairs = [(c, c.start_lookup(network, target)) for c in clients]
-        assert _await_results(pairs)
-        _time.sleep(0.1)  # let a few control ticks observe the metrics
+        assert _await_results(network, pairs)
+        network.run_for(0.1)  # let a few control ticks observe the metrics
     finally:
         controller.stop()
         runtime.undeploy()

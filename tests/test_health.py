@@ -420,12 +420,11 @@ class TestLiveController:
                 victim = runtime.worker_ids[0]
                 wedge_at = time.monotonic()
                 runtime.wedge_worker(victim, 0.8)
-                deadline = time.monotonic() + 15.0
-                while time.monotonic() < deadline and (
-                    victim not in controller.replaced_ids
-                    or runtime.scaling_in_progress
-                ):
-                    time.sleep(0.01)
+                network.run_until(
+                    lambda: victim in controller.replaced_ids
+                    and not runtime.scaling_in_progress,
+                    timeout=15.0,
+                )
                 assert victim in controller.replaced_ids
                 replace_action = next(
                     a

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 
 import pytest
 
@@ -36,15 +35,6 @@ from repro.runtime.aio_live import AsyncLiveShardedRuntime
 pytestmark = pytest.mark.skipif(
     not loopback_available(), reason="loopback sockets unavailable in this environment"
 )
-
-
-def _wait(predicate, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 def _pending_tasks(network: AsyncSocketNetwork) -> list:
@@ -173,7 +163,7 @@ def test_undeploy_joins_loops_and_harvests_draining_errors():
         for worker_id, shard in zip(runtime.worker_ids, shards):
             runtime.wedge_worker(worker_id, 60.0)
             network.call_later(0.0, lambda shard=shard: shard.post(boom))
-        assert _wait(lambda: all(shard.queue_depth == 1 for shard in shards))
+        assert network.run_until(lambda: all(shard.queue_depth == 1 for shard in shards), 5.0)
         runtime.undeploy()
         assert ran == ["boom"] * len(shards)
         assert all(shard.queue_depth == 0 and shard.closed for shard in shards)
@@ -207,7 +197,7 @@ def test_failed_deploy_unwinds_loops_and_shells():
         assert runtime._router is None
         assert runtime._shards == []
         assert network._nodes == []
-        assert _wait(lambda: _pending_tasks(network) == [])
+        assert network.run_until(lambda: _pending_tasks(network) == [], 5.0)
         # Detach closed the shells' sockets, so the very same network can
         # host the retry — the worker ports (TCP listeners included, this
         # bridge has an HTTP leg) re-bind cleanly.
@@ -351,7 +341,7 @@ def test_the_thread_budget_is_one_loop_thread():
         for client in clients:
             network.attach(client)
         started = [(client, client.start_lookup(network, target)) for client in clients]
-        assert _wait(
+        assert network.run_until(
             lambda: all(client.lookup_result(key) for client, key in started), 15.0
         )
         assert sum(runtime.worker_session_counts()) == 50
@@ -359,7 +349,7 @@ def test_the_thread_budget_is_one_loop_thread():
         # worker's table until evicted, and the sweep ticks all the while.
         network.detach(service)
         clients[0].start_lookup(network, target)
-        assert _wait(lambda: len(runtime.evicted_sessions) == 1)
+        assert network.run_until(lambda: len(runtime.evicted_sessions) == 1, 5.0)
         assert len(sweeps) >= 30
         assert runtime.worker_errors == []
         assert health.detector.probes > 0 and collector.samples > 0

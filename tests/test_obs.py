@@ -25,7 +25,7 @@ import pytest
 
 from case2_utils import attach_clients, deploy_case2, mdns_answer
 from repro.bridges.specs import BRIDGE_BUILDERS
-from repro.evaluation.chaos import run_chaos_simulated
+from repro.evaluation.chaos import run_chaos_once
 from repro.evaluation.harness import LatencySummary, run_latency
 from repro.evaluation.micro import run_trace_overhead
 from repro.evaluation.tables import format_latency
@@ -321,7 +321,7 @@ class TestSimulatedTracing:
     def test_spans_share_the_virtual_timeline_with_scale_events(self):
         """Acceptance: a chaos run exports complete span trees whose
         timeline positions interleave with membership events."""
-        result = run_chaos_simulated(seed=7, trace_sample=1.0)
+        result = run_chaos_once(seed=7, trace_sample=1.0)
         assert result.ok
         assert result.trace is not None
         assert result.trace["clock"] == "virtual"
@@ -340,7 +340,7 @@ class TestSimulatedTracing:
         assert any(at > last_scale for at in span_times)
 
     def test_chaos_rows_carry_stage_latency(self):
-        result = run_chaos_simulated(seed=3)
+        result = run_chaos_once(seed=3)
         assert result.ok
         stages = {row["stage"] for row in result.stage_latency}
         assert "ingress" in stages and "mdl.parse" in stages

@@ -312,6 +312,65 @@ def test_now_is_monotonic_and_call_later_fires(make_network):
 
 
 # ----------------------------------------------------------------------
+# waiting: run_until / run_for block the caller while the loop works
+# ----------------------------------------------------------------------
+
+
+def test_run_until_returns_true_as_soon_as_the_predicate_holds(make_network):
+    network = make_network()
+    fired = threading.Event()
+    network.call_later(0.05, fired.set)
+    started = time.monotonic()
+    assert network.run_until(fired.is_set, timeout=5.0) is True
+    assert time.monotonic() - started < 1.0
+
+
+def test_run_until_returns_false_no_earlier_than_its_timeout(make_network):
+    network = make_network()
+    started = time.monotonic()
+    assert network.run_until(lambda: False, timeout=0.1) is False
+    assert time.monotonic() - started >= 0.1
+
+
+def test_waiting_on_the_loop_thread_raises_instead_of_hanging(make_network):
+    """Nothing a wait on the loop thread waits for could run: refused."""
+    network = make_network()
+    raised: List[BaseException] = []
+    done = threading.Event()
+
+    def on_loop() -> None:
+        for wait in (lambda: network.run_until(lambda: False, timeout=5.0),
+                     lambda: network.run_for(5.0)):
+            try:
+                wait()
+            except NetworkError as exc:
+                raised.append(exc)
+        done.set()
+
+    network.call_later(0.0, on_loop)
+    assert done.wait(2.0)
+    assert len(raised) == 2 and not network.errors
+
+
+def test_run_until_returns_promptly_after_close(make_network):
+    network = make_network()
+    network.close()
+    started = time.monotonic()
+    assert network.run_until(lambda: False, timeout=5.0) is False
+    assert time.monotonic() - started < 1.0
+
+
+def test_run_for_waits_at_least_its_duration(make_network):
+    network = make_network()
+    fired = []
+    network.call_later(0.0, lambda: fired.append(True))
+    started = time.monotonic()
+    network.run_for(0.05)
+    assert time.monotonic() - started >= 0.05
+    assert fired
+
+
+# ----------------------------------------------------------------------
 # timer lifecycle: leak, close, and detach semantics
 # ----------------------------------------------------------------------
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.evaluation.chaos import run_heal_simulated
+from repro.evaluation.chaos import run_heal_once
 from repro.evaluation.telemetry import (
     COLLECTOR_OVERHEAD_THRESHOLD_PCT,
     CollectorOverheadResult,
@@ -318,19 +317,19 @@ class TestMetricsCollector:
                 (client, client.start_lookup(network, scenario.target))
                 for client in scenario.clients
             ]
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                if runtime.worker_errors:
-                    raise runtime.worker_errors[0]
-                if all(
+            done = network.run_until(
+                lambda: bool(runtime.worker_errors)
+                or all(
                     client.lookup_result(key) is not None
                     for client, key in started
-                ):
-                    break
-                time.sleep(0.002)
-            else:
+                ),
+                timeout=20.0,
+            )
+            if runtime.worker_errors:
+                raise runtime.worker_errors[0]
+            if not done:
                 pytest.fail("live wave did not complete")
-            time.sleep(0.06)  # let at least one more window close
+            network.run_for(0.06)  # let at least one more window close
             collector.stop()
         finally:
             collector.stop()
@@ -457,8 +456,8 @@ class TestFlightRecorder:
 
 class TestSeededPostmortems:
     def test_heal_seed_5_postmortems_are_byte_stable(self):
-        first = run_heal_simulated(seed=5)
-        second = run_heal_simulated(seed=5)
+        first = run_heal_once(seed=5)
+        second = run_heal_once(seed=5)
         assert first.ok, first.failure_reason()
         assert second.ok, second.failure_reason()
         assert first.postmortems  # the detector acted, bundles captured
@@ -467,7 +466,7 @@ class TestSeededPostmortems:
         )
 
     def test_heal_postmortem_contents(self):
-        result = run_heal_simulated(seed=5)
+        result = run_heal_once(seed=5)
         assert result.ok, result.failure_reason()
         assert result.telemetry_windows > 0
         assert result.journal_events > 0

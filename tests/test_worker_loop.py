@@ -8,8 +8,6 @@ heartbeat rule are one mechanism, so they must read the same on either.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from case2_utils import SERVICE_URL, attach_clients, deploy_case2, mdns_answer
@@ -55,26 +53,9 @@ class _Deployment:
         self.clients = scenario.clients
         self.target = scenario.target
 
-    def advance(self, seconds: float) -> None:
-        if self.kind == "simulated":
-            self.network.run_for(seconds)
-        else:
-            time.sleep(seconds)
-
-    def settle(self, predicate, timeout: float) -> bool:
-        if self.kind == "simulated":
-            return self.network.run_until(predicate, timeout=timeout)
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.005)
-        return predicate()
-
     def close(self) -> None:
         self.runtime.undeploy()
-        if self.kind == "live":
-            self.network.close()
+        self.network.close()
 
 
 @pytest.mark.parametrize("kind", RUNTIMES)
@@ -84,7 +65,7 @@ def test_idle_worker_never_pinged_reads_a_fresh_heartbeat(kind):
     as stale merely because nothing happened."""
     deployment = _Deployment(kind, clients=1, workers=2, processing_delay=0.0)
     try:
-        deployment.advance(0.5)
+        deployment.network.run_for(0.5)
         rows = deployment.runtime.metrics(include_latency=False).workers
         assert [row.heartbeat_age for row in rows] == [0.0, 0.0]
         assert [row.queue_depth for row in rows] == [0, 0]
@@ -112,12 +93,12 @@ def test_wedge_stalls_only_the_victim_worker(kind):
     controller = HealthController(runtime, FailureDetector(_WATCH_ONLY), interval=0.05)
     try:
         controller.start(deployment.network)
-        deployment.advance(0.2)  # every worker has answered pings
+        deployment.network.run_for(0.2)  # every worker has answered pings
         started = [
             (client, client.start_lookup(deployment.network, deployment.target))
             for client in deployment.clients
         ]
-        assert deployment.settle(
+        assert deployment.network.run_until(
             lambda: runtime.active_session_count == clients, timeout=5.0
         )
         loaded = [
@@ -150,7 +131,7 @@ def test_wedge_stalls_only_the_victim_worker(kind):
         # Every ping of the next 0.4 s lands 0.3 s late: read at +0.2 s,
         # before the first of them can have landed.
         controller.skew_probes(skewed, 0.3, probes=8)
-        deployment.advance(0.2)
+        deployment.network.run_for(0.2)
 
         rows = {row.worker_id: row for row in runtime.metrics(include_latency=False).workers}
         assert rows[victim].queue_depth > 0
@@ -161,13 +142,13 @@ def test_wedge_stalls_only_the_victim_worker(kind):
         assert rows[skewed].queue_depth == 0
         assert all(rows[wid].heartbeat_age < 0.15 for wid in healthy)
         # Meanwhile the other workers complete lookups.
-        assert deployment.settle(
+        assert deployment.network.run_until(
             lambda: any(client.lookup_result(key) is not None for client, key in started),
             timeout=0.3,
         )
         assert shard.queue_depth > 0  # still paused
 
-        assert deployment.settle(
+        assert deployment.network.run_until(
             lambda: all(client.lookup_result(key) is not None for client, key in started),
             timeout=10.0,
         )
