@@ -30,8 +30,8 @@ from typing import Dict, Tuple
 
 from ..core.mdl.base import create_composer, create_parser
 from ..core.message import AbstractMessage
-from ..protocols.mdns.mdl import DNS_QUESTION, DNS_RESPONSE, DNS_RESPONSE_FLAGS, mdns_mdl
-from ..protocols.slp.mdl import SLP_SRVREPLY, SLP_SRVREQ, slp_mdl
+from ..protocols.mdns.mdl import DNS_QUESTION, mdns_mdl
+from ..protocols.slp.mdl import SLP_SRVREPLY, slp_mdl
 
 __all__ = ["HandCodedSlpToBonjourBridge", "EsbStyleSlpToBonjourBridge"]
 

@@ -227,7 +227,7 @@ class MergedAutomaton:
     def lower(self) -> None:
         """Resolve every transition plan now.
 
-        Each state's :class:`Step` and the translation logic's plan per
+        Each state's :class:`Step` and the translation logic's translator per
         target message are built on first use anyway; an engine calls this
         when it is constructed so the work lands in deploy time, not on
         the first datagrams.  Safe to repeat (every worker engine does).

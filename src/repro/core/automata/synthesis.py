@@ -28,7 +28,7 @@ exactly the ontology/learning integration the paper leaves open.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..errors import NotMergeableError
 from ..translation.logic import Assignment, MessageFieldRef, TranslationLogic

@@ -101,6 +101,7 @@ from ..mdl.compiled import (
 from ..mdl.spec import MDLSpec
 from ..message import AbstractMessage
 from ...obs.tracing import (
+    FOLD_MASK,
     STAGE_COMPOSE,
     STAGE_DISPATCH,
     STAGE_INGRESS,
@@ -576,6 +577,8 @@ class AutomataEngine(NetworkNode):
         # bypasses the router): stamp the trace id and record the ingress
         # root span here.
         trace = tracer.stamp()
+        if not trace & FOLD_MASK:
+            tracer.fold()
         started = perf_counter()
         previous = self._active_trace
         self._active_trace = trace
@@ -591,7 +594,10 @@ class AutomataEngine(NetworkNode):
             self.dispatch(engine, automaton_name, message, source, trace=trace)
         finally:
             self._active_trace = previous
-            recorder.record(trace, STAGE_INGRESS, started)
+            if trace & 1:
+                recorder.record(trace, STAGE_INGRESS, started)
+            else:
+                recorder.hold[STAGE_INGRESS](perf_counter() - started)
 
     def classify(
         self,
@@ -669,7 +675,10 @@ class AutomataEngine(NetworkNode):
             else:
                 target.discriminator_misses += 1
             if rec is not None:
-                rec.record(trace, STAGE_PARSE, started)
+                if trace & 1:
+                    rec.record(trace, STAGE_PARSE, started)
+                else:
+                    rec.hold[STAGE_PARSE](perf_counter() - started)
             return name, message
         if not attempted:
             # Pure discriminator reject: no parser ever ran, so no parse
@@ -1063,15 +1072,26 @@ class AutomataEngine(NetworkNode):
         translation = self.merged.translation
         translate = translation.interpret if self.interpreted else translation.apply
         recorder = self._recorder
+        trace = self._active_trace
         if recorder is None:
             translate(outgoing, session.instances, context=context)
             data = binding.composer.compose(outgoing)
-        else:
+        elif trace & 1:
             started = perf_counter()
             translate(outgoing, session.instances, context=context)
-            started = recorder.record(self._active_trace, STAGE_TRANSLATE, started)
+            started = recorder.record(trace, STAGE_TRANSLATE, started)
             data = binding.composer.compose(outgoing)
-            recorder.record(self._active_trace, STAGE_COMPOSE, started)
+            recorder.record(trace, STAGE_COMPOSE, started)
+        else:
+            # Unsampled: the two durations go straight to their pending
+            # lists, with no recorder call.
+            started = perf_counter()
+            translate(outgoing, session.instances, context=context)
+            translated = perf_counter()
+            data = binding.composer.compose(outgoing)
+            hold = recorder.hold
+            hold[STAGE_TRANSLATE](translated - started)
+            hold[STAGE_COMPOSE](perf_counter() - translated)
 
         destination = (
             session.forced_destinations.get(automaton_name)

@@ -21,7 +21,7 @@ workflow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ...network.engine import NetworkEngine
 from ...obs.tracing import Tracer

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ...network.addressing import Endpoint
-from ..message import AbstractMessage, StructuredField
+from ..message import ABSENT, AbstractMessage
 
 __all__ = [
     "SessionRecord",
@@ -173,10 +173,10 @@ class FieldCorrelator(EndpointCorrelator):
         label = self.fields.get(message.name)
         if label is None:
             return None
-        found = message.find(label)
-        if found is None:
+        value = message.get(label, ABSENT)
+        if value is ABSENT:
             return None
-        return (label, found if isinstance(found, StructuredField) else found.value)
+        return (label, value)
 
     def client_key(self, source: Endpoint, message: AbstractMessage) -> Hashable:
         token = self.reply_token(message)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Any, List
 
-from .errors import FieldNotFoundError, MessageError
+from .errors import MessageError
 from .message import AbstractMessage, PrimitiveField, StructuredField
 
 __all__ = ["FieldPath", "parse_xpath", "to_xpath"]

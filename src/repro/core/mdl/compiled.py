@@ -10,8 +10,10 @@ field.  This module lowers a specification *once* into:
   generated as Python source per spec: the parser reads each fixed run
   with one :mod:`struct` unpack and length-prefixed and self-describing
   fields with byte slices, selects the message by its ``<Rule>`` and
-  builds the field list and label index directly; the composer computes
-  length and total-length fields inline and packs each fixed run with one
+  returns a value-mode message (slot values over a per-(spec, message)
+  :class:`~repro.core.message.MessageSchema`); the composer reads a
+  value-mode message's slots by position, computes length and
+  total-length fields inline and packs each fixed run with one
   :mod:`struct` call (a pre-packed template when the message carries none
   of the run's fields);
 * a **compiled text codec** — header delimiters, per-label converters and
@@ -60,7 +62,7 @@ from typing import (
 )
 
 from ..errors import ComposeError, MDLSpecificationError, ParseError
-from ..message import AbstractMessage, PrimitiveField, StructuredField
+from ..message import AbstractMessage, MessageSchema, PrimitiveField, StructuredField
 from ..typesys import (
     BitBuffer,
     BooleanMarshaller,
@@ -491,7 +493,8 @@ def _rule_test(rule: MessageRule, kinds: Dict[str, str], local: Dict[str, str]) 
 
 def _binary_decoder(spec: MDLSpec, types: TypeRegistry) -> _Source:
     """Generate the spec's parser: the header, then one straight-line branch
-    per message, each building its field list and label index directly."""
+    per message, each building a value-mode message over the (spec,
+    message) schema fixed here."""
     if spec.header is None:
         raise _NotCompilable
     header = [_BinaryField(spec, types, f) for f in spec.header.fields]
@@ -499,9 +502,8 @@ def _binary_decoder(spec: MDLSpec, types: TypeRegistry) -> _Source:
         "decode(data)",
         f"{spec.protocol} parser",
         P=spec.protocol,
-        PF=PrimitiveField,
+        AM=AbstractMessage,
         new=object.__new__,
-        adopt=AbstractMessage.adopt,
         ParseError=ParseError,
         _decode_underrun=_decode_underrun,
         _field_error=_field_error,
@@ -522,18 +524,14 @@ def _binary_decoder(spec: MDLSpec, types: TypeRegistry) -> _Source:
         fields = [_BinaryField(spec, types, f) for f in message.fields]
         _emit_decode(src, fields, local, dict(kinds))
         labels = list(dict.fromkeys(header_labels + [f.label for f in fields]))
-        for j, label in enumerate(labels):
-            src(
-                f"f{j} = new(PF); f{j}.label = {label!r}; "
-                f"f{j}.type_name = {spec.type_of(label)!r}; "
-                f"f{j}.length_bits = None; f{j}.value = {local[label]}"
-            )
-        listed = ", ".join(f"f{j}" for j in range(len(labels)))
-        indexed = ", ".join(f"{label!r}: f{j}" for j, label in enumerate(labels))
+        schema = MessageSchema(labels, [spec.type_of(label) for label in labels])
         src(
-            f"return adopt({message.name!r}, [{listed}], {{{indexed}}}, "
-            f"{src.const(list(message.mandatory_fields))}, P)"
+            f"m = new(AM); m.name = {message.name!r}; m.protocol = P; "
+            f"m._mandatory = {src.const(tuple(message.mandatory_fields))}; "
+            f"m._schema = {src.const(schema)}"
         )
+        src(f"m._values = ({''.join(f'{local[label]}, ' for label in labels)})")
+        src("return m")
 
     fallback = None
     for message in spec.messages:
@@ -589,10 +587,12 @@ def _present(field: Any) -> Any:
     return field if isinstance(field, StructuredField) else field.value
 
 
-def _fqdn_wire(value: Any) -> Tuple[Optional[bytes], int]:
-    """``(wire bytes, byte length)`` of a DNS name; the bytes are ``None``
-    when a label is too long, which only the write may report."""
-    name = _text(value).strip(".")
+@functools.lru_cache(maxsize=256)
+def _fqdn_wire(text: str) -> Tuple[Optional[bytes], int]:
+    """``(wire bytes, byte length)`` of a DNS name, memoised (a bridge sees
+    few names); the bytes are ``None`` when a label is too long, which only
+    the write may report."""
+    name = text.strip(".")
     if not name:
         return b"\x00", 1
     out = bytearray()
@@ -638,7 +638,7 @@ def _encoded(i: int, field: _BinaryField) -> str:
         return f"(v{i} if v{i}.__class__ is str else _text(v{i})).encode({field.encoding!r})"
     if field.kind == "bytes":
         return f"(v{i} if v{i}.__class__ is bytes else _bytes(v{i}))"
-    return f"_fqdn_wire(v{i})[0]"
+    return f"_fqdn_wire(v{i} if v{i}.__class__ is str else _text(v{i}))[0]"
 
 
 def _emit_encode(
@@ -647,9 +647,14 @@ def _emit_encode(
     types: TypeRegistry,
     functions: FieldFunctionRegistry,
     message: MessageSpec,
+    slots: Optional[Dict[str, int]],
 ) -> None:
     """One message's encoder: resolve, measure, fill length and function
-    fields, then pack each fixed run once and join."""
+    fields, then pack each fixed run once and join.
+
+    ``slots`` is the schema layout of a value-mode message — each field
+    is then one slot read, and whether it is absent is known here — or
+    ``None`` to resolve field objects through the label index."""
     fields = [_BinaryField(spec, types, f) for f in spec.header.fields + message.fields]
     labels = [field.label for field in fields]
     if len(set(labels)) != len(labels):
@@ -666,17 +671,22 @@ def _emit_encode(
         else:
             default = {"int": 0, "bool": False, "bytes": b""}.get(field.kind, "")
         defaults.append(default)
-        src(f"f{i} = get({field.label!r})")
-        src(
-            f"v{i} = {src.const(default)} if f{i} is None "
-            f"else (f{i}.value if f{i}.__class__ is PF else _present(f{i}))"
-        )
+        if slots is None:
+            src(f"f{i} = get({field.label!r})")
+            src(
+                f"v{i} = {src.const(default)} if f{i} is None "
+                f"else (f{i}.value if f{i}.__class__ is PF else _present(f{i}))"
+            )
+        elif field.label in slots:
+            src(f"v{i} = values[{slots[field.label]}]")
+        else:
+            src(f"v{i} = {src.const(default)}")
     # Measure: the interpreter's lengths, raising what it raises, in order.
     for i, field in enumerate(fields):
         if field.wire_width is not None:
             continue
         if field.kind == "fqdn":
-            src(f"m{i}, k{i} = _fqdn_wire(v{i})")
+            src(f"m{i}, k{i} = _fqdn_wire(v{i} if v{i}.__class__ is str else _text(v{i}))")
         else:
             src(f"m{i} = {_encoded(i, field)}")
             src(f"k{i} = len(m{i})")
@@ -762,9 +772,11 @@ def _emit_encode(
                 template = _reference_write(meta, tuple(defaults[i] for i in run), message.name)
             except ComposeError:
                 template = None
-            if template is not None:
+            if template is not None and slots is None:
                 absent = " and ".join(f"f{i} is None" for i in run)
                 packed = f"({src.const(template)} if {absent} else {packed})"
+            elif template is not None and not any(labels[i] in slots for i in run):
+                packed = src.const(template)
         parts.append(packed)
         run.clear()
 
@@ -787,14 +799,28 @@ def _emit_encode(
     src(f"return _reference_write({src.const(meta)}, ({values},), name)")
 
 
+#: Per-schema artefacts (value-mode encoders, slot readers) one codec or
+#: translator keeps before it starts over.
+_MAX_LAYOUTS = 64
+
+
 def _binary_encoder(
-    spec: MDLSpec, types: TypeRegistry, functions: FieldFunctionRegistry
+    spec: MDLSpec,
+    types: TypeRegistry,
+    functions: FieldFunctionRegistry,
+    schema: Optional[MessageSchema] = None,
 ) -> _Source:
-    """Generate the spec's composer: one straight-line branch per message."""
+    """Generate the spec's composer: one straight-line branch per message.
+
+    The composer proper takes a message.  A value-mode message goes to
+    the encoder generated for its schema (``encode(name, values)``, slot
+    reads by position), made by this function on the schema's first
+    compose and kept per schema.
+    """
     if spec.header is None:
         raise _NotCompilable
     src = _Source(
-        "encode(message)",
+        "encode(message)" if schema is None else "encode(name, values)",
         f"{spec.protocol} composer",
         P=spec.protocol,
         PF=PrimitiveField,
@@ -806,12 +832,30 @@ def _binary_encoder(
         _fixed=_fixed,
         _reference_write=_reference_write,
     )
-    src("name = message.name")
-    src("get = message.field_index().get")
+    if schema is None:
+        layouts: Dict[MessageSchema, Callable] = {}
+
+        def encoder_for(layout: MessageSchema) -> Callable:
+            if len(layouts) >= _MAX_LAYOUTS:
+                layouts.clear()
+            encoder = _binary_encoder(spec, types, functions, layout).compile()
+            layouts[layout] = encoder
+            return encoder
+
+        src.names.update(E=layouts, _encoder_for=encoder_for)
+        src("values = message._values")
+        src("if values is not None:")
+        src("    layout = message._schema")
+        src("    encode = E.get(layout) or _encoder_for(layout)")
+        src("    return encode(message.name, values)")
+        src("name = message.name")
+        src("get = message.field_index().get")
     for message in spec.messages:
         src(f"if name == {message.name!r}:")
         src.depth += 1
-        _emit_encode(src, spec, types, functions, message)
+        _emit_encode(
+            src, spec, types, functions, message, None if schema is None else schema.slots
+        )
         src.depth -= 1
     src("raise ComposeError(f\"MDL for {P} has no message '{name}'\")")
     return src

@@ -24,7 +24,8 @@ XPath-equivalent used by XML translation logic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import FieldNotFoundError, MessageError
 
@@ -33,6 +34,8 @@ __all__ = [
     "StructuredField",
     "Field",
     "AbstractMessage",
+    "MessageSchema",
+    "ABSENT",
 ]
 
 
@@ -135,6 +138,45 @@ class StructuredField:
 Field = Union[PrimitiveField, StructuredField]
 
 
+#: What a value-mode read answers for a label its schema does not lay out.
+ABSENT = object()
+
+
+class MessageSchema:
+    """The slot layout of value-mode messages: one label and one type name
+    per slot.
+
+    Fixed when a compiled binary parser or a generated translator is built,
+    and shared by every message it produces: such a message carries only
+    its slot values, and a field ``label`` of type ``type_name`` with no
+    length stands for each slot.  Labels are distinct and dot-free.
+    """
+
+    __slots__ = ("labels", "types", "slots")
+
+    def __init__(self, labels: Sequence[str], types: Sequence[str]) -> None:
+        self.labels = tuple(labels)
+        self.types = tuple(types)
+        #: Label -> slot position.
+        self.slots = {label: i for i, label in enumerate(self.labels)}
+        if len(self.slots) != len(self.labels) or len(self.types) != len(self.labels):
+            raise MessageError(f"malformed message schema {self.labels!r}")
+
+    def reader(self, labels: Sequence[str]) -> Callable[[Tuple[Any, ...]], Any]:
+        """A callable from a slot tuple to the values of ``labels``: the
+        value alone for one label, else a tuple; :data:`ABSENT` for a label
+        this schema does not lay out."""
+        positions = [self.slots.get(label) for label in labels]
+        if None not in positions:
+            return itemgetter(*positions)
+
+        def read(values: Tuple[Any, ...]) -> Any:
+            got = tuple(ABSENT if p is None else values[p] for p in positions)
+            return got if len(got) > 1 else got[0]
+
+        return read
+
+
 class AbstractMessage:
     """A protocol-independent representation of one network message.
 
@@ -148,14 +190,29 @@ class AbstractMessage:
     common case of primitive top-level fields, while still exposing the full
     field objects for structured access.
 
-    Top-level lookups go through a *first-match label index* kept beside
-    the ordered field list, so ``has``/``get``/``set`` are one dict probe
-    instead of a scan.  The index follows :meth:`add_field`, :meth:`set`
-    and plain appends to :attr:`fields` (picked up lazily by length), and
-    with duplicate labels it resolves to the earliest field, exactly as the
-    scan did.  Other in-place edits of :attr:`fields` — replacing,
-    reordering or relabelling a field — are outside the contract.
+    A message holds one of two representations at a time.  *Value mode*
+    (what compiled binary parsers and generated translators build) is a
+    :class:`MessageSchema` plus a tuple of slot values: ``get``, ``has``,
+    ``labels``, ``values`` and ``copy`` answer from the slots.  The first
+    access that needs field objects — :attr:`fields`, ``find``, ``field``,
+    :meth:`field_index`, or an edit through ``set`` / ``add_field`` —
+    builds them, once, and the message stays in *field mode*.
+
+    In field mode, top-level lookups go through a *first-match label
+    index* kept beside the ordered field list, so ``has``/``get``/``set``
+    are one dict probe instead of a scan.  The index follows
+    :meth:`add_field`, :meth:`set` and plain appends to :attr:`fields`
+    (picked up lazily by length), and with duplicate labels it resolves to
+    the earliest field, exactly as the scan did.  Other in-place edits of
+    :attr:`fields` — replacing, reordering or relabelling a field — are
+    outside the contract.
     """
+
+    #: Value mode: the slot layout and the slot values (else ``None``).
+    _schema: Optional[MessageSchema] = None
+    _values: Optional[Tuple[Any, ...]] = None
+    #: Field mode: the field list (``None`` in value mode).
+    _fields: Optional[List[Field]] = None
 
     def __init__(
         self,
@@ -167,8 +224,10 @@ class AbstractMessage:
         self.name = name
         #: Name of the protocol this message belongs to (informational).
         self.protocol = protocol
-        self._fields: List[Field] = list(fields) if fields else []
-        self._mandatory: List[str] = list(mandatory) if mandatory else []
+        self._fields = list(fields) if fields else []
+        #: A list, or a tuple a compiled parser shares among its messages
+        #: (:meth:`mark_mandatory` copies before it edits).
+        self._mandatory: Sequence[str] = list(mandatory) if mandatory else []
         #: First-match label -> field over ``_fields[:_indexed]``.
         self._index: Dict[str, Field] = {}
         self._indexed = 0
@@ -184,7 +243,7 @@ class AbstractMessage:
     ) -> "AbstractMessage":
         """A message built *around* ``fields`` and their label index, no copies.
 
-        For builders that computed both in one pass (the compiled
+        For builders that computed both in one pass (the compiled text
         parsers): ``index`` must map every label in ``fields`` to its
         first field, and the caller gives up both objects.
         """
@@ -197,12 +256,33 @@ class AbstractMessage:
         message._indexed = len(fields)
         return message
 
+    def _materialise(self) -> List[Field]:
+        """Leave value mode for good: one field object per slot."""
+        schema = self._schema
+        fields: List[Field] = []
+        append = fields.append
+        new = object.__new__
+        for label, type_name, value in zip(schema.labels, schema.types, self._values):
+            f = new(PrimitiveField)
+            f.label = label
+            f.type_name = type_name
+            f.length_bits = None
+            f.value = value
+            append(f)
+        self._fields = fields
+        self._index = dict(zip(schema.labels, fields))
+        self._indexed = len(fields)
+        self._schema = self._values = None
+        return fields
+
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     def add_field(self, f: Field) -> "AbstractMessage":
         """Append a field object and return ``self``."""
         fields = self._fields
+        if fields is None:
+            fields = self._materialise()
         if self._indexed == len(fields):
             self._index.setdefault(f.label, f)
             self._indexed += 1
@@ -264,9 +344,11 @@ class AbstractMessage:
 
     def mark_mandatory(self, *labels: str) -> "AbstractMessage":
         """Declare ``labels`` as mandatory fields (``Mfields`` in the paper)."""
+        mandatory = list(self._mandatory)
         for label in labels:
-            if label not in self._mandatory:
-                self._mandatory.append(label)
+            if label not in mandatory:
+                mandatory.append(label)
+        self._mandatory = mandatory
         return self
 
     # ------------------------------------------------------------------
@@ -275,7 +357,8 @@ class AbstractMessage:
     @property
     def fields(self) -> List[Field]:
         """The ordered list of top-level field objects."""
-        return self._fields
+        fields = self._fields
+        return fields if fields is not None else self._materialise()
 
     @property
     def mandatory_fields(self) -> List[str]:
@@ -285,6 +368,8 @@ class AbstractMessage:
         return self.labels()
 
     def labels(self) -> List[str]:
+        if self._fields is None:
+            return list(self._schema.labels)
         return [f.label for f in self._fields]
 
     def field_index(self) -> Dict[str, Field]:
@@ -294,6 +379,9 @@ class AbstractMessage:
         :attr:`fields`: callers probe it, they never write to it.
         """
         fields = self._fields
+        if fields is None:
+            self._materialise()
+            return self._index
         indexed = self._indexed
         if indexed != len(fields):
             if indexed > len(fields):
@@ -308,15 +396,17 @@ class AbstractMessage:
 
     def _find(self, label: str) -> Optional[Field]:
         # The in-sync probe is inlined: this runs per field per datagram.
-        if self._indexed != len(self._fields):
+        fields = self._fields
+        if fields is None or self._indexed != len(fields):
             return self.field_index().get(label)
         return self._index.get(label)
 
     def find(self, path: str) -> Optional[Field]:
         """The field addressed by ``path`` (dotted labels), or ``None``."""
         if "." not in path:
-            # ``_find`` inlined: translation and correlation probe per datagram.
-            if self._indexed != len(self._fields):
+            # ``_find`` inlined: the interpreter and correlation probe per datagram.
+            fields = self._fields
+            if fields is None or self._indexed != len(fields):
                 return self.field_index().get(path)
             return self._index.get(path)
         parts = path.split(".")
@@ -336,10 +426,16 @@ class AbstractMessage:
 
     def has(self, path: str) -> bool:
         """Return ``True`` when ``path`` resolves to a field of this message."""
+        if self._fields is None:
+            # Value-mode labels are dot-free: a dotted path never resolves.
+            return path in self._schema.slots
         return self.find(path) is not None
 
     def get(self, path: str, default: Any = None) -> Any:
         """Return the *value* of a primitive field, or ``default`` if absent."""
+        if self._fields is None:
+            slot = self._schema.slots.get(path)
+            return default if slot is None else self._values[slot]
         f = self.find(path)
         if f is None:
             return default
@@ -348,10 +444,10 @@ class AbstractMessage:
         return f.value
 
     def __getitem__(self, path: str) -> Any:
-        f = self.field(path)
-        if isinstance(f, StructuredField):
-            return f
-        return f.value
+        value = self.get(path, ABSENT)
+        if value is ABSENT:
+            raise FieldNotFoundError(path, self.name)
+        return value
 
     def __setitem__(self, path: str, value: Any) -> None:
         self.set(path, value)
@@ -361,6 +457,8 @@ class AbstractMessage:
 
     def values(self) -> Dict[str, Any]:
         """Return a flat mapping of dotted field paths to primitive values."""
+        if self._fields is None:
+            return dict(zip(self._schema.labels, self._values))
         out: Dict[str, Any] = {}
 
         def walk(prefix: str, fields: Sequence[Field]) -> None:
@@ -379,13 +477,20 @@ class AbstractMessage:
     # ------------------------------------------------------------------
     def copy(self) -> "AbstractMessage":
         """Return a deep, independent copy of this message."""
-        clone = AbstractMessage(
+        if self._fields is None:
+            clone = AbstractMessage.__new__(AbstractMessage)
+            clone.name = self.name
+            clone.protocol = self.protocol
+            clone._mandatory = list(self._mandatory)
+            clone._schema = self._schema
+            clone._values = self._values
+            return clone
+        return AbstractMessage(
             self.name,
             [f.copy() for f in self._fields],
             list(self._mandatory),
             self.protocol,
         )
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbstractMessage):

@@ -34,13 +34,18 @@ The built-in functions cover what the paper's discovery case studies need:
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 from urllib.parse import urlparse
 
 from ..errors import TranslationError
 from ..message import AbstractMessage
 
-__all__ = ["TranslationFunctionRegistry", "default_translation_registry"]
+__all__ = [
+    "BUILTIN_FUNCTIONS",
+    "TranslationFunctionRegistry",
+    "default_translation_registry",
+    "function_failed",
+]
 
 
 TranslationFunction = Callable[..., Any]
@@ -51,8 +56,8 @@ class TranslationFunctionRegistry:
 
     def __init__(self) -> None:
         self._functions: Dict[str, TranslationFunction] = {}
-        #: Bumped by every :meth:`register`; translation plans that resolved
-        #: a function once compare it to know they are stale.
+        #: Bumped by every :meth:`register`; generated translators that
+        #: resolved a function once compare it to know they are stale.
         self.version = 0
 
     def register(self, name: str, function: TranslationFunction) -> None:
@@ -81,34 +86,18 @@ class TranslationFunctionRegistry:
         """Apply the function ``name`` to ``value``.
 
         Functions receive the value plus keyword-only extras (literal
-        ``arguments`` from the assignment, the engine ``context``, and the
-        source/target message instances); simple functions may ignore them.
+        ``arguments`` from the assignment, a copy of the engine ``context``,
+        and the source/target message instances); simple functions may
+        ignore them.  Any failure but a :class:`TranslationError` is
+        wrapped into one (:func:`function_failed`).
         """
-        return self.call(
-            name, self._functions.get(name), value, tuple(arguments), context, source, target
-        )
-
-    def call(
-        self,
-        name: str,
-        function: Optional[TranslationFunction],
-        value: Any,
-        arguments: Tuple[str, ...],
-        context: Optional[Dict[str, Any]],
-        source: Optional[AbstractMessage],
-        target: Optional[AbstractMessage],
-    ) -> Any:
-        """:meth:`apply` with ``function`` already looked up (``None``: unknown).
-
-        Translation plans resolve each assignment's function once with
-        :meth:`lookup` and come here per datagram.
-        """
+        function = self._functions.get(name)
         if function is None:
             raise TranslationError(f"unknown translation function '{name}'")
         try:
             return function(
                 value,
-                arguments=arguments,
+                arguments=tuple(arguments),
                 context=dict(context or {}),
                 source=source,
                 target=target,
@@ -116,28 +105,17 @@ class TranslationFunctionRegistry:
         except TranslationError:
             raise
         except Exception as exc:
-            raise TranslationError(
-                f"translation function '{name}' failed on {value!r}: {exc}"
-            ) from exc
+            raise function_failed(name, value, exc) from exc
 
     def register_defaults(self) -> "TranslationFunctionRegistry":
-        self.register("identity", _identity)
-        self.register("to_int", _to_int)
-        self.register("to_str", _to_str)
-        self.register("url_base", _url_base)
-        self.register("url_host", _url_host)
-        self.register("url_port", _url_port)
-        self.register("url_path", _url_path)
-        self.register("service_type_to_dns", _service_type_to_dns)
-        self.register("dns_to_service_type", _dns_to_service_type)
-        self.register("prefix", _prefix)
-        self.register("suffix", _suffix)
-        self.register("bridge_http_location", _bridge_http_location)
-        self.register("constant", _constant)
-        self.register("slp_service_type", _slp_service_type)
-        self.register("upnp_service_type", _upnp_service_type)
-        self.register("device_description", _device_description)
+        for name, function in BUILTIN_FUNCTIONS.items():
+            self.register(name, function)
         return self
+
+
+def function_failed(name: str, value: Any, exc: Exception) -> TranslationError:
+    """The error for translation function ``name`` raising ``exc`` on ``value``."""
+    return TranslationError(f"translation function '{name}' failed on {value!r}: {exc}")
 
 
 def default_translation_registry() -> TranslationFunctionRegistry:
@@ -326,3 +304,27 @@ def _bridge_http_location(value: Any, **kwargs: Any) -> str:
         )
     host, port = endpoint
     return f"http://{host}:{port}{path}"
+
+
+#: The built-in functions by registered name.  None of them looks at the
+#: source or target message it is handed or edits its context, so a
+#: generated translator may call them while it still holds the target's
+#: values in locals; it folds ``constant`` outright.
+BUILTIN_FUNCTIONS: Dict[str, TranslationFunction] = {
+    "identity": _identity,
+    "to_int": _to_int,
+    "to_str": _to_str,
+    "url_base": _url_base,
+    "url_host": _url_host,
+    "url_port": _url_port,
+    "url_path": _url_path,
+    "service_type_to_dns": _service_type_to_dns,
+    "dns_to_service_type": _dns_to_service_type,
+    "prefix": _prefix,
+    "suffix": _suffix,
+    "bridge_http_location": _bridge_http_location,
+    "constant": _constant,
+    "slp_service_type": _slp_service_type,
+    "upnp_service_type": _upnp_service_type,
+    "device_description": _device_description,
+}

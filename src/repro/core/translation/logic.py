@@ -25,14 +25,20 @@ A :class:`TranslationLogic` bundles the three parts of Fig. 5:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MessageError, TranslationError
 from ..fieldpath import FieldPath
-from ..message import AbstractMessage, PrimitiveField, StructuredField
-from .functions import TranslationFunctionRegistry, default_translation_registry
+from ..mdl.compiled import _MAX_LAYOUTS, _Source
+from ..message import ABSENT, AbstractMessage, MessageSchema, PrimitiveField, StructuredField
+from .functions import (
+    BUILTIN_FUNCTIONS,
+    TranslationFunctionRegistry,
+    default_translation_registry,
+    function_failed,
+)
 
 __all__ = ["MessageFieldRef", "Assignment", "TranslationLogic"]
 
@@ -40,7 +46,7 @@ __all__ = ["MessageFieldRef", "Assignment", "TranslationLogic"]
 def _flat_label(expression: str) -> Optional[str]:
     """``expression`` as one top-level field label, else ``None``.
 
-    ``None`` for the paths a plan cannot reduce to a single index probe —
+    ``None`` for the paths a translator cannot reduce to a single slot —
     dotted paths into structured fields, the paper's XPath style, and
     anything :class:`FieldPath` would refuse — which stay with the
     reference interpreter.
@@ -51,19 +57,27 @@ def _flat_label(expression: str) -> Optional[str]:
     return label
 
 
-#: One lowered assignment of a translation plan: ``(assignment, source
-#: message, source label, target label, function name, function, literal
-#: arguments)``.  Both labels are ``None`` when either side is not a flat
-#: label: that assignment runs through the reference interpreter.
-_PlanStep = Tuple[
-    "Assignment",
-    str,
-    Optional[str],
-    Optional[str],
-    Optional[str],
-    Optional[Callable[..., Any]],
-    Tuple[str, ...],
-]
+#: The built-in function objects, compared by identity: a function registered
+#: in a built-in's place is not one.
+_BUILTINS = frozenset(map(id, BUILTIN_FUNCTIONS.values()))
+_CONSTANT = BUILTIN_FUNCTIONS["constant"]
+
+
+def _reader(
+    cache: Dict[MessageSchema, Callable], layout: MessageSchema, labels: Tuple[str, ...]
+) -> Callable:
+    """A generated translator's slot reader for source schema ``layout``."""
+    if len(cache) >= _MAX_LAYOUTS:
+        cache.clear()
+    read = cache[layout] = layout.reader(labels)
+    return read
+
+
+def _settle(target: AbstractMessage, labels: Tuple[str, ...], values: Tuple[Any, ...]) -> None:
+    """Give ``target`` the fields a translator has assigned so far."""
+    for label, value in zip(labels, values):
+        if value is not ABSENT:
+            target.add_field(PrimitiveField(label, "String", None, value))
 
 
 def _structured_value(assignment: "Assignment", label: str) -> MessageError:
@@ -132,15 +146,15 @@ class TranslationLogic:
         self._equivalences: List[Tuple[str, str]] = list(equivalences or [])
         self._assignments: List[Assignment] = list(assignments or [])
         self.functions = functions if functions is not None else default_translation_registry()
-        #: Translation plans per target message, lowered by :meth:`lower` (or
-        #: on first use) and shared by everything holding this logic (every
-        #: worker engine).
+        #: One generated translator per target message, built by
+        #: :meth:`lower` (or on first use) and shared by everything holding
+        #: this logic (every worker engine).
         #: Valid only while the logic is read-only: ``assign`` and
         #: ``add_assignment`` drop them, and so does a ``register`` on the
         #: function registry they resolved their functions from.
-        self._plans: Dict[str, List[_PlanStep]] = {}
-        self._plans_registry: Optional[TranslationFunctionRegistry] = None
-        self._plans_version = -1
+        self._translators: Dict[str, Callable[..., AbstractMessage]] = {}
+        self._translators_registry: Optional[TranslationFunctionRegistry] = None
+        self._translators_version = -1
 
     # ------------------------------------------------------------------
     # construction
@@ -171,12 +185,12 @@ class TranslationLogic:
                 tuple(function_arguments),
             )
         )
-        self._plans.clear()
+        self._translators.clear()
         return self
 
     def add_assignment(self, assignment: Assignment) -> "TranslationLogic":
         self._assignments.append(assignment)
-        self._plans.clear()
+        self._translators.clear()
         return self
 
     @staticmethod
@@ -235,54 +249,21 @@ class TranslationLogic:
         :class:`~repro.core.errors.TranslationError`; otherwise the
         assignment is skipped.
 
-        Executes the target's *translation plan*: the assignments lowered
-        once (see :meth:`_lower`) into flat label-to-label slot copies with
-        their functions already looked up.  :meth:`interpret` is the
-        reference this must stay message- and error-identical to.
+        Runs the target message's generated translator (see
+        :meth:`_generate`): a fresh target is filled in one pass and left
+        in value mode; a target that already holds fields goes to
+        :meth:`interpret`, the reference this must stay message- and
+        error-identical to.
         """
-        target_name = target.name
+        translator = self._translators.get(target.name)
         functions = self.functions
-        for step in self._plan_for(target_name):
-            assignment, source_message, source_label, target_label, name, function, arguments = step
-            if source_label is None:
-                self._execute(assignment, target, instances, context, strict)
-                continue
-            source_instance = instances.get(source_message)
-            if source_instance is None:
-                if source_message == target_name:
-                    source_instance = target
-                elif strict:
-                    raise TranslationError(
-                        f"no instance of source message '{source_message}' "
-                        f"available for assignment {assignment}"
-                    )
-                else:
-                    continue
-            found = source_instance.find(source_label)
-            if found is None:
-                if strict:
-                    raise TranslationError(
-                        f"source field missing for assignment {assignment}"
-                    )
-                continue
-            value = found if isinstance(found, StructuredField) else found.value
-            if name is not None:
-                value = functions.call(
-                    name, function, value, arguments, context, source_instance, target
-                )
-            if isinstance(value, StructuredField):
-                raise _structured_value(assignment, value.label)
-            existing = target.find(target_label)
-            if existing is None:
-                target.add_field(PrimitiveField(target_label, "String", None, value))
-            elif isinstance(existing, StructuredField):
-                raise MessageError(
-                    f"cannot assign a value to structured field '{target_label}' "
-                    f"of message '{target_name}'"
-                )
-            else:
-                existing.value = value
-        return target
+        if (
+            translator is None
+            or self._translators_registry is not functions
+            or self._translators_version != functions.version
+        ):
+            translator = self._translator_for(target.name)
+        return translator(target, instances, context, strict)
 
     def validate(self) -> None:
         """Reject the assignments that can only store a structured field
@@ -306,47 +287,187 @@ class TranslationLogic:
                 raise _structured_value(assignment, source[-1])
 
     def lower(self) -> None:
-        """Lower the plan of every target message now.
+        """Generate and compile the translator of every target message now.
 
-        Plans are built on first use anyway; an engine calls this when it
-        is constructed so the work lands in deploy time, not on the first
-        datagram of each kind.
+        Translators are built on first use anyway; an engine calls this
+        when it is constructed so the work lands in deploy time, not on the
+        first datagram of each kind.
         """
         for assignment in self._assignments:
-            self._plan_for(assignment.target.message)
+            self._translator_for(assignment.target.message)
 
-    def _plan_for(self, target_message: str) -> List[_PlanStep]:
+    def _translator_for(self, target_message: str) -> Callable[..., AbstractMessage]:
         functions = self.functions
-        if self._plans_registry is not functions or self._plans_version != functions.version:
-            self._plans = {}
-            self._plans_registry = functions
-            self._plans_version = functions.version
-        plan = self._plans.get(target_message)
-        if plan is None:
-            plan = self._plans[target_message] = self._lower(target_message)
-        return plan
+        if (
+            self._translators_registry is not functions
+            or self._translators_version != functions.version
+        ):
+            self._translators = {}
+            self._translators_registry = functions
+            self._translators_version = functions.version
+        translator = self._translators.get(target_message)
+        if translator is None:
+            translator = self._translators[target_message] = self._generate(target_message)
+        return translator
 
-    def _lower(self, target_message: str) -> List[_PlanStep]:
-        """Lower the assignments targeting ``target_message`` into a plan."""
-        plan: List[_PlanStep] = []
+    def _generate(self, target_message: str) -> Callable[..., AbstractMessage]:
+        """The straight-line translator of ``target_message``.
+
+        Assignments run in order.  While they are flat, write distinct
+        target labels, read other messages and call no function but the
+        built-ins, the target's values stay in locals: each source message
+        is looked up once and read by slot position (value mode) or label,
+        ``constant`` is folded, the other functions are called as bound
+        constants, and the target is handed its slot tuple at the end
+        (fields, if an assignment was skipped).  From the first assignment
+        that is not like that on, the target gets its fields and each flat
+        assignment writes through :class:`FieldPath`; a dotted or XPath one
+        runs in :meth:`_execute`.  An error hands the target what was
+        assigned before it, as the interpreter leaves it.
+        """
+        functions = self.functions
+        src = _Source(
+            "translate(target, instances, context, strict)",
+            f"{target_message} translator",
+            A=ABSENT,
+            SF=StructuredField,
+            TranslationError=TranslationError,
+            interpret=self.interpret,
+            execute=self._execute,
+            _reader=_reader,
+            _settle=_settle,
+            _structured_value=_structured_value,
+            _failed=function_failed,
+        )
+        src("fields = target._fields")
+        src("if fields is None or fields:")
+        src("    return interpret(target, instances, context, strict)")
+        steps = []
+        held: List[str] = []  # the target labels kept in locals, in order
         for assignment in self.assignments_for(target_message):
-            source_label = _flat_label(assignment.source.field)
-            target_label = _flat_label(assignment.target.field)
-            if source_label is None or target_label is None:
-                source_label = target_label = None
-            name = assignment.function or None
-            plan.append(
-                (
-                    assignment,
-                    assignment.source.message,
-                    source_label,
-                    target_label,
-                    name,
-                    self.functions.lookup(name) if name is not None else None,
-                    tuple(assignment.function_arguments),
+            source = _flat_label(assignment.source.field)
+            label = _flat_label(assignment.target.field)
+            function = functions.lookup(assignment.function) if assignment.function else None
+            if (
+                len(held) == len(steps)
+                and source is not None
+                and label is not None
+                and label not in held
+                and assignment.source.message != target_message
+                and (function is None or id(function) in _BUILTINS)
+            ):
+                held.append(label)
+            steps.append((assignment, source, label, function))
+
+        # Each source message of the held assignments is looked up once and
+        # its labels read in one slot-reader call.
+        sources: Dict[str, Tuple[str, Dict[str, str]]] = {}
+        for assignment, source, _, _ in steps[: len(held)]:
+            name, reads = sources.setdefault(assignment.source.message, (f"s{len(sources)}", {}))
+            reads.setdefault(source, f"{name}_{len(reads)}")
+        labels = src.const(tuple(held)) if held else None
+        slots = "".join(f"t{j}, " for j in range(len(held)))
+        if held:
+            src(" = ".join(f"t{j}" for j in range(len(held))) + " = A")
+            src("try:")
+            src.depth += 1
+            for message, (name, reads) in sources.items():
+                cache = src.const({})
+                src(f"{name} = instances.get({message!r})")
+                src(f"if {name} is not None:")
+                src(f"    x = {name}._values")
+                src("    if x is not None:")
+                src(f"        layout = {name}._schema")
+                src(
+                    f"        {', '.join(reads.values())} = ({cache}.get(layout) or "
+                    f"_reader({cache}, layout, {src.const(tuple(reads))}))(x)"
                 )
-            )
-        return plan
+                src("    else:")
+                for label, var in reads.items():
+                    src(f"        {var} = {name}.get({label!r}, A)")
+            for j, (assignment, source, label, function) in enumerate(steps[: len(held)]):
+                name, reads = sources[assignment.source.message]
+                self._emit(src, assignment, function, name, reads[source], f"t{j} = {{}}")
+            src.depth -= 1
+            src("except BaseException:")
+            src(f"    _settle(target, {labels}, ({slots}))")
+            src("    raise")
+        if len(held) < len(steps):
+            if held:
+                src(f"_settle(target, {labels}, ({slots}))")
+            for assignment, source, label, function in steps[len(held):]:
+                if source is None or label is None:
+                    src(f"execute({src.const(assignment)}, target, instances, context, strict)")
+                    continue
+                message = assignment.source.message
+                src(f"s = instances.get({message!r})")
+                if message == target_message:
+                    src("if s is None:")
+                    src("    s = target")
+                src(f"a = A if s is None else s.get({source!r}, A)")
+                write = f"{src.const(assignment.target.path())}.assign(target, {{}})"
+                self._emit(src, assignment, function, "s", "a", write)
+        elif held:
+            schema = MessageSchema(held, ["String"] * len(held))
+            src(f"if {' and '.join(f't{j} is not A' for j in range(len(held)))}:")
+            src("    target._fields = None")
+            src(f"    target._schema = {src.const(schema)}")
+            src(f"    target._values = ({slots})")
+            src("else:")
+            src(f"    _settle(target, {labels}, ({slots}))")
+        src("return target")
+        return src.compile()
+
+    @staticmethod
+    def _emit(
+        src: _Source,
+        assignment: Assignment,
+        function: Optional[Callable[..., Any]],
+        source: str,
+        value: str,
+        write: str,
+    ) -> None:
+        """One assignment reading ``value`` (``A``: absent) of the message
+        in ``source``: skip it or raise as the interpreter does, else run
+        its function and emit ``write`` formatted with the result."""
+        no_instance = (
+            f"no instance of source message '{assignment.source.message}' "
+            f"available for assignment {assignment}"
+        )
+        no_field = f"source field missing for assignment {assignment}"
+        src(f"if {source} is None:")
+        src(f"    if strict: raise TranslationError({no_instance!r})")
+        src(f"elif {value} is A:")
+        src(f"    if strict: raise TranslationError({no_field!r})")
+        src("else:")
+        src.depth += 1
+        name = assignment.function
+        arguments = tuple(assignment.function_arguments)
+        if name and function is None:
+            message = f"unknown translation function '{name}'"
+            src(f"raise TranslationError({message!r})")
+        elif function is _CONSTANT and not arguments:
+            src("raise TranslationError('constant() needs a literal argument')")
+        elif function is _CONSTANT and not isinstance(arguments[0], StructuredField):
+            src(write.format(src.const(arguments[0])))
+        else:
+            result = value
+            if name:
+                src("try:")
+                src(
+                    f"    v = {src.const(function)}({value}, arguments={src.const(arguments)}, "
+                    f"context=dict(context) if context else {{}}, source={source}, "
+                    "target=target)"
+                )
+                src("except TranslationError:")
+                src("    raise")
+                src("except Exception as exc:")
+                src(f"    raise _failed({name!r}, {value}, exc) from exc")
+                result = "v"
+            src(f"if isinstance({result}, SF):")
+            src(f"    raise _structured_value({src.const(assignment)}, {result}.label)")
+            src(write.format(result))
+        src.depth -= 1
 
     def interpret(
         self,

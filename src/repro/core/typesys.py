@@ -21,7 +21,7 @@ describes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from .errors import MarshallingError, TypeSystemError
 

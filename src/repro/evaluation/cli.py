@@ -114,10 +114,7 @@ from .tables import (
     format_telemetry,
     overhead_ratios,
 )
-from .telemetry import (
-    COLLECTOR_OVERHEAD_THRESHOLD_PCT,
-    run_telemetry,
-)
+from .telemetry import run_telemetry
 
 __all__ = [
     "main",

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..bridges.specs import CASE_NAMES
 from ..network.aio import uvloop_available
+from ..network.engine import RECENT_RECORDS
 from ..network.latency import CalibratedLatencies
 from ..obs.tracing import Tracer
 from .workloads import (
@@ -150,23 +151,33 @@ def measure_connector_case(
     latencies: Optional[CalibratedLatencies] = None,
     seed: int = 7,
 ) -> Summary:
-    """Translation times of one Starlink connector case (one Fig. 12(b) row)."""
+    """Translation times of one Starlink connector case (one Fig. 12(b) row).
+
+    The lookups run in batches of at most :data:`RECENT_RECORDS`, each
+    batch's samples read before the bridge's session ring can wrap, so any
+    ``repetitions`` works.
+    """
     scenario = bridged_scenario(case, latencies=latencies, seed=seed)
-    results = scenario.run(repetitions)
-    failures = [result for result in results if not result.found]
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} of {repetitions} bridged lookups failed for case {case}"
+    bridge = scenario.bridge
+    assert bridge is not None
+    samples: List[float] = []
+    while len(samples) < repetitions:
+        batch = min(RECENT_RECORDS, repetitions - len(samples))
+        before = bridge.completed_count
+        failures = [result for result in scenario.run(batch) if not result.found]
+        if failures:
+            raise RuntimeError(
+                f"{len(failures)} of {batch} bridged lookups failed for case {case}"
+            )
+        recorded = bridge.completed_count - before
+        sessions = every_record(
+            bridge.sessions[-recorded:] if recorded else [], recorded, "sessions"
         )
-    assert scenario.bridge is not None
-    sessions = every_record(
-        scenario.bridge.sessions, scenario.bridge.completed_count, "sessions"
-    )
-    if len(sessions) < repetitions:
-        raise RuntimeError(
-            f"bridge recorded {len(sessions)} sessions for {repetitions} lookups (case {case})"
-        )
-    samples = [session.translation_time for session in sessions[:repetitions]]
+        if len(sessions) < batch:
+            raise RuntimeError(
+                f"bridge recorded {len(sessions)} sessions for {batch} lookups (case {case})"
+            )
+        samples.extend(session.translation_time for session in sessions[:batch])
     return summarise(f"{case}. {CASE_NAMES[case]}", samples)
 
 

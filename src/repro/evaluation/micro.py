@@ -17,12 +17,12 @@ This module checks both claims in one place:
 
 The deploy-time transition plans one layer up get the same treatment per
 bridge case: a ``translate`` row (one lookup's worth of
-``TranslationLogic.apply`` on the plan against the assignment-at-a-time
-``TranslationLogic.interpret``, fed the messages and contexts a real
-simulated lookup produced) and a ``transition`` row (resolving every state
-of the merged automaton through the cached ``MergedAutomaton.step``
-against the scanning ``scan_step``), gated on message-, error- and
-step-identity of the two.
+``TranslationLogic.apply``, the generated translators, against the
+assignment-at-a-time ``TranslationLogic.interpret``, fed the messages and
+contexts a real simulated lookup produced) and a ``transition`` row
+(resolving every state of the merged automaton through the cached
+``MergedAutomaton.step`` against the scanning ``scan_step``), gated on
+message-, error- and step-identity of the two.
 
 ``python -m repro.evaluation --table micro`` prints the table and writes
 ``BENCH_micro.json`` next to the other benchmark artifacts.
@@ -457,9 +457,9 @@ def run_trace_overhead(
     the true cost; means absorb scheduler hiccups), GC is disabled
     inside the timed window, and up to ``attempts`` rounds are taken
     with the best round reported — retrying is sound for a *less-than*
-    assertion.  (The true overhead was ~2 % when this was written and is
-    4.5–5.2 % since the transition plans: the margin is gone, see
-    docs/observability.md.)
+    assertion.  (The tracer's cost is fixed per datagram, so every
+    pipeline speed-up raises the ratio; docs/observability.md has the
+    current figures.)
     """
     from ..obs.tracing import Tracer
 

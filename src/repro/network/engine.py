@@ -23,7 +23,7 @@ work (autoscaling, failure detection, telemetry) runs as a
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, List, Optional
 
 from .addressing import Endpoint
 

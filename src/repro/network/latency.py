@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["LatencyModel", "CalibratedLatencies", "default_latencies"]
 

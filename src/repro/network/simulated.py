@@ -21,8 +21,8 @@ import itertools
 import random
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.errors import DeliveryError, NetworkError
-from .addressing import Endpoint, Transport
+from ..core.errors import NetworkError
+from .addressing import Endpoint
 from .engine import NetworkEngine, NetworkNode
 from .latency import CalibratedLatencies, default_latencies
 

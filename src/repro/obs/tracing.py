@@ -10,9 +10,12 @@ The instrumentation contract, tuned for the hot path:
   engine-internal timer): leaf-stage histograms still record, spans
   never do.
 * **Leaf-stage histograms are unconditional**, spans are sampled.  A
-  histogram record is one ``int.bit_length`` bucket increment plus a
-  float add; the span append (and its timeline-clock read) is only paid
-  by sampled datagrams.  The composite engine stages, ``engine.dispatch``
+  histogram record appends the duration to the stage's pending list;
+  the edge folds every recorder's pending durations into their
+  histograms (one sorted pass per stage) on every :data:`FOLD_EVERY`-th
+  stamp, and any read of a recorder's histograms folds first.  The
+  span append (and its timeline-clock read) is only paid by sampled
+  datagrams.  The composite engine stages, ``engine.dispatch``
   and the ``automaton.transition`` it encloses (their children are timed
   on their own), are timed on sampled datagrams only, so their
   histograms are a 1-in-N sample.
@@ -20,7 +23,8 @@ The instrumentation contract, tuned for the hot path:
   the router, each worker engine — only ever records from one thread at
   a time (the simulation is single-threaded; live, the router and every
   worker engine record on the event-loop thread), so the ring-buffer
-  append needs no lock.  Metrics/export readers on other
+  and pending-list appends need no lock; only a fold takes one, since
+  a reader on another thread folds too.  Metrics/export readers on other
   threads may observe a torn *window* (a span overwritten mid-read) but
   never a torn tuple; the export is a debugging artifact, not a ledger.
 * **Two clock domains.**  Span *durations* for CPU stages are measured
@@ -38,13 +42,18 @@ The instrumentation contract, tuned for the hot path:
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
+from bisect import bisect_left
+from math import inf, nextafter
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "DEFAULT_RING_SIZE",
     "DEFAULT_SAMPLE_RATE",
+    "FOLD_EVERY",
+    "FOLD_MASK",
     "SPAN_PARENTS",
     "STAGES",
     "STAGE_CLASSIFY",
@@ -130,6 +139,26 @@ DEFAULT_SAMPLE_RATE = 1.0 / 64.0
 #: contributes < 10 spans).
 DEFAULT_RING_SIZE = 4096
 
+#: The edge folds every recorder's pending durations into their
+#: histograms on every FOLD_EVERY-th stamped datagram: ``trace &
+#: FOLD_MASK == 0`` picks those stamps (see :meth:`Tracer.fold`).
+FOLD_EVERY = 256
+FOLD_MASK = (FOLD_EVERY - 1) << 1
+
+
+def _bucket_edge(index: int) -> float:
+    """The smallest duration (seconds) whose nanosecond count reaches
+    ``2**index``: below it :meth:`LatencyHistogram.record` buckets at
+    most ``index``.  Found by stepping from ``2**index / 1e9`` so the
+    edge agrees with ``int(seconds * 1e9)`` to the last bit."""
+    target = float(1 << index)
+    edge = target / 1e9
+    while edge * 1e9 >= target:
+        edge = nextafter(edge, -inf)
+    while edge * 1e9 < target:
+        edge = nextafter(edge, inf)
+    return edge
+
 
 class LatencyHistogram:
     """Power-of-two-bucket latency histogram (nanosecond resolution).
@@ -141,12 +170,17 @@ class LatencyHistogram:
     no overflow path.  Recording is two int ops and two adds — cheap
     enough to stay on unconditionally.
 
-    Live threads record without a lock: bucket increments may race and
-    very occasionally drop a count, which is acceptable for a latency
-    *distribution* (the conserved counters live elsewhere).
+    A :class:`SpanRecorder` fills its histograms in batches, under its
+    fold lock.  A histogram recorded into directly from several threads
+    takes no lock: bucket increments may race and very occasionally
+    drop a count, which is acceptable for a latency *distribution* (the
+    conserved counters live elsewhere).
     """
 
     BUCKET_COUNT = 64
+
+    #: ``EDGES[k]``: durations below it land in bucket ``k`` or lower.
+    EDGES: Tuple[float, ...] = tuple(_bucket_edge(k) for k in range(BUCKET_COUNT - 1))
 
     __slots__ = ("buckets", "count", "total_seconds")
 
@@ -163,6 +197,30 @@ class LatencyHistogram:
         self.buckets[index] += 1
         self.count += 1
         self.total_seconds += seconds
+
+    def record_many(self, durations: List[float]) -> None:
+        """:meth:`record` each of ``durations``, in one sorted pass.
+
+        The durations are sorted once and each occupied bucket takes
+        its share with one bisection against :attr:`EDGES`, so a batch
+        costs a sort instead of a bucket computation per duration.
+        """
+        if not durations:
+            return
+        ordered = sorted(durations)
+        edges = self.EDGES
+        buckets = self.buckets
+        size = len(ordered)
+        index = bisect_left(edges, ordered[0])
+        start = 0
+        while start < size and index < len(edges):
+            end = bisect_left(ordered, edges[index], start)
+            buckets[index] += end - start
+            start = end
+            index += 1
+        buckets[-1] += size - start
+        self.count += size
+        self.total_seconds += sum(durations)
 
     def percentile(self, q: float) -> float:
         """Upper bucket edge (seconds) at quantile ``q`` in ``[0, 1]``.
@@ -238,11 +296,23 @@ class SpanRecorder:
     Created via :meth:`Tracer.recorder` by the router and by each worker
     engine.  The ring is a preallocated fixed-size list with a
     monotonically increasing head; once full, the oldest span is
-    overwritten (``dropped`` counts the overwrites).  All methods are
-    single-writer (see the module docstring) and lock-free.
+    overwritten (``dropped`` counts the overwrites).  The recording
+    methods are single-writer (see the module docstring); a stage's
+    durations wait in a pending list until :meth:`fold` buckets them.
     """
 
-    __slots__ = ("name", "_tracer", "_size", "_ring", "_head", "hists", "seq_high")
+    __slots__ = (
+        "name",
+        "_tracer",
+        "_size",
+        "_ring",
+        "_head",
+        "_hists",
+        "_pending",
+        "hold",
+        "_fold_lock",
+        "seq_high",
+    )
 
     def __init__(self, name: str, tracer: "Tracer") -> None:
         self.name = name
@@ -252,9 +322,19 @@ class SpanRecorder:
             [None] * self._size
         )
         self._head = 0
-        self.hists: Dict[str, LatencyHistogram] = {
+        self._hists: Dict[str, LatencyHistogram] = {
             stage: LatencyHistogram() for stage in STAGES
         }
+        #: Durations recorded but not yet bucketed, per stage.
+        self._pending: Dict[str, List[float]] = {stage: [] for stage in STAGES}
+        #: Per stage, the bound ``append`` of its pending list.  The
+        #: hottest engine sites hand an unsampled datagram's duration
+        #: straight to it, with no Python frame; sampled datagrams go
+        #: through :meth:`record` for their spans.
+        self.hold: Dict[str, Callable[[float], None]] = {
+            stage: pending.append for stage, pending in self._pending.items()
+        }
+        self._fold_lock = threading.Lock()
         #: Highest trace sequence number this recorder has seen on a
         #: sampled span — the ring's high-water mark.  Together with
         #: :attr:`dropped` it makes ring-sizing regressions visible on
@@ -277,26 +357,17 @@ class SpanRecorder:
             recorder.record(trace, STAGE_COMPOSE, p)
         """
         ended = perf_counter()
-        duration = ended - started
-        # The histogram update is inlined (not hist.record(duration)) and
-        # pared down: this method runs per stage per datagram, and every
-        # bytecode of it is measurable against a microsecond-scale parse.
-        # ``perf_counter`` is monotonic, so the duration is never negative,
-        # and only a span of 292 years could index past the last bucket.
-        hist = self.hists[stage]
-        try:
-            hist.buckets[int(duration * 1e9).bit_length()] += 1
-        except IndexError:
-            hist.buckets[-1] += 1
-        hist.count += 1
-        hist.total_seconds += duration
+        # This method runs per stage per datagram, and every bytecode of
+        # it is measurable against a microsecond-scale parse: the
+        # duration only waits here until the next fold buckets it.
+        self._pending[stage].append(ended - started)
         if trace & 1:
-            self._push((trace >> 1, stage, self._tracer.clock(), duration))
+            self._push((trace >> 1, stage, self._tracer.clock(), ended - started))
         return ended
 
     def record_span(self, trace: int, stage: str, duration: float) -> None:
         """Record a stage whose duration the caller already measured."""
-        self.hists[stage].record(duration)
+        self._pending[stage].append(duration)
         if trace & 1:
             self._push((trace >> 1, stage, self._tracer.clock(), duration))
 
@@ -308,9 +379,24 @@ class SpanRecorder:
         same domain as the span positions.
         """
         duration = t1 - t0
-        self.hists[stage].record(duration)
+        self._pending[stage].append(duration)
         if trace & 1:
             self._push((trace >> 1, stage, t1, duration))
+
+    def fold(self) -> None:
+        """Bucket every stage's pending durations into its histogram.
+
+        Under the fold lock, so the edge folding on the loop thread and
+        a reader folding on another never bucket one duration twice.  A
+        record may append while a fold runs: only the durations copied
+        are removed, so a late one waits for the next fold.
+        """
+        with self._fold_lock:
+            for stage, pending in self._pending.items():
+                if pending:
+                    batch = pending[:]
+                    del pending[: len(batch)]
+                    self._hists[stage].record_many(batch)
 
     def _push(self, span: Tuple[int, str, float, float]) -> None:
         head = self._head
@@ -320,6 +406,12 @@ class SpanRecorder:
             self.seq_high = span[0]
 
     # -- export-side reads --------------------------------------------
+    @property
+    def hists(self) -> Dict[str, LatencyHistogram]:
+        """Per-stage histograms, every recorded duration bucketed."""
+        self.fold()
+        return self._hists
+
     @property
     def pushed(self) -> int:
         """Total spans ever pushed (retained + dropped): the conserved sum."""
@@ -350,8 +442,14 @@ class Tracer:
     One tracer per runtime deployment.  ``sample`` is the fraction of
     datagrams whose spans are captured (``1.0`` → every datagram,
     ``0.0`` → spans off, histograms still on); internally it becomes a
-    1-in-N stride so the stamp path is one counter increment and one
-    modulo.
+    1-in-N stride, a precomputed cycle of sampling bits.
+
+    ``stamp()`` stamps one inbound datagram and returns its trace id,
+    ``(seq << 1) | sampled`` for ``seq`` = 1, 2, …: the low bit carries
+    the sampling decision (``trace & 1`` → record spans).  It is the
+    ``__next__`` of a chain of C iterators, so a stamp runs no Python
+    bytecode and is atomic under the GIL: live receiver threads stamp
+    without a lock.
     """
 
     def __init__(
@@ -365,9 +463,13 @@ class Tracer:
             raise ValueError(f"trace ring size must be positive, got {ring_size}")
         self.sample = sample
         #: Stride: every Nth stamped datagram is sampled (0 = never).
-        self._every = 0 if sample <= 0.0 else max(1, round(1.0 / sample))
+        every = 0 if sample <= 0.0 else max(1, round(1.0 / sample))
         self.ring_size = ring_size
-        self._seq = itertools.count(1)
+        sampled = (
+            itertools.cycle((0,) * (every - 1) + (1,)) if every else itertools.repeat(0)
+        )
+        shifted = map(operator.lshift, itertools.count(1), itertools.repeat(1))
+        self.stamp: Callable[[], int] = map(operator.or_, shifted, sampled).__next__
         #: Timeline clock (span positions, wait durations): perf_counter
         #: until a runtime deploy rebinds it via :meth:`use_clock`.
         self.clock: Callable[[], float] = perf_counter
@@ -380,17 +482,15 @@ class Tracer:
         self.clock = clock
         self.clock_domain = domain
 
-    def stamp(self) -> int:
-        """Stamp one inbound datagram; returns its trace id.
+    def fold(self) -> None:
+        """Bucket every recorder's pending durations.
 
-        The low bit carries the sampling decision (``trace & 1`` →
-        record spans); the rest is a process-unique sequence number.
-        ``next`` on :func:`itertools.count` is atomic under the GIL, so
-        live receiver threads stamp without a lock.
+        The edges call it on every :data:`FOLD_EVERY`-th stamp (``not
+        trace & FOLD_MASK``), which bounds every pending list whichever
+        worker the datagrams reach.
         """
-        seq = next(self._seq)
-        sampled = 1 if self._every and seq % self._every == 0 else 0
-        return (seq << 1) | sampled
+        for recorder in self.recorders():
+            recorder.fold()
 
     def recorder(self, name: str) -> SpanRecorder:
         """The named component's recorder (created on first request)."""

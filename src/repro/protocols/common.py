@@ -22,7 +22,7 @@ study demonstrates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from ..core.errors import ParseError

@@ -66,6 +66,7 @@ from ..core.errors import ConfigurationError
 from ..network.addressing import Endpoint
 from ..network.engine import NetworkEngine, NetworkNode, recent
 from ..obs.tracing import (
+    FOLD_MASK,
     STAGE_CLASSIFY,
     STAGE_FANOUT,
     STAGE_INGRESS,
@@ -265,6 +266,8 @@ class ShardRouter(NetworkNode):
         tracer = self.tracer
         recorder = self._recorder
         trace = tracer.stamp() if tracer is not None else 0
+        if tracer is not None and not trace & FOLD_MASK:
+            tracer.fold()
         started = perf_counter()
         try:
             if any(shard.engine.owns_endpoint(source) for shard in self._shards):

@@ -89,6 +89,12 @@ class TestHarness:
         assert summary.count == 4
         assert summary.label == "2. SLP to Bonjour"
 
+    def test_measure_connector_case_beyond_the_session_ring(self, quick_latencies):
+        """More repetitions than the bridge's session ring keeps: measured
+        in batches, every lookup is one sample."""
+        summary = measure_connector_case(2, repetitions=300, latencies=quick_latencies)
+        assert summary.count == 300
+
     def test_fig12_shape_is_preserved(self, quick_latencies):
         """The qualitative shape of the paper's tables holds on the simulator.
 

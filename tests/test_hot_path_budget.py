@@ -28,7 +28,7 @@ SEED = 11
 WARMUP = 50
 SESSIONS = 200
 #: Python calls per session measured on CPython 3.11, plus 10 %.
-BUDGETS = {2: 320.6 * 1.1, 1: 546.7 * 1.1}
+BUDGETS = {2: 267.7 * 1.1, 1: 481.7 * 1.1}
 
 
 def _calls_per_session(case: int) -> float:

@@ -75,14 +75,44 @@ def _mutants(wire: bytes):
             yield wire[:offset] + bytes([value]) + wire[offset + 1:]
 
 
-def _outcome(parser, data):
+_ABSENT = object()
+
+
+def _fields_view(message):
+    return [(f.label, f.type_name, f.length_bits, f.value) for f in message.fields]
+
+
+def _find_view(message):
+    found = [message.find(label) for label in message.labels()]
+    return [(f.label, f.type_name, f.length_bits, f.value) for f in found]
+
+
+def _get_view(message):
+    values = [(label, message.get(label, _ABSENT)) for label in message.labels()]
+    return values, message.get("NoSuchField", _ABSENT) is _ABSENT, message.has("XID.x")
+
+
+def _slot_view(message):
+    """The values as a compiled parser hands them over, without fields."""
+    schema = message._schema
+    if schema is None:  # the interpreter's field mode
+        return [(f.label, f.type_name, f.value) for f in message.fields]
+    return list(zip(schema.labels, schema.types, message._values))
+
+
+#: Every way a reader sees a parsed message: each view reads a fresh parse,
+#: so none of them sees a message another view switched to fields.
+_VIEWS = (_fields_view, _find_view, _get_view, _slot_view)
+
+
+def _outcome(parser, data, view=_fields_view):
     try:
         message = parser.parse(data)
     except StarlinkError as exc:
         return type(exc), str(exc)
     return (
         message.name,
-        [(f.label, f.type_name, f.value) for f in message.fields],
+        view(message),
         message.mandatory_fields,
         message.protocol,
     )
@@ -96,14 +126,17 @@ def _wires():
 
 
 def test_every_mutation_parses_or_fails_identically():
+    """Through every view — fields, ``find``, ``get`` and the slot read."""
     checked = 0
     for builder, wire in _wires():
         compiled = create_parser(builder())
         interpreted = create_parser(builder(), interpreted=True)
         assert isinstance(compiled, CompiledBinaryParser)
-        assert _outcome(compiled, wire) == _outcome(interpreted, wire)
-        for data in _mutants(wire):
-            assert _outcome(compiled, data) == _outcome(interpreted, data), data.hex()
+        assert compiled.parse(wire)._schema is not None  # value mode on arrival
+        for data in [wire, *_mutants(wire)]:
+            for view in _VIEWS:
+                expected = _outcome(interpreted, data, view)
+                assert _outcome(compiled, data, view) == expected, (view.__name__, data.hex())
             checked += 1
     assert checked > 1000
 

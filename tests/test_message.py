@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import FieldNotFoundError, MessageError
-from repro.core.message import AbstractMessage, PrimitiveField, StructuredField
+from repro.core.message import AbstractMessage, MessageSchema, PrimitiveField, StructuredField
 
 
 class TestPrimitiveField:
@@ -174,3 +174,45 @@ class TestAbstractMessage:
 
     def test_repr_contains_name(self):
         assert "SLP_SrvReq" in repr(AbstractMessage("SLP_SrvReq"))
+
+
+class TestValueMode:
+    """A message built over a schema answers from its slots, and switches to
+    field objects once, on the first access that needs them."""
+
+    def _message(self):
+        schema = MessageSchema(["XID", "SRVType"], ["Integer", "String"])
+        message = AbstractMessage.__new__(AbstractMessage)
+        message.name, message.protocol = "SLP_SrvReq", "SLP"
+        message._mandatory = ("XID",)  # shared, as a compiled parser shares it
+        message._schema, message._values = schema, (7, "service:test")
+        return message
+
+    def test_reads_answer_from_the_slots(self):
+        message = self._message()
+        assert message.get("XID") == 7 and message["SRVType"] == "service:test"
+        assert message.has("XID") and not message.has("XID.x") and "Nope" not in message
+        assert message.get("Nope", "fallback") == "fallback"
+        with pytest.raises(FieldNotFoundError):
+            message["Nope"]
+        assert message.labels() == ["XID", "SRVType"]
+        assert message.values() == {"XID": 7, "SRVType": "service:test"}
+        assert message.copy() == message and message.copy()._schema is message._schema
+        assert message._schema is not None  # none of the above built fields
+
+    def test_mark_mandatory_does_not_edit_the_shared_labels(self):
+        message = self._message()
+        shared = message._mandatory
+        message.mark_mandatory("SRVType", "XID")
+        assert message.mandatory_fields == ["XID", "SRVType"] and shared == ("XID",)
+
+    def test_a_structural_access_builds_the_fields_once(self):
+        message = self._message()
+        fields = message.fields
+        assert [(f.label, f.type_name, f.length_bits, f.value) for f in fields] == [
+            ("XID", "Integer", None, 7),
+            ("SRVType", "String", None, "service:test"),
+        ]
+        assert message._schema is None and message.fields is fields
+        message.set("XID", 8, type_name="Integer")
+        assert message.find("XID") is fields[0] and message.get("XID") == 8

@@ -21,6 +21,8 @@ its own counters, and these tests are the invariant's regression net.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from case2_utils import attach_clients, deploy_case2, mdns_answer
@@ -38,6 +40,8 @@ from repro.network.addressing import Endpoint, Transport
 from repro.network.aio import AsyncSocketNetwork
 from repro.network.sockets import loopback_available
 from repro.obs.tracing import (
+    FOLD_EVERY,
+    FOLD_MASK,
     STAGE_COMPOSE,
     STAGE_DISPATCH,
     STAGE_INGRESS,
@@ -106,6 +110,21 @@ class TestLatencyHistogram:
         hist.record(1e12)  # ~31,000 years -> clamped, no IndexError
         assert hist.buckets[-1] == 1
 
+    def test_record_many_buckets_exactly_as_record(self):
+        edges = LatencyHistogram.EDGES
+        # Every bucket edge and its float neighbours, plus zero, negative,
+        # sub-nanosecond and clamped durations.
+        durations = [0.0, -1e-6, 1e-12, 1e12, 1e-6, 2.5e-4]
+        for edge in edges:
+            durations += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+        one_by_one, batched = LatencyHistogram(), LatencyHistogram()
+        for seconds in durations:
+            one_by_one.record(seconds)
+        batched.record_many(durations)
+        assert batched.buckets == one_by_one.buckets
+        assert batched.count == one_by_one.count == len(durations)
+        assert batched.total_seconds == pytest.approx(one_by_one.total_seconds)
+
 
 # ---------------------------------------------------------------------------
 # tracer stamping and sampling
@@ -129,6 +148,18 @@ class TestTracer:
         tracer = Tracer(sample=0.5)
         bits = [tracer.stamp() & 1 for _ in range(8)]
         assert bits == [0, 1, 0, 1, 0, 1, 0, 1]
+
+    def test_trace_id_is_sequence_and_sampling_bit(self):
+        for sample, every in ((1.0, 1), (0.25, 4), (1.0 / 64.0, 64), (0.0, 0)):
+            tracer = Tracer(sample=sample)
+            for seq in range(1, 200):
+                sampled = 1 if every and seq % every == 0 else 0
+                assert tracer.stamp() == (seq << 1) | sampled
+
+    def test_fold_mask_picks_every_fold_every_th_stamp(self):
+        tracer = Tracer()
+        due = [seq for seq in range(1, 3 * FOLD_EVERY + 1) if not tracer.stamp() & FOLD_MASK]
+        assert due == [FOLD_EVERY, 2 * FOLD_EVERY, 3 * FOLD_EVERY]
 
     def test_trace_ids_are_unique_even_unsampled(self):
         tracer = Tracer(sample=0.0)
@@ -183,6 +214,30 @@ class TestSpanRecorder:
         recorder.record(0, STAGE_PARSE, perf_counter() - 1e12)  # ~31,000 years
         hist = recorder.hists[STAGE_PARSE]
         assert hist.buckets[-1] == 1 and hist.count == 1
+
+    def test_held_durations_reach_the_histogram_on_read(self):
+        recorder = Tracer(sample=0.0).recorder("unit")
+        recorder.hold[STAGE_PARSE](1e-6)
+        recorder.record_span(0, STAGE_PARSE, 2e-6)
+        hist = recorder.hists[STAGE_PARSE]
+        assert hist.count == 2
+        assert hist.total_seconds == pytest.approx(3e-6)
+        recorder.fold()  # nothing pending: a second fold adds nothing
+        assert recorder.hists[STAGE_PARSE].count == 2
+
+    def test_edge_folds_bound_the_pending_durations(self):
+        tracer = Tracer(sample=0.0)
+        for _ in range(3):  # 100 sessions, 200 stamped datagrams each
+            assert concurrent_scenario(2, clients=100, tracer=tracer).run().all_found
+        # The edge folded on stamps 256 and 512: what waits is the records
+        # since the last of them, not the whole run.
+        recorders = tracer.recorders()
+        for recorder in recorders:
+            assert all(len(pending) < FOLD_EVERY for pending in recorder._pending.values())
+        hists = tracer.stage_histograms()
+        assert hists[STAGE_INGRESS].count == hists[STAGE_PARSE].count == 600
+        for recorder in recorders:
+            assert all(not pending for pending in recorder._pending.values())
 
     def test_ring_wraps_and_counts_drops(self):
         tracer = Tracer(sample=1.0, ring_size=4)

@@ -4,7 +4,7 @@ The plans claim strict behaviour preservation one layer above the compiled
 codecs, so — as in ``test_mdl_compiled.py`` — every test here is a
 two-stack comparison rather than a golden value:
 
-* the translation plan ``TranslationLogic.apply`` executes must leave the
+* the generated translator ``TranslationLogic.apply`` runs must leave the
   same message (labels, order, types, values) or raise the same error
   (class *and* text, same partial message) as the assignment-at-a-time
   ``TranslationLogic.interpret``, over all six bridges' logics and over
@@ -394,8 +394,9 @@ def test_self_sourced_assignment_reads_the_target():
 
 
 def test_dotted_and_xpath_paths_fall_back_per_assignment():
-    """A path the plan cannot flatten runs through ``FieldPath`` — and the
-    flat assignments around it still run as slot copies, in order."""
+    """A path the translator cannot flatten runs through the interpreter's
+    per-assignment step — and the flat assignments around it still run as
+    generated code, in order."""
     logic = _logic(
         ("Out.a", "In.a"),
         ("Out.URL.port", "In.S.x"),
@@ -406,8 +407,15 @@ def test_dotted_and_xpath_paths_fall_back_per_assignment():
     error, shape, _ = _assert_stacks_agree(logic, "Out", {"In": source}, None, True)
     assert error is None
     assert [field[0] for field in shape[1]] == ["a", "URL", "c", "b"]
-    steps = logic._plans["Out"]
-    assert [step[2] is None for step in steps] == [False, True, True, False]
+    executed = []
+    execute = logic._execute
+    logic._execute = lambda assignment, *rest: executed.append(assignment) or execute(
+        assignment, *rest
+    )
+    logic.assign("Out.d", "In.a")  # drops the translator: the next one binds the spy
+    target = logic.apply(AbstractMessage("Out"), {"In": source.copy()}, strict=True)
+    assert executed == logic.assignments[1:3]
+    assert target.labels() == ["a", "URL", "c", "b", "d"]
 
 
 # ----------------------------------------------------------------------
@@ -418,12 +426,17 @@ def _apply(logic, instances):
 
 
 def test_plan_is_lowered_once_and_reused():
-    logic = _logic(("Out.a", "In.a"))
+    logic = _logic(("Out.a", "In.a"), ("Out.b", "In.a"))
+    generated = []
+    generate = logic._generate
+    logic._generate = lambda name: generated.append(name) or generate(name)
     instances = {"In": AbstractMessage.from_dict("In", {"a": 1})}
-    _apply(logic, instances)
-    plan = logic._plans["Out"]
-    _apply(logic, instances)
-    assert logic._plans["Out"] is plan
+    logic.lower()
+    logic.lower()
+    assert generated == ["Out"]
+    translator = logic._translators["Out"]
+    assert _apply(logic, instances) == _apply(logic, instances) == {"a": 1, "b": 1}
+    assert generated == ["Out"] and logic._translators["Out"] is translator
 
 
 def test_assign_and_add_assignment_invalidate_the_plan():
@@ -449,6 +462,84 @@ def test_registry_register_invalidates_the_plan():
     logic.functions = default_translation_registry()
     with pytest.raises(TranslationError, match="unknown translation function 'shout'"):
         _apply(logic, instances)
+
+
+def test_a_re_registered_constant_is_called_not_folded():
+    logic = _logic(("Out.a", "In.a", "constant", "k"), ("Out.b", "In.a", "constant", "k"))
+    instances = {"In": AbstractMessage.from_dict("In", {"a": "v"})}
+    assert _apply(logic, instances) == {"a": "k", "b": "k"}
+    calls = []
+
+    def constant(value, **kwargs):
+        calls.append(value)
+        return f"{kwargs['arguments'][0]}!"
+
+    logic.functions.register("constant", constant)
+    assert _apply(logic, instances) == {"a": "k!", "b": "k!"}
+    assert calls == ["v", "v"]
+    _assert_stacks_agree(logic, "Out", instances, None, strict=True)
+
+
+def test_a_function_mutating_its_context_does_not_leak_into_the_next_call():
+    logic = _logic(("Out.a", "In.a", "scribble"), ("Out.b", "In.a", "scribble"))
+    logic.functions.register("scribble", _scribble)
+    instances = {"In": AbstractMessage.from_dict("In", {"a": "v"})}
+    context = {"seen": 5}
+    target = logic.apply(AbstractMessage("Out"), instances, context=context)
+    assert target.values() == {"a": "v:5", "b": "v:5"}
+    assert context == {"seen": 5}
+    _assert_stacks_agree(logic, "Out", instances, {"seen": 5}, strict=True)
+
+
+def test_value_mode_sources_are_read_by_slot_and_an_unlaid_label_is_absent():
+    request = AbstractMessage.from_dict("SLP_SrvReq", {"XID": 7, "SRVType": "service:test"})
+    parsed = create_parser(slp_mdl()).parse(create_composer(slp_mdl()).compose(request))
+    assert parsed._schema is not None and not parsed.has("Nope")
+    logic = _logic(
+        ("Out.a", "SLP_SrvReq.XID"),
+        ("Out.b", "SLP_SrvReq.Nope"),
+        ("Out.c", "SLP_SrvReq.SRVType", "prefix", "p-"),
+    )
+    error, shape, _ = _assert_stacks_agree(logic, "Out", {"SLP_SrvReq": parsed}, None, False)
+    assert error is None and [field[3] for field in shape[1]] == [7, "p-service:test"]
+    error, shape, _ = _assert_stacks_agree(logic, "Out", {"SLP_SrvReq": parsed}, None, True)
+    assert error == (
+        "TranslationError",
+        "source field missing for assignment Out.b = SLP_SrvReq.Nope",
+    )
+    assert [field[0] for field in shape[1]] == ["a"]
+
+
+@pytest.mark.parametrize("case", [2, 6])
+def test_a_value_mode_message_edited_through_fields_composes_as_interpreted(case):
+    """Parsed and translated messages arrive in value mode; an edit through
+    ``fields`` switches them to fields, and the compiled composer must then
+    write the edit exactly as the interpreted one does."""
+    bridge = BRIDGE_BUILDERS[case]()
+    logic = bridge.merged.translation
+    spec = mdns_mdl() if case == 2 else slp_mdl()
+    composers = (create_composer(spec), create_composer(spec, interpreted=True))
+    parser = create_parser(spec)
+    source_spec = slp_mdl() if case == 2 else mdns_mdl()
+    request = AbstractMessage.from_dict(
+        source_spec.messages[0].name,
+        {"XID": 77, "ID": 77, "SRVType": "service:test", "DomainName": "_test._tcp.local",
+         "LangTag": "en", "QType": 16, "QClass": 1},
+    )
+    wire = create_composer(source_spec).compose(request)
+    instances = {request.name: create_parser(source_spec).parse(wire)}
+    target = logic.apply(AbstractMessage(spec.messages[0].name), instances, _CONTEXT)
+    messages = [target, parser.parse(composers[1].compose(target))]
+    for message in messages:
+        assert message._schema is not None
+        untouched = [composer.compose(message.copy()) for composer in composers]
+        assert untouched[0] == untouched[1]
+        edited = message.copy()
+        first = edited.fields[0]
+        first.value = first.value + 1 if isinstance(first.value, int) else f"{first.value}x"
+        assert edited._schema is None and edited.get(first.label) == first.value
+        wires = [composer.compose(edited) for composer in composers]
+        assert wires[0] == wires[1] != untouched[0]
 
 
 def test_field_ref_parses_its_path_once():
@@ -548,7 +639,9 @@ def test_parsed_messages_arrive_with_a_correct_index(builder):
     parser, composer = create_parser(spec), create_composer(spec)
     for message_spec in spec.messages:
         parsed = parser.parse(composer.compose(AbstractMessage(message_spec.name)))
-        assert parsed._indexed == len(parsed.fields)
+        # A binary parse arrives in value mode: its index is built with its fields.
+        fields = parsed.fields
+        assert parsed._indexed == len(fields)
         for field in parsed.fields:
             assert parsed._index[field.label] is _scan(parsed, field.label)
         assert set(parsed._index) == set(parsed.labels())
