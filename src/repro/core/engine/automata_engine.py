@@ -201,7 +201,6 @@ class AutomataEngine(NetworkNode):
         public_endpoints: Optional[Mapping[str, Endpoint]] = None,
         join_groups: bool = True,
         ephemeral_ports: bool = True,
-        interpreted: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
         """Create an engine for ``merged``.
@@ -224,9 +223,6 @@ class AutomataEngine(NetworkNode):
         identifier from a fresh per-session source port, so their replies
         are attributed exactly instead of FIFO (requires a network engine
         with ``bind_endpoint``; silently falls back otherwise).
-        ``interpreted`` selects the original interpreting MDL codecs and
-        trial-parse-only classification instead of the compiled hot path —
-        the escape hatch for debugging and differential testing.
         ``tracer`` attaches a :mod:`repro.obs` tracer: the engine then
         records per-stage latency histograms (always) and sampled spans
         into its own recorder; without one, every span site is a single
@@ -244,10 +240,9 @@ class AutomataEngine(NetworkNode):
         self.sweep_interval = sweep_interval
         self.join_groups = join_groups
         self.ephemeral_ports = ephemeral_ports
-        self.interpreted = interpreted
         self.public_endpoints: Dict[str, Endpoint] = dict(public_endpoints or {})
         self._bindings: Dict[str, ProtocolBinding] = {}
-        #: First-bytes discriminators per automaton (compiled mode only):
+        #: First-bytes discriminators per automaton (where the spec has one):
         #: a sound O(1) probe that lets :meth:`classify` skip candidates
         #: whose parser is guaranteed to reject the datagram.
         self._discriminators: Dict[str, SpecDiscriminator] = {}
@@ -260,20 +255,18 @@ class AutomataEngine(NetworkNode):
                 )
             self._bindings[automaton_name] = ProtocolBinding(
                 automaton=automaton,
-                parser=create_parser(spec, interpreted=interpreted),
-                composer=create_composer(spec, interpreted=interpreted),
+                parser=create_parser(spec),
+                composer=create_composer(spec),
                 local_endpoint=plan[automaton_name],
             )
-            if not interpreted:
-                discriminator = discriminator_for(spec)
-                if discriminator is not None:
-                    self._discriminators[automaton_name] = discriminator
+            discriminator = discriminator_for(spec)
+            if discriminator is not None:
+                self._discriminators[automaton_name] = discriminator
         #: ``(automaton, state) -> Step``: the merged automaton's cached
-        #: transition plans, or the reference scan of its transition lists.
-        #: The plans are lowered here, at deploy time (shared: the second
-        #: worker finds them built; a reference engine leaves them unused).
+        #: transition plans, lowered here, at deploy time (shared: the
+        #: second worker finds them built).
         merged.lower()
-        self._step = merged.scan_step if interpreted else merged.step
+        self._step = merged.step
         #: The session-independent part of the translation context; the
         #: bindings and public endpoints are fixed at construction.
         self._bridge_endpoints: Dict[str, Tuple[str, int]] = {}
@@ -633,24 +626,11 @@ class AutomataEngine(NetworkNode):
         started = perf_counter() if rec is not None else 0.0
         automaton_name = candidates[0]
         last_error: Optional[str] = None
-        if self.interpreted:
-            for name in candidates:
-                try:
-                    message = self._bindings[name].parser.parse(data)
-                    if rec is not None:
-                        rec.record(trace, STAGE_PARSE, started)
-                    return name, message
-                except ParseError as exc:
-                    automaton_name, last_error = name, str(exc)
-            if rec is not None:
-                rec.record(trace, STAGE_PARSE, started)
-            target.parse_failure_count += 1
-            target.parse_failures.append((now, automaton_name, last_error or ""))
-            return None
-        # Compiled mode: probe each candidate's first-bytes discriminator
-        # first.  REJECT is sound (the parser would raise), so rejected
-        # candidates are skipped without parsing; only ambiguous (UNKNOWN)
-        # or matching prefixes fall through to a real parse.
+        # Probe each candidate's first-bytes discriminator first.  REJECT
+        # is sound (the parser would raise), so rejected candidates are
+        # skipped without parsing; only ambiguous (UNKNOWN, also every spec
+        # without a discriminator) or matching prefixes fall through to a
+        # real parse.
         discriminators = self._discriminators
         attempted = False
         clean = True
@@ -1069,8 +1049,7 @@ class AutomataEngine(NetworkNode):
             context = session.translation = self.translation_context(session)
         # Looked up per send, never bound at deploy: ``translation.apply``
         # is a public seam that tracing shims wrap on the instance.
-        translation = self.merged.translation
-        translate = translation.interpret if self.interpreted else translation.apply
+        translate = self.merged.translation.apply
         recorder = self._recorder
         trace = self._active_trace
         if recorder is None:

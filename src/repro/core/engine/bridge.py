@@ -53,7 +53,6 @@ class StarlinkBridge:
         correlator: Optional[SessionCorrelator] = None,
         session_timeout: Optional[float] = DEFAULT_SESSION_TIMEOUT,
         ephemeral_ports: bool = True,
-        interpreted: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
         missing = [name for name in merged.automaton_names if name not in mdl_specs]
@@ -74,9 +73,6 @@ class StarlinkBridge:
         #: Per-session ephemeral source ports on upstream legs without a
         #: transaction identifier (exact reply attribution).
         self.ephemeral_ports = ephemeral_ports
-        #: Force the interpreting MDL codecs and trial-parse classification
-        #: instead of the compiled hot path (debug/differential escape hatch).
-        self.interpreted = interpreted
         #: Optional :class:`repro.obs.tracing.Tracer` handed to the engine
         #: at deploy time: stage histograms and sampled spans for the
         #: single-engine deployment, same surface as the sharded runtime.
@@ -141,7 +137,6 @@ class StarlinkBridge:
             correlator=self.correlator,
             session_timeout=self.session_timeout,
             ephemeral_ports=self.ephemeral_ports,
-            interpreted=self.interpreted,
             tracer=self.tracer,
         )
         network.attach(engine)

@@ -88,7 +88,7 @@ def create_parser(
     interpreter but operating on bytes instead of a bit list; specs the
     compiler cannot prove equivalent for fall back automatically.  Pass
     ``interpreted=True`` to force the original interpreting parser — the
-    escape hatch used by the differential tests and for debugging.
+    reference the differential tests compare against.
     """
     if not interpreted:
         from .compiled import compile_parser

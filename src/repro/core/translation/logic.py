@@ -249,11 +249,11 @@ class TranslationLogic:
         :class:`~repro.core.errors.TranslationError`; otherwise the
         assignment is skipped.
 
-        Runs the target message's generated translator (see
-        :meth:`_generate`): a fresh target is filled in one pass and left
-        in value mode; a target that already holds fields goes to
-        :meth:`interpret`, the reference this must stay message- and
-        error-identical to.
+        Runs the target message's translator (see :meth:`_generate`): a
+        fresh target is filled in one pass and left in value mode; a target
+        that already holds fields, or whose assignments a generated
+        translator cannot hold, goes to :meth:`interpret`, the reference
+        this must stay message- and error-identical to.
         """
         translator = self._translators.get(target.name)
         functions = self.functions
@@ -313,19 +313,35 @@ class TranslationLogic:
     def _generate(self, target_message: str) -> Callable[..., AbstractMessage]:
         """The straight-line translator of ``target_message``.
 
-        Assignments run in order.  While they are flat, write distinct
-        target labels, read other messages and call no function but the
-        built-ins, the target's values stay in locals: each source message
-        is looked up once and read by slot position (value mode) or label,
-        ``constant`` is folded, the other functions are called as bound
-        constants, and the target is handed its slot tuple at the end
-        (fields, if an assignment was skipped).  From the first assignment
-        that is not like that on, the target gets its fields and each flat
-        assignment writes through :class:`FieldPath`; a dotted or XPath one
-        runs in :meth:`_execute`.  An error hands the target what was
-        assigned before it, as the interpreter leaves it.
+        When every assignment is flat, writes a distinct target label,
+        reads another message and calls no function but the built-ins, the
+        target's values stay in locals: each source message is looked up
+        once and read by slot position (value mode) or label, ``constant``
+        is folded, the other functions are called as bound constants, and
+        the target is handed its slot tuple at the end (fields, if an
+        assignment was skipped).  An error hands the target what was
+        assigned before it, as the interpreter leaves it.  Any other target
+        — a dotted or XPath path, a self-sourced or user-function
+        assignment — is translated by :meth:`interpret` as a whole.
         """
         functions = self.functions
+        steps = []
+        held: List[str] = []  # the target labels kept in locals, in order
+        for assignment in self.assignments_for(target_message):
+            source = _flat_label(assignment.source.field)
+            label = _flat_label(assignment.target.field)
+            function = functions.lookup(assignment.function) if assignment.function else None
+            if (
+                source is None
+                or label is None
+                or label in held
+                or assignment.source.message == target_message
+                or (function is not None and id(function) not in _BUILTINS)
+            ):
+                return self.interpret
+            held.append(label)
+            steps.append((assignment, source, function))
+
         src = _Source(
             "translate(target, instances, context, strict)",
             f"{target_message} translator",
@@ -333,7 +349,6 @@ class TranslationLogic:
             SF=StructuredField,
             TranslationError=TranslationError,
             interpret=self.interpret,
-            execute=self._execute,
             _reader=_reader,
             _settle=_settle,
             _structured_value=_structured_value,
@@ -342,32 +357,17 @@ class TranslationLogic:
         src("fields = target._fields")
         src("if fields is None or fields:")
         src("    return interpret(target, instances, context, strict)")
-        steps = []
-        held: List[str] = []  # the target labels kept in locals, in order
-        for assignment in self.assignments_for(target_message):
-            source = _flat_label(assignment.source.field)
-            label = _flat_label(assignment.target.field)
-            function = functions.lookup(assignment.function) if assignment.function else None
-            if (
-                len(held) == len(steps)
-                and source is not None
-                and label is not None
-                and label not in held
-                and assignment.source.message != target_message
-                and (function is None or id(function) in _BUILTINS)
-            ):
-                held.append(label)
-            steps.append((assignment, source, label, function))
-
-        # Each source message of the held assignments is looked up once and
-        # its labels read in one slot-reader call.
-        sources: Dict[str, Tuple[str, Dict[str, str]]] = {}
-        for assignment, source, _, _ in steps[: len(held)]:
-            name, reads = sources.setdefault(assignment.source.message, (f"s{len(sources)}", {}))
-            reads.setdefault(source, f"{name}_{len(reads)}")
-        labels = src.const(tuple(held)) if held else None
-        slots = "".join(f"t{j}, " for j in range(len(held)))
         if held:
+            # Each source message is looked up once and its labels read in
+            # one slot-reader call.
+            sources: Dict[str, Tuple[str, Dict[str, str]]] = {}
+            for assignment, source, _ in steps:
+                name, reads = sources.setdefault(
+                    assignment.source.message, (f"s{len(sources)}", {})
+                )
+                reads.setdefault(source, f"{name}_{len(reads)}")
+            labels = src.const(tuple(held))
+            slots = "".join(f"t{j}, " for j in range(len(held)))
             src(" = ".join(f"t{j}" for j in range(len(held))) + " = A")
             src("try:")
             src.depth += 1
@@ -385,29 +385,13 @@ class TranslationLogic:
                 src("    else:")
                 for label, var in reads.items():
                     src(f"        {var} = {name}.get({label!r}, A)")
-            for j, (assignment, source, label, function) in enumerate(steps[: len(held)]):
+            for j, (assignment, source, function) in enumerate(steps):
                 name, reads = sources[assignment.source.message]
-                self._emit(src, assignment, function, name, reads[source], f"t{j} = {{}}")
+                self._emit(src, assignment, function, name, reads[source], f"t{j}")
             src.depth -= 1
             src("except BaseException:")
             src(f"    _settle(target, {labels}, ({slots}))")
             src("    raise")
-        if len(held) < len(steps):
-            if held:
-                src(f"_settle(target, {labels}, ({slots}))")
-            for assignment, source, label, function in steps[len(held):]:
-                if source is None or label is None:
-                    src(f"execute({src.const(assignment)}, target, instances, context, strict)")
-                    continue
-                message = assignment.source.message
-                src(f"s = instances.get({message!r})")
-                if message == target_message:
-                    src("if s is None:")
-                    src("    s = target")
-                src(f"a = A if s is None else s.get({source!r}, A)")
-                write = f"{src.const(assignment.target.path())}.assign(target, {{}})"
-                self._emit(src, assignment, function, "s", "a", write)
-        elif held:
             schema = MessageSchema(held, ["String"] * len(held))
             src(f"if {' and '.join(f't{j} is not A' for j in range(len(held)))}:")
             src("    target._fields = None")
@@ -425,11 +409,11 @@ class TranslationLogic:
         function: Optional[Callable[..., Any]],
         source: str,
         value: str,
-        write: str,
+        slot: str,
     ) -> None:
         """One assignment reading ``value`` (``A``: absent) of the message
         in ``source``: skip it or raise as the interpreter does, else run
-        its function and emit ``write`` formatted with the result."""
+        its function and store the result in local ``slot``."""
         no_instance = (
             f"no instance of source message '{assignment.source.message}' "
             f"available for assignment {assignment}"
@@ -449,7 +433,7 @@ class TranslationLogic:
         elif function is _CONSTANT and not arguments:
             src("raise TranslationError('constant() needs a literal argument')")
         elif function is _CONSTANT and not isinstance(arguments[0], StructuredField):
-            src(write.format(src.const(arguments[0])))
+            src(f"{slot} = {src.const(arguments[0])}")
         else:
             result = value
             if name:
@@ -466,7 +450,7 @@ class TranslationLogic:
                 result = "v"
             src(f"if isinstance({result}, SF):")
             src(f"    raise _structured_value({src.const(assignment)}, {result}.label)")
-            src(write.format(result))
+            src(f"{slot} = {result}")
         src.depth -= 1
 
     def interpret(
@@ -480,7 +464,8 @@ class TranslationLogic:
 
         Nothing is lowered or cached: every call filters the assignment
         list and resolves each side through :class:`FieldPath`.  The
-        engine's escape hatch and the differential tests run this.
+        differential tests run this, and :meth:`apply` runs it for every
+        target :meth:`_generate` does not hold in locals.
         """
         for assignment in self.assignments_for(target.name):
             self._execute(assignment, target, instances, context, strict)

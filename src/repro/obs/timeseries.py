@@ -9,9 +9,9 @@ worker?"*  This module closes that gap with a :class:`MetricsCollector`
 that periodically folds snapshots into fixed-size per-worker ring
 **time-series windows**:
 
-* **counters** are stored as windowed deltas (and rates over the window
-  elapsed time) — completed sessions jumping by 40 in one window is
-  load; the same cumulative total sitting still is a stall;
+* **counters** are stored as windowed deltas (a rate is the delta over
+  the window's ``elapsed``) — completed sessions jumping by 40 in one
+  window is load; the same cumulative total sitting still is a stall;
 * **gauges** (queue depth, busy backlog, heartbeat age, active sessions)
   are point-in-time samples on the window boundary;
 * **latency quantiles** are *windowed*: each window takes a
@@ -21,8 +21,8 @@ that periodically folds snapshots into fixed-size per-worker ring
   cumulative ``stage_latency()`` table had since PR 7).
 
 Which row fields are counters and which are gauges is declared once, in
-:mod:`repro.runtime.metrics`: a window carries ``<field>_delta`` and
-``<field>_rate`` per declared counter and ``<field>`` per declared gauge.
+:mod:`repro.runtime.metrics`: a window carries ``<field>_delta``
+per declared counter and ``<field>`` per declared gauge.
 A counter below its mark is a reset (:func:`counter_delta`).
 
 Clock domains follow the PR 7/PR 8 convention: window positions and
@@ -85,26 +85,24 @@ def counter_delta(value: int, mark: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _layout(row_type: type) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str, str], ...]]:
+def _layout(row_type: type) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, str], ...]]:
     """A row type's declared gauges, and its counters with their keys."""
     kinds = [(item.name, item.metadata.get("kind")) for item in fields(row_type)]
     gauges = tuple(name for name, kind in kinds if kind == "gauge")
-    counters = tuple((n, f"{n}_delta", f"{n}_rate") for n, kind in kinds if kind == "counter")
+    counters = tuple((n, f"{n}_delta") for n, kind in kinds if kind == "counter")
     return gauges, counters
 
 
-def _series(row: Any, marks: Dict[str, int], elapsed: float) -> dict:
+def _series(row: Any, marks: Dict[str, int]) -> dict:
     """One metrics row's window: each declared gauge as sampled, each
-    declared counter as ``<field>_delta`` and ``<field>_rate`` since its
-    mark in ``marks`` (which advances)."""
+    declared counter as ``<field>_delta`` since its mark in ``marks``
+    (which advances)."""
     gauges, counters = _layout(type(row))
     window = {name: getattr(row, name) for name in gauges}
-    for name, delta_key, rate_key in counters:
+    for name, delta_key in counters:
         value = getattr(row, name)
-        delta = counter_delta(value, marks.get(name, 0))
+        window[delta_key] = counter_delta(value, marks.get(name, 0))
         marks[name] = value
-        window[delta_key] = delta
-        window[rate_key] = (delta / elapsed) if elapsed > 0.0 else 0.0
     return window
 
 
@@ -197,8 +195,8 @@ class MetricsCollector(ControlLoop):
         window = {
             "at": at,
             "elapsed": elapsed,
-            "workers": [self._worker_window(row, elapsed) for row in snapshot.workers],
-            "router": _series(snapshot.router, self._router_marks, elapsed),
+            "workers": [self._worker_window(row) for row in snapshot.workers],
+            "router": _series(snapshot.router, self._router_marks),
         }
         with self._ring_lock:
             self._ring[self._head % self.capacity] = window
@@ -206,12 +204,12 @@ class MetricsCollector(ControlLoop):
         self.samples += 1
         return window
 
-    def _worker_window(self, row: Any, elapsed: float) -> dict:
+    def _worker_window(self, row: Any) -> dict:
         marks = self._worker_marks.setdefault(row.worker_id, {})
         return {
             "worker_id": row.worker_id,
             "name": row.name,
-            **_series(row, marks, elapsed),
+            **_series(row, marks),
             "stages": self._stage_quantiles(row.name),
         }
 

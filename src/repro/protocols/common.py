@@ -12,7 +12,9 @@ This module provides the building blocks for our simulated equivalents:
 * :class:`LegacyClient` — a driver node that performs blocking lookups on a
   simulated network and reports the measured response time, adding the
   legacy client library's own overhead;
-* :class:`LookupResult` — the outcome of one lookup.
+* :class:`LookupResult` — the outcome of one lookup;
+* :func:`peer_spec` — the one MDL specification per protocol that every
+  legacy peer of the process parses and composes with.
 
 The legacy endpoints deliberately speak only their own protocol and know
 nothing about Starlink: transparency of the bridge is part of what the case
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..core.errors import ParseError
 from ..core.mdl.base import create_composer, create_parser
@@ -33,7 +36,27 @@ from ..network.addressing import Endpoint
 from ..network.engine import NetworkEngine, NetworkNode, recent
 from ..network.latency import LatencyModel
 
-__all__ = ["LookupResult", "LegacyService", "LegacyClient", "rng_for", "sample_latency"]
+__all__ = [
+    "LookupResult",
+    "LegacyService",
+    "LegacyClient",
+    "peer_spec",
+    "rng_for",
+    "sample_latency",
+]
+
+
+@lru_cache(maxsize=None)
+def peer_spec(builder: Callable[[], MDLSpec]) -> MDLSpec:
+    """The process-wide specification ``builder`` returns, built once.
+
+    Legacy peers only read their protocol's specification, so they share
+    one per protocol — and with it the compiled codecs cached on it — and a
+    simulated client costs no code generation.  Read-only by contract:
+    bridge builders keep building fresh specifications, which may be
+    edited before deployment.
+    """
+    return builder()
 
 
 def rng_for(network: NetworkEngine, node: NetworkNode) -> random.Random:

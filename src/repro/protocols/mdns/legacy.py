@@ -17,7 +17,7 @@ from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
 from ...network.engine import NetworkEngine
 from ...network.latency import LatencyModel, default_latencies
-from ..common import LegacyClient, LegacyService, LookupResult, sample_latency
+from ..common import LegacyClient, LegacyService, LookupResult, peer_spec, sample_latency
 from .mdl import (
     DNS_QUESTION,
     DNS_RESPONSE,
@@ -51,7 +51,7 @@ class BonjourResponder(LegacyService):
             name=name,
             endpoint=Endpoint(host, port, Transport.UDP),
             groups=[mdns_group_endpoint()],
-            mdl=mdns_mdl(),
+            mdl=peer_spec(mdns_mdl),
             latency=latency if latency is not None else _LATENCIES.mdns_service,
         )
         #: service name (e.g. ``_test._tcp.local``) -> service URL.
@@ -100,7 +100,7 @@ class BonjourBrowser(LegacyClient):
         super().__init__(
             name=name,
             endpoint=Endpoint(host, port, Transport.UDP),
-            mdl=mdns_mdl(),
+            mdl=peer_spec(mdns_mdl),
             client_overhead=(
                 client_overhead
                 if client_overhead is not None

@@ -23,7 +23,7 @@ from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
 from ...network.engine import NetworkEngine
 from ...network.latency import LatencyModel, default_latencies
-from ..common import LegacyClient, LegacyService, LookupResult, sample_latency
+from ..common import LegacyClient, LegacyService, LookupResult, peer_spec, sample_latency
 from .mdl import SLP_MULTICAST_GROUP, SLP_PORT, SLP_SRVREPLY, SLP_SRVREQ, slp_mdl
 
 __all__ = ["SLPServiceAgent", "SLPUserAgent", "slp_group_endpoint"]
@@ -50,7 +50,7 @@ class SLPServiceAgent(LegacyService):
             name=name,
             endpoint=Endpoint(host, port, Transport.UDP),
             groups=[slp_group_endpoint()],
-            mdl=slp_mdl(),
+            mdl=peer_spec(slp_mdl),
             latency=latency if latency is not None else _LATENCIES.slp_service,
         )
         #: service type -> service URL registrations.
@@ -96,7 +96,7 @@ class SLPUserAgent(LegacyClient):
         super().__init__(
             name=name,
             endpoint=Endpoint(host, port, Transport.UDP),
-            mdl=slp_mdl(),
+            mdl=peer_spec(slp_mdl),
             client_overhead=(
                 client_overhead
                 if client_overhead is not None

@@ -25,7 +25,7 @@ from ...core.message import AbstractMessage
 from ...network.addressing import Endpoint, Transport
 from ...network.engine import NetworkEngine, NetworkNode, recent
 from ...network.latency import LatencyModel, default_latencies
-from ..common import LegacyClient, LookupResult, sample_latency
+from ..common import LegacyClient, LookupResult, peer_spec, sample_latency
 from ..http.mdl import HTTP_GET, HTTP_OK, http_mdl
 from ..ssdp.mdl import (
     SSDP_MSEARCH,
@@ -79,10 +79,10 @@ class UPnPDevice(NetworkNode):
         self._ssdp_endpoint = Endpoint(host, ssdp_port, Transport.UDP)
         self._http_endpoint = Endpoint(host, http_port, Transport.TCP)
         self.location = f"http://{host}:{http_port}/description.xml"
-        self._ssdp_parser = create_parser(ssdp_mdl())
-        self._ssdp_composer = create_composer(ssdp_mdl())
-        self._http_parser = create_parser(http_mdl())
-        self._http_composer = create_composer(http_mdl())
+        self._ssdp_parser = create_parser(peer_spec(ssdp_mdl))
+        self._ssdp_composer = create_composer(peer_spec(ssdp_mdl))
+        self._http_parser = create_parser(peer_spec(http_mdl))
+        self._http_composer = create_composer(peer_spec(http_mdl))
         self.ssdp_latency = ssdp_latency if ssdp_latency is not None else _LATENCIES.ssdp_service
         self.http_latency = http_latency if http_latency is not None else _LATENCIES.http_service
         #: Requests handled: the count, and a ring of the most recent
@@ -218,15 +218,15 @@ class UPnPControlPoint(LegacyClient):
         super().__init__(
             name=name,
             endpoint=Endpoint(host, port, Transport.UDP),
-            mdl=ssdp_mdl(),
+            mdl=peer_spec(ssdp_mdl),
             client_overhead=(
                 client_overhead
                 if client_overhead is not None
                 else _LATENCIES.upnp_client_overhead
             ),
         )
-        self._http_parser = create_parser(http_mdl())
-        self._http_composer = create_composer(http_mdl())
+        self._http_parser = create_parser(peer_spec(http_mdl))
+        self._http_composer = create_composer(peer_spec(http_mdl))
         self._token_counter = itertools.count(1)
         #: In-flight two-leg lookups, by token, in start order.
         self._controls: Dict[int, _PendingControl] = {}

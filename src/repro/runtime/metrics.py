@@ -25,8 +25,8 @@ declared**: a ``counter(...)`` / ``gauge(...)`` field carries its kind,
 help text, source and (only for names exported before the rule) a
 rename.  :func:`declared` derives the ``as_row`` key (the field name),
 the ``/metrics`` family (``<prefix>_<field>``, ``_total`` for counters)
-and the collector's window keys (``<field>_delta`` / ``_rate``, or the
-gauge's ``<field>``); :func:`sourced` builds rows and the runtime's
+and the collector's window key (``<field>_delta``, or the gauge's
+``<field>``); :func:`sourced` builds rows and the runtime's
 retirement.  Adding a counter is one declaration plus its increment.
 """
 

@@ -140,7 +140,6 @@ class ShardedRuntime:
         hop_delay: float = 0.0,
         ephemeral_ports: bool = True,
         worker_port_stride: int = 0,
-        interpreted: bool = False,
         trace_sample: float = DEFAULT_SAMPLE_RATE,
         trace_ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
@@ -158,18 +157,6 @@ class ShardedRuntime:
         self.session_timeout = session_timeout
         self.hop_delay = hop_delay
         self.ephemeral_ports = ephemeral_ports
-        #: Select the interpreting MDL codecs instead of the compiled hot
-        #: path (escape hatch for debugging and differential tests).
-        self.interpreted = interpreted
-        if not interpreted:
-            # Compile every spec once, up front: the model is read-only
-            # after deployment, so the artifacts cached on each spec are
-            # shared by all workers (current and future) instead of each
-            # engine compiling its own.
-            from ..core.mdl.compiled import compiled_artifacts
-
-            for spec in self.mdl_specs.values():
-                compiled_artifacts(spec)
         #: With a stride, worker *id* shares the runtime's host and claims
         #: the port range ``base_port + (id+1) * stride`` — required on the
         #: socket engine, where hosts are real addresses (everything is
@@ -246,7 +233,6 @@ class ShardedRuntime:
             correlator=bridge.correlator,
             session_timeout=bridge.session_timeout,
             ephemeral_ports=bridge.ephemeral_ports,
-            interpreted=bridge.interpreted,
         )
         options.update(overrides)
         return cls(bridge.merged, bridge.mdl_specs, workers=workers, **options)
@@ -288,7 +274,6 @@ class ShardedRuntime:
             public_endpoints=self.public_endpoints,
             join_groups=False,
             ephemeral_ports=self.ephemeral_ports,
-            interpreted=self.interpreted,
             tracer=self.tracer,
         )
 

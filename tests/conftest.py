@@ -12,7 +12,10 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.core.automata.merge import MergedAutomaton  # noqa: E402
+from repro.core.engine import automata_engine  # noqa: E402
 from repro.core.mdl.base import create_composer, create_parser  # noqa: E402
+from repro.core.translation.logic import TranslationLogic  # noqa: E402
 from repro.network.latency import CalibratedLatencies, LatencyModel  # noqa: E402
 from repro.network.simulated import SimulatedNetwork  # noqa: E402
 from repro.protocols.http.mdl import http_mdl  # noqa: E402
@@ -81,3 +84,37 @@ def http_codec(http_spec):
 @pytest.fixture
 def mdns_codec(mdns_spec):
     return create_parser(mdns_spec), create_composer(mdns_spec)
+
+
+@pytest.fixture
+def reference_engines(monkeypatch):
+    """``switch(True)`` makes every engine built after it run the references.
+
+    The swap is made at the factory seams, not through an engine option:
+    the interpreting MDL codecs, no first-bytes discriminator (so classify
+    trial-parses every candidate), ``MergedAutomaton.scan_step`` for the
+    cached transition plans and ``TranslationLogic.interpret`` for the
+    generated translators.  ``switch(False)`` restores the plans.
+    """
+
+    def switch(on: bool) -> None:
+        monkeypatch.undo()
+        if not on:
+            return
+        monkeypatch.setattr(
+            automata_engine,
+            "create_parser",
+            lambda spec: create_parser(spec, interpreted=True),
+        )
+        monkeypatch.setattr(
+            automata_engine,
+            "create_composer",
+            lambda spec: create_composer(spec, interpreted=True),
+        )
+        monkeypatch.setattr(automata_engine, "discriminator_for", lambda spec: None)
+        monkeypatch.setattr(MergedAutomaton, "step", MergedAutomaton.scan_step)
+        monkeypatch.setattr(TranslationLogic, "apply", TranslationLogic.interpret)
+
+    yield switch
+    monkeypatch.undo()
+

@@ -77,7 +77,7 @@ def _declared_table_rows():
     for cls in (WorkerMetrics, RouterMetrics):
         for metric in declared(cls):
             if metric.kind == COUNTER:
-                window = f"`{metric.field}_delta` / `{metric.field}_rate`"
+                window = f"`{metric.field}_delta`"
             else:
                 window = f"`{metric.field}`"
             rows.append(

@@ -8,7 +8,7 @@ and a ``PROBE_REJECT`` verdict of the first-bytes discriminator must imply
 the interpreted parser raises.  Alongside the hypothesis properties, this
 module pins the deploy-layer contracts: artifacts cached per read-only
 spec, cache invalidation on mutation, ``load_mdl`` memoisation, the
-``interpreted=True`` escape hatch, and the classify counters.
+``interpreted=True`` codec factories, and the classify counters.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from repro.protocols.http.mdl import HTTP_OK, http_mdl
 from repro.protocols.mdns.mdl import DNS_RESPONSE, mdns_mdl
 from repro.protocols.slp.mdl import SLP_SRVREQ, slp_mdl
 from repro.protocols.ssdp.mdl import SSDP_MSEARCH, ssdp_mdl
+from reference_utils import runs_references
 from ring_utils import counted
 
 _TEXTCHARS = string.ascii_letters + string.digits + ".-_:/ *"
@@ -333,32 +334,20 @@ def test_classify_without_discriminator_counts_miss(compiled_engine):
     assert engine.discriminator_hits == 0
 
 
-def test_interpreted_engine_keeps_trial_parse_counters_silent(network):
-    bridge = slp_to_bonjour_bridge()
-    bridge.interpreted = True
-    engine = bridge.deploy(network)
-    assert engine.interpreted
-    assert isinstance(engine.binding("SLP").parser, BinaryMessageParser)
-    assert engine.classify(_slp_wire(), _SLP_MULTICAST) is not None
-    assert engine.classify(b"\xff\xff garbage", _SLP_MULTICAST) is None
-    assert engine.parse_failures
-    assert engine.discriminator_hits == 0
-    assert engine.discriminator_misses == 0
-    assert engine.garbage_rejects == 0
-
-
-def test_compiled_and_interpreted_engines_record_same_failure_count(fast_latencies):
+def test_compiled_and_interpreted_engines_record_same_failure_count(
+    fast_latencies, reference_engines
+):
     # Two deploys need two networks: each bridge binds the same endpoints.
     from repro.network.simulated import SimulatedNetwork
 
     compiled = slp_to_bonjour_bridge().deploy(
         SimulatedNetwork(latencies=fast_latencies, seed=11)
     )
-    interpreted_bridge = slp_to_bonjour_bridge()
-    interpreted_bridge.interpreted = True
-    interpreted = interpreted_bridge.deploy(
+    reference_engines(True)
+    interpreted = slp_to_bonjour_bridge().deploy(
         SimulatedNetwork(latencies=fast_latencies, seed=11)
     )
+    assert not runs_references(compiled) and runs_references(interpreted)
     for data in (b"", b"\xff\xff garbage", bytes(range(40))):
         compiled.classify(data, _SLP_MULTICAST)
         interpreted.classify(data, _SLP_MULTICAST)

@@ -13,9 +13,10 @@ two-stack comparison rather than a golden value:
 * the merged automaton's cached ``step`` must equal ``scan_step``;
 * the message label index must answer like a linear first-match scan under
   ``add_field``/``set``/direct ``.fields`` edits and duplicate labels;
-* an engine on the plans and an ``interpreted=True`` engine, side by side,
-  must put the same bytes on the wire and end with the same counters, on
-  the simulated and the asyncio substrates at 1 and 4 workers.
+* an engine on the plans and one with the references swapped in at the
+  factory seams (the ``reference_engines`` fixture), side by side, must
+  put the same bytes on the wire and end with the same counters, on the
+  simulated and the asyncio substrates at 1 and 4 workers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.protocols.http.mdl import http_mdl
 from repro.protocols.mdns.mdl import mdns_mdl
 from repro.protocols.slp.mdl import slp_mdl
 from repro.protocols.ssdp.mdl import ssdp_mdl
+from reference_utils import runs_references
 from ring_utils import counted
 
 CASES = sorted(BRIDGE_BUILDERS)
@@ -393,29 +395,36 @@ def test_self_sourced_assignment_reads_the_target():
     assert shape[1][1][3] == "copy-v"
 
 
-def test_dotted_and_xpath_paths_fall_back_per_assignment():
-    """A path the translator cannot flatten runs through the interpreter's
-    per-assignment step — and the flat assignments around it still run as
-    generated code, in order."""
-    logic = _logic(
-        ("Out.a", "In.a"),
-        ("Out.URL.port", "In.S.x"),
-        ("Out./field/primitiveField[label='c']/value", "In.a"),
-        ("Out.b", "In.a"),
-    )
+@pytest.mark.parametrize(
+    "odd, label",
+    [
+        (("Out.URL.port", "In.S.x"), "URL"),
+        (("Out./field/primitiveField[label='c']/value", "In.a"), "c"),
+        (("Out.c", "Out.a", "prefix", "copy-"), "c"),
+        (("Out.c", "In.a", "shout"), "c"),
+    ],
+    ids=["dotted", "xpath", "self-sourced", "user-function"],
+)
+def test_a_target_the_translator_cannot_hold_is_interpreted(odd, label):
+    """One assignment the generated translator cannot keep in locals — a
+    dotted or XPath path, a self-sourced or a user-function one — hands
+    the whole target to ``interpret``, and the result (message, or error
+    text in strict mode) is still the interpreter's."""
+    functions = default_translation_registry()
+    functions.register("shout", lambda value, **_: str(value).upper())
+    logic = TranslationLogic(functions=functions)
+    for target, source, *rest in [("Out.a", "In.a"), odd, ("Out.b", "In.a")]:
+        logic.assign(target, source, *rest)
+    assert logic._translator_for("Out") == logic.interpret
     source = AbstractMessage.from_dict("In", {"a": "v", "S.x": 8080})
     error, shape, _ = _assert_stacks_agree(logic, "Out", {"In": source}, None, True)
     assert error is None
-    assert [field[0] for field in shape[1]] == ["a", "URL", "c", "b"]
-    executed = []
-    execute = logic._execute
-    logic._execute = lambda assignment, *rest: executed.append(assignment) or execute(
-        assignment, *rest
+    assert [field[0] for field in shape[1]] == ["a", label, "b"]
+    error, _, _ = _assert_stacks_agree(logic, "Out", {}, None, True)
+    assert error == (
+        "TranslationError",
+        "no instance of source message 'In' available for assignment Out.a = In.a",
     )
-    logic.assign("Out.d", "In.a")  # drops the translator: the next one binds the spy
-    target = logic.apply(AbstractMessage("Out"), {"In": source.copy()}, strict=True)
-    assert executed == logic.assignments[1:3]
-    assert target.labels() == ["a", "URL", "c", "b", "d"]
 
 
 # ----------------------------------------------------------------------
@@ -707,27 +716,8 @@ def test_step_plans_are_dropped_by_model_mutation():
 
 
 # ----------------------------------------------------------------------
-# engines side by side: plans vs interpreted=True
+# engines side by side: plans vs the references
 # ----------------------------------------------------------------------
-@pytest.fixture
-def interpreted_builders(monkeypatch):
-    """Make the workload builders deploy ``interpreted=True`` bridges."""
-
-    def switch(on: bool) -> None:
-        monkeypatch.undo()
-        if not on:
-            return
-        for case, builder in list(BRIDGE_BUILDERS.items()):
-            monkeypatch.setitem(
-                workloads.BRIDGE_BUILDERS,
-                case,
-                lambda builder=builder, **kwargs: builder(interpreted=True, **kwargs),
-            )
-
-    yield switch
-    monkeypatch.undo()
-
-
 def _record_sends(network):
     """Every datagram put on the (simulated) wire, in order."""
     wire = []
@@ -768,12 +758,12 @@ def _simulated_run(scenario, engines):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_single_engine_plans_match_interpreted_engine(case, interpreted_builders):
+def test_single_engine_plans_match_interpreted_engine(case, reference_engines):
     runs = []
-    for interpreted in (False, True):
-        interpreted_builders(interpreted)
+    for reference in (False, True):
+        reference_engines(reference)
         scenario = workloads.concurrent_scenario(case, clients=5)
-        assert scenario.bridge.engine.interpreted is interpreted
+        assert runs_references(scenario.bridge.engine) is reference
         runs.append(_simulated_run(scenario, lambda bridge: [bridge.engine]))
     assert runs[0] == runs[1]
     assert runs[0]["unrouted"] == 0 and runs[0]["evicted"] == 0
@@ -781,12 +771,12 @@ def test_single_engine_plans_match_interpreted_engine(case, interpreted_builders
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("case", CASES)
-def test_sharded_plans_match_interpreted_workers(case, workers, interpreted_builders):
+def test_sharded_plans_match_interpreted_workers(case, workers, reference_engines):
     runs = []
-    for interpreted in (False, True):
-        interpreted_builders(interpreted)
+    for reference in (False, True):
+        reference_engines(reference)
         scenario = workloads.sharded_scenario(case, clients=8, workers=workers)
-        assert all(w.interpreted is interpreted for w in scenario.bridge.workers)
+        assert all(runs_references(w) is reference for w in scenario.bridge.workers)
         run = _simulated_run(scenario, lambda runtime: runtime.workers)
         router = scenario.bridge.metrics().router
         run["routed"] = router.routed_datagrams
@@ -796,16 +786,17 @@ def test_sharded_plans_match_interpreted_workers(case, workers, interpreted_buil
     assert runs[0]["unrouted"] == 0 and runs[0]["evicted"] == 0
 
 
-def test_garbage_and_duplicates_are_counted_identically(interpreted_builders):
+def test_garbage_and_duplicates_are_counted_identically(reference_engines):
     """The reject and ignore paths, not only the happy one: a garbage flood
     and retransmitted requests leave the same conserved counters."""
     garbage = [b"", b"\xff\xff garbage", b"junk\r\n", bytes(range(40))]
     group = Endpoint("239.255.255.253", 427, Transport.UDP)
     runs = []
-    for interpreted in (False, True):
-        interpreted_builders(interpreted)
+    for reference in (False, True):
+        reference_engines(reference)
         scenario = workloads.sharded_scenario(2, clients=6, workers=4)
         network, runtime = scenario.network, scenario.bridge
+        assert all(runs_references(w) is reference for w in runtime.workers)
         wire = _record_sends(network)
         source = Endpoint("attacker.local", 9999, Transport.UDP)
         for payload in garbage * 3:
@@ -837,15 +828,15 @@ def test_garbage_and_duplicates_are_counted_identically(interpreted_builders):
 )
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("case", CASES)
-def test_aio_plans_match_interpreted_workers(case, workers, interpreted_builders):
+def test_aio_plans_match_interpreted_workers(case, workers, reference_engines):
     runs = []
-    for interpreted in (False, True):
-        interpreted_builders(interpreted)
+    for reference in (False, True):
+        reference_engines(reference)
         live = workloads.live_sharded_scenario(
             case, clients=4, workers=workers, processing_delay=0.0
         )
         runtime = live.runtime
-        assert all(w.interpreted is interpreted for w in runtime.workers)
+        assert all(runs_references(w) is reference for w in runtime.workers)
         result = live.run(timeout=20.0)
         assert result.all_found
         assert not runtime.worker_errors
